@@ -1683,10 +1683,10 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
         "than splitting message sizes (looplength adaptation chains through\n"
         "them).\n"
         "\n"
-        "### 512-process cells before/after the incremental DES core\n"
+        "### 512-process cells before/after the DES hot-path rework\n"
         "\n"
-        "The incremental flow solver + indexed event queue + pooled fiber\n"
-        "stacks (docs/SIMULATOR.md) were introduced against a committed\n"
+        "The indexed event queue, pooled fiber stacks and skip-unchanged rate\n"
+        "commits (docs/SIMULATOR.md) were introduced against a committed\n"
         "`balbench-perf` baseline of the same 512-process sweep cells on "
         "this\n"
         "container (`--repeat 5`, medians with bootstrap 95 % CIs):\n"
@@ -1700,19 +1700,17 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
         "| `sweep.t3e512.ring` | 6.9 ms  CI [6.6, 8.1] | 7.7 ms  CI [7.5, "
         "7.9] |\n"
         "\n"
-        "The random-pattern cell — 512 ranks, link-disjoint components\n"
-        "dominating the active flow set — is CI-separated (after's upper "
-        "bound\n"
-        "1.870 s below before's lower bound 2.487 s, a 1.36× speedup).  "
-        "The\n"
-        "ring cell is the adversarial case (one globally coupled "
-        "component,\n"
-        "every resolve takes the full path) and stays within noise of the "
-        "old\n"
-        "full-only solver.  These `sweep.t3e512.*` cells are recorded in\n"
-        "`BENCH_PERF.json` and gated by the history drift check, so a\n"
-        "regression in the incremental path fails CI rather than silently\n"
-        "re-inflating the critical path above.\n";
+        "The random-pattern cell is CI-separated (after's upper bound 1.870 s\n"
+        "below before's lower bound 2.487 s, a 1.36× speedup); the ring cell\n"
+        "stays within noise.  The \"after\" column also ran a component-incremental\n"
+        "flow solver, since removed: in these patterns every flow shares links\n"
+        "with every other, so its component walk covered the whole network and\n"
+        "cost time.  With the global fill alone the doc sweep took 110.8 s\n"
+        "instead of 124.0 s, with identical records, so the speedup belongs to\n"
+        "the queue, the stacks and the skipped commits.  These\n"
+        "`sweep.t3e512.*` cells are recorded in `BENCH_PERF.json` and tracked\n"
+        "by the history drift check, so a hot-path regression shows up as drift\n"
+        "rather than silently re-inflating the critical path above.\n";
 }
 
 void render_experiments_md(std::ostream& os, const ExperimentsData& data,

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -19,38 +15,18 @@ constexpr double kDoneEpsilonBytes = 0.5;
 
 // A fill-loop stall means the solver's invariants broke (every unfixed
 // flow crosses at least one touched link with a positive flow count,
-// so a bottleneck always exists).  Surface it loudly in debug builds;
-// release builds log and degrade by terminating the fill loop, which
-// leaves the remaining flows at rate zero and trips the explicit
-// zero-rate check in resolve().
-void report_fill_stall(const char* what, std::size_t unfixed,
-                       std::size_t total) {
-  std::fprintf(stderr,
-               "balbench: net/flow progressive filling stalled: %s "
-               "(%zu of %zu flows unfixed)\n",
-               what, unfixed, total);
-  assert(false && "progressive filling stalled (see stderr)");
-}
-
-FlowNetwork::SolverMode env_solver_mode() {
-  const char* env = std::getenv("BALBENCH_FLOW_SOLVER");
-  if (env != nullptr && std::strcmp(env, "full") == 0) {
-    return FlowNetwork::SolverMode::kFullOnly;
-  }
-  return FlowNetwork::SolverMode::kIncremental;
-}
-
-bool env_crosscheck() {
-  const char* env = std::getenv("BALBENCH_FLOW_CROSSCHECK");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
+// so a bottleneck always exists).  Checked in every build: carrying on
+// would leave flows at rate zero.
+[[noreturn]] void report_fill_stall(const char* what, std::size_t unfixed,
+                                    std::size_t total) {
+  throw std::logic_error("FlowNetwork: progressive filling stalled: " +
+                         std::string(what) + " (" + std::to_string(unfixed) +
+                         " of " + std::to_string(total) + " flows unfixed)");
 }
 }  // namespace
 
 FlowNetwork::FlowNetwork(const Topology& topo, simt::Engine& engine)
-    : topo_(topo), engine_(engine), mode_(env_solver_mode()),
-      crosscheck_(env_crosscheck()) {
-  link_flows_.resize(topo_.links().size());
-}
+    : topo_(topo), engine_(engine) {}
 
 void FlowNetwork::start_flow(int src, int dst, double bytes,
                              std::function<void(simt::Time)> done) {
@@ -102,36 +78,9 @@ void FlowNetwork::add_active(ActiveFlow flow) {
   f.rate = 0.0;
   f.last_update = engine_.now();
   f.completion_event = 0;
-  f.link_slot.assign(f.path.size(), 0);
-  for (std::size_t i = 0; i < f.path.size(); ++i) {
-    auto& members = link_flows_[static_cast<std::size_t>(f.path[i])];
-    f.link_slot[i] = static_cast<std::uint32_t>(members.size());
-    members.push_back(LinkEntry{slot, static_cast<std::uint32_t>(i)});
-  }
   ++active_count_;
   arrival_order_.push_back(ArrivalEntry{slot, f.seq});
-  dirty_flows_.push_back(slot);
   schedule_resolve();
-}
-
-void FlowNetwork::remove_from_links(FlowSlot slot) {
-  ActiveFlow& f = slots_[slot];
-  for (std::size_t i = 0; i < f.path.size(); ++i) {
-    auto& members = link_flows_[static_cast<std::size_t>(f.path[i])];
-    const std::uint32_t pos = f.link_slot[i];
-    assert(pos < members.size() && members[pos].flow == slot);
-    members[pos] = members.back();
-    members.pop_back();
-    if (pos < members.size()) {
-      // Swap-removal moved another membership record into `pos`; keep
-      // that flow's back-pointer exact.
-      const LinkEntry& moved = members[pos];
-      slots_[moved.flow].link_slot[moved.path_pos] = pos;
-    }
-    // The departed flow's former links seed the next component walk:
-    // every flow whose rate can change is reachable from them.
-    dirty_links_.push_back(f.path[i]);
-  }
 }
 
 void FlowNetwork::schedule_resolve() {
@@ -145,63 +94,26 @@ void FlowNetwork::schedule_resolve() {
   });
 }
 
-std::size_t FlowNetwork::collect_affected() {
-  ++epoch_;
-  if (flow_epoch_.size() < slots_.size()) flow_epoch_.resize(slots_.size(), 0);
-  if (link_epoch_.size() < link_flows_.size()) {
-    link_epoch_.resize(link_flows_.size(), 0);
-  }
-  bfs_stack_.clear();
-  std::size_t marked = 0;
-  const auto push_flow = [this, &marked](FlowSlot s) {
-    if (flow_epoch_[s] == epoch_) return;
-    flow_epoch_[s] = epoch_;
-    ++marked;
-    bfs_stack_.push_back(s);
-  };
-  const auto visit_link = [this, &push_flow](LinkId l) {
-    const auto idx = static_cast<std::size_t>(l);
-    if (link_epoch_[idx] == epoch_) return;
-    link_epoch_[idx] = epoch_;
-    for (const LinkEntry& e : link_flows_[idx]) push_flow(e.flow);
-  };
-  for (FlowSlot s : dirty_flows_) {
-    if (slots_[s].in_use) push_flow(s);
-  }
-  for (LinkId l : dirty_links_) visit_link(l);
-  while (!bfs_stack_.empty()) {
-    // Once every active flow is marked the component covers the whole
-    // network -- the caller takes the full path, so visiting the
-    // remaining links only to mark flows already marked is waste.
-    // Globally coupled patterns (rings, all-to-all) hit this early.
-    if (marked >= active_count_) break;
-    const FlowSlot s = bfs_stack_.back();
-    bfs_stack_.pop_back();
-    for (LinkId l : slots_[s].path) visit_link(l);
-  }
-  return marked;
-}
-
-void FlowNetwork::fill_rates(const std::vector<FlowSlot>& flows,
-                             std::vector<double>& rates) {
+void FlowNetwork::fill_rates() {
   // --- Progressive filling (max-min fairness). ---
-  // Only links actually crossed by a participating flow take part; on
-  // large topologies this is a small subset.
+  // Only links actually crossed by an active flow take part; on large
+  // topologies this is a small subset.
   const auto& links = topo_.links();
   if (residual_.size() != links.size()) {
     residual_.assign(links.size(), 0.0);
     flows_on_link_.assign(links.size(), 0);
   }
+  const std::size_t n = arrival_order_.size();
   touched_links_.clear();
-  rates.assign(flows.size(), 0.0);
+  rates_scratch_.assign(n, 0.0);
   unfixed_.clear();
   // Resolve the slot indirection once: the freeze loop below touches
   // every unfixed path each round, and chasing slots_ from inside it
   // costs a measurable fraction of the whole solve.
   paths_scratch_.clear();
-  for (std::uint32_t i = 0; i < flows.size(); ++i) {
+  for (std::uint32_t i = 0; i < n; ++i) {
     unfixed_.push_back(i);
-    paths_scratch_.push_back(&slots_[flows[i]].path);
+    paths_scratch_.push_back(&slots_[arrival_order_[i].slot].path);
     for (LinkId l : *paths_scratch_.back()) {
       const auto idx = static_cast<std::size_t>(l);
       if (flows_on_link_[idx] == 0) {
@@ -230,8 +142,7 @@ void FlowNetwork::fill_rates(const std::vector<FlowSlot>& flows,
     }
     touched_links_.resize(live);
     if (min_share == std::numeric_limits<double>::max()) {
-      report_fill_stall("no saturable link", unfixed_.size(), flows.size());
-      break;
+      report_fill_stall("no saturable link", unfixed_.size(), n);
     }
 
     // Freeze every unfixed flow that crosses a bottleneck link.
@@ -247,7 +158,7 @@ void FlowNetwork::fill_rates(const std::vector<FlowSlot>& flows,
       const bool frozen =
           std::any_of(path.begin(), path.end(), is_bottleneck);
       if (frozen) {
-        rates[fi] = min_share;
+        rates_scratch_[fi] = min_share;
         for (LinkId l : path) {
           const auto idx = static_cast<std::size_t>(l);
           residual_[idx] = std::max(0.0, residual_[idx] - min_share);
@@ -258,72 +169,44 @@ void FlowNetwork::fill_rates(const std::vector<FlowSlot>& flows,
       }
     }
     if (kept == unfixed_.size()) {
-      report_fill_stall("no flow crosses a bottleneck", kept, flows.size());
-      break;
+      report_fill_stall("no flow crosses a bottleneck", kept, n);
     }
     unfixed_.resize(kept);
-  }
-  // Restore scratch state for the next fill (counts normally reach
-  // zero; the stall paths above may leave residue).
-  for (LinkId l : touched_links_) {
-    flows_on_link_[static_cast<std::size_t>(l)] = 0;
   }
 }
 
 void FlowNetwork::resolve() {
-  if (active_count_ == 0) {
-    // Nothing to allocate (the last flow just departed); not counted,
-    // so resolves_ == incremental_resolves_ + full_resolves_ holds.
-    dirty_flows_.clear();
-    dirty_links_.clear();
-    return;
-  }
+  // Nothing to allocate once the last flow has departed; not counted.
+  if (active_count_ == 0) return;
   ++resolves_;
   const simt::Time now = engine_.now();
 
-  bool full = (mode_ == SolverMode::kFullOnly);
-  if (!full) {
-    // Fallback: once the component walk covers every active flow,
-    // the incremental path has no advantage -- count it as a full
-    // solve (also the path taken for globally coupled patterns such
-    // as a ring, where all flows share links transitively).
-    full = collect_affected() >= active_count_;
-  }
-  if (full) {
-    ++full_resolves_;
-  } else {
-    ++incremental_resolves_;
-  }
-  dirty_flows_.clear();
-  dirty_links_.clear();
-
-  // One pass over the arrival-ordered list does double duty: compact
-  // stale entries (departed flows; a recycled slot is recognised by its
-  // seq) and read the commit set off it already in arrival order -- no
-  // per-resolve sort.  In full mode that is every live entry; in
-  // incremental mode, the epoch marks collect_affected just set.
-  affected_.clear();
+  // Compact stale entries (departed flows; a recycled slot is
+  // recognised by its seq) out of the arrival-ordered list, which then
+  // holds exactly the active flows in commit order -- no per-resolve
+  // sort.
   std::size_t live = 0;
   for (const ArrivalEntry& e : arrival_order_) {
     const ActiveFlow& f = slots_[e.slot];
     if (!f.in_use || f.seq != e.seq) continue;
     arrival_order_[live++] = e;
-    if (full || flow_epoch_[e.slot] == epoch_) affected_.push_back(e.slot);
   }
   arrival_order_.resize(live);
-  assert(live == active_count_ && "arrival list out of sync");
-  if (affected_.empty()) return;
+  if (live != active_count_) {
+    throw std::logic_error("FlowNetwork: arrival list out of sync (" +
+                           std::to_string(live) + " live entries, " +
+                           std::to_string(active_count_) + " active flows)");
+  }
 
-  fill_rates(affected_, rates_scratch_);
+  fill_rates();
 
   // Commit, in arrival order: materialize progress under the *old*
   // rate up to now, install the new rate, and move the flow's
   // completion event to the new finish time (O(log n) each on the
-  // engine's indexed queue).  Flows outside `affected_` keep both
-  // their rate and their scheduled completion untouched -- that is the
-  // incremental solver's whole point.
-  for (std::size_t i = 0; i < affected_.size(); ++i) {
-    ActiveFlow& f = slots_[affected_[i]];
+  // engine's indexed queue).
+  for (std::size_t i = 0; i < live; ++i) {
+    const FlowSlot slot = arrival_order_[i].slot;
+    ActiveFlow& f = slots_[slot];
     const double rate = rates_scratch_[i];
     if (rate <= 0.0) {
       throw std::logic_error("FlowNetwork: flow allocated zero rate (link with "
@@ -332,9 +215,8 @@ void FlowNetwork::resolve() {
     if (rate == f.rate && f.completion_event != 0) {
       // Bitwise-identical rate: the flow's byte trajectory -- and the
       // completion event computed from it -- is still exact.  Skipping
-      // the materialize+reschedule here is what keeps a resolve cheap
-      // when a change only re-derives the same allocation for most of
-      // a large component.
+      // the materialize+reschedule here is what keeps a resolve cheap:
+      // a change usually re-derives the same rate for most flows.
       continue;
     }
     f.remaining = remaining_at(f, now);
@@ -345,13 +227,10 @@ void FlowNetwork::resolve() {
       f.completion_event = engine_.reschedule_after(f.completion_event, dt);
       assert(f.completion_event != 0 && "pending completion event vanished");
     } else {
-      const FlowSlot slot = affected_[i];
       f.completion_event = engine_.schedule_after(
           dt, [this, slot] { on_flow_complete(slot); });
     }
   }
-
-  if (crosscheck_ && !full) crosscheck_against_full();
 }
 
 void FlowNetwork::on_flow_complete(FlowSlot slot) {
@@ -360,43 +239,15 @@ void FlowNetwork::on_flow_complete(FlowSlot slot) {
   assert(remaining_at(f, engine_.now()) < kDoneEpsilonBytes &&
          "completion event fired with bytes left");
   auto cb = std::move(f.done);
-  remove_from_links(slot);
   f.in_use = false;
   f.done = nullptr;
   f.path.clear();
-  f.link_slot.clear();
   f.rate = 0.0;
   f.remaining = 0.0;
   free_slots_.push_back(slot);
   --active_count_;
   schedule_resolve();
   cb(engine_.now());
-}
-
-void FlowNetwork::crosscheck_against_full() {
-  std::vector<FlowSlot> all;
-  all.reserve(active_count_);
-  for (FlowSlot s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].in_use) all.push_back(s);
-  }
-  std::sort(all.begin(), all.end(), [this](FlowSlot a, FlowSlot b) {
-    return slots_[a].seq < slots_[b].seq;
-  });
-  std::vector<double> full_rates;
-  fill_rates(all, full_rates);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    const double got = slots_[all[i]].rate;
-    const double want = full_rates[i];
-    // Identical except for the near-tie epsilon in bottleneck
-    // detection, which can couple otherwise independent components at
-    // the 1e-12 relative level; anything larger is a solver bug.
-    if (std::abs(got - want) > 1e-9 * std::max(std::abs(want), 1.0)) {
-      throw std::logic_error(
-          "FlowNetwork crosscheck: incremental rate " + std::to_string(got) +
-          " != full rate " + std::to_string(want) + " for flow seq " +
-          std::to_string(slots_[all[i]].seq));
-    }
-  }
 }
 
 }  // namespace balbench::net

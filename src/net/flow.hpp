@@ -9,17 +9,13 @@
 // such as SimGrid.  Each flow then has its own completion event in the
 // engine's indexed queue, rescheduled in O(log n) when its rate moves.
 //
-// The solver is *incremental* (docs/SIMULATOR.md "Incremental
-// re-solve"): per-link flow sets double as an adjacency structure, and
-// a change only re-runs progressive filling over the connected
-// component of flows whose rates can actually move -- flows in
-// link-disjoint components keep their rates and their scheduled
-// completions untouched.  A full solve remains as fallback (and as a
-// forced mode / debug cross-check, below).  This turns the per-event
-// cost from O(active-flows * path-length) into O(component size),
-// which is what makes 512-rank random patterns and 100k-rank what-if
-// sessions affordable while preserving the phenomena the paper relies
-// on (shared torus links, NIC duplex limits, SMP bus saturation).
+// Every change re-runs the fill over all active flows (docs/SIMULATOR.md
+// "Re-solve"): in the b_eff ring and random patterns every flow is
+// coupled to every other one through shared links, so there is no
+// smaller independent component to re-solve.  What keeps a resolve
+// cheap is committing only the flows whose rate actually moved; the
+// model keeps the phenomena the paper relies on (shared torus links,
+// NIC duplex limits, SMP bus saturation).
 #pragma once
 
 #include <cstdint>
@@ -33,13 +29,6 @@ namespace balbench::net {
 
 class FlowNetwork {
  public:
-  /// Rate-allocation strategy.  kIncremental (the default) re-solves
-  /// only affected components; kFullOnly re-runs the global fill on
-  /// every change (the pre-incremental behaviour -- kept as fallback
-  /// and as the reference for equivalence tests).  The process-wide
-  /// default honours BALBENCH_FLOW_SOLVER=full|incremental.
-  enum class SolverMode { kIncremental, kFullOnly };
-
   FlowNetwork(const Topology& topo, simt::Engine& engine);
 
   FlowNetwork(const FlowNetwork&) = delete;
@@ -55,22 +44,8 @@ class FlowNetwork {
   /// Number of flows currently moving bytes (diagnostics).
   [[nodiscard]] std::size_t active_flows() const { return active_count_; }
 
-  /// Total resolver invocations (micro-benchmark instrumentation),
-  /// split by whether the incremental path was taken.
+  /// Total resolver invocations (micro-benchmark instrumentation).
   [[nodiscard]] std::uint64_t resolves() const { return resolves_; }
-  [[nodiscard]] std::uint64_t incremental_resolves() const {
-    return incremental_resolves_;
-  }
-  [[nodiscard]] std::uint64_t full_resolves() const { return full_resolves_; }
-
-  void set_solver_mode(SolverMode m) { mode_ = m; }
-  [[nodiscard]] SolverMode solver_mode() const { return mode_; }
-
-  /// Debug cross-check: after every incremental resolve, recompute all
-  /// rates with the full global fill and throw std::logic_error on any
-  /// divergence beyond FP noise.  Expensive; for tests and debugging
-  /// (BALBENCH_FLOW_CROSSCHECK=1 turns it on process-wide).
-  void set_crosscheck(bool on) { crosscheck_ = on; }
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
   [[nodiscard]] simt::Engine& engine() { return engine_; }
@@ -82,9 +57,6 @@ class FlowNetwork {
 
   struct ActiveFlow {
     std::vector<LinkId> path;
-    /// link_slot[i] = this flow's position inside link_flows_[path[i]]
-    /// (kept exact under swap-removal, so departure is O(path)).
-    std::vector<std::uint32_t> link_slot;
     double remaining = 0.0;   // bytes, valid as of last_update
     double rate = 0.0;        // bytes/second under current allocation
     simt::Time last_update = 0.0;
@@ -94,34 +66,19 @@ class FlowNetwork {
     bool in_use = false;
   };
 
-  /// One membership record in a per-link flow set.
-  struct LinkEntry {
-    FlowSlot flow;
-    std::uint32_t path_pos;  // index into that flow's path/link_slot
-  };
-
   void add_active(ActiveFlow flow);
   void on_flow_complete(FlowSlot slot);
-  void remove_from_links(FlowSlot slot);
   /// Defer resolve to the end of the current timestamp so that a batch
   /// of simultaneous arrivals/departures (every rank of a ring pattern
   /// starts its sends at the same virtual instant) costs one resolve.
   void schedule_resolve();
-  /// Recompute rates for the affected component(s) -- or everything,
-  /// in full mode -- and (re)schedule per-flow completion events.
+  /// Recompute every active rate and (re)schedule the completion
+  /// events of the flows whose rate moved.
   void resolve();
-  /// Epoch-mark the connected component(s) of flows reachable from the
-  /// dirty seeds through shared links.  Returns the number of flows
-  /// marked; stops early (with the marks incomplete) once every active
-  /// flow is marked, since the caller then takes the full path anyway.
-  std::size_t collect_affected();
-  /// Progressive filling over `flows`; rates[i] receives the max-min
-  /// rate of slots_[flows[i]].  Pure: commits nothing.
-  void fill_rates(const std::vector<FlowSlot>& flows,
-                  std::vector<double>& rates);
-  /// Recompute every active rate with the full fill and compare with
-  /// the committed ones (set_crosscheck).
-  void crosscheck_against_full();
+  /// Progressive filling over arrival_order_ (compacted: every entry
+  /// live); rates_scratch_[i] receives the max-min rate of entry i.
+  /// Pure: commits nothing.
+  void fill_rates();
 
   [[nodiscard]] double remaining_at(const ActiveFlow& f, simt::Time now) const {
     const double left = f.remaining - f.rate * (now - f.last_update);
@@ -147,38 +104,17 @@ class FlowNetwork {
   };
   std::vector<ArrivalEntry> arrival_order_;
 
-  /// link id -> flows currently crossing it (the incremental solver's
-  /// adjacency structure); lazily sized to the topology.
-  std::vector<std::vector<LinkEntry>> link_flows_;
-
-  /// Seeds accumulated since the last resolve: flows that arrived, and
-  /// the former links of flows that departed.
-  std::vector<FlowSlot> dirty_flows_;
-  std::vector<LinkId> dirty_links_;
-
   bool resolve_pending_ = false;
   std::uint64_t resolves_ = 0;
-  std::uint64_t incremental_resolves_ = 0;
-  std::uint64_t full_resolves_ = 0;
-  SolverMode mode_;
-  bool crosscheck_;
-
-  /// Epoch-stamped visited marks for collect_affected (no O(links)
-  /// clearing between resolves).
-  std::vector<std::uint64_t> link_epoch_;
-  std::vector<std::uint64_t> flow_epoch_;
-  std::uint64_t epoch_ = 0;
 
   // Scratch buffers reused across resolves; residual_/flows_on_link_
   // are only valid at indices listed in touched_links_.
   std::vector<double> residual_;
   std::vector<int> flows_on_link_;
   std::vector<LinkId> touched_links_;
-  std::vector<FlowSlot> affected_;
   std::vector<std::uint32_t> unfixed_;
   std::vector<const std::vector<LinkId>*> paths_scratch_;
   std::vector<double> rates_scratch_;
-  std::vector<FlowSlot> bfs_stack_;
 };
 
 }  // namespace balbench::net

@@ -152,7 +152,8 @@ class Engine {
   /// Create a process executing `fn(process)`.  Must be called before
   /// or during run(); processes spawned during the run start
   /// immediately (at the current virtual time).  `stack_size` 0 means
-  /// StackPool::default_stack_size() (BALBENCH_FIBER_STACK_KB knob).
+  /// StackPool::default_stack_size(); pass a size to override it for
+  /// this process.
   Process& spawn(std::function<void(Process&)> fn, std::size_t stack_size = 0);
 
   /// Schedule `fn` to run at absolute virtual time `t` (>= now).

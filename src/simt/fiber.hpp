@@ -25,8 +25,7 @@ class Fiber {
 
   /// The fiber does not start running until the first resume().  The
   /// stack comes from StackPool (guard-paged, recycled); `stack_size`
-  /// 0 means StackPool::default_stack_size(), which honours the
-  /// BALBENCH_FIBER_STACK_KB knob.
+  /// 0 means StackPool::default_stack_size().
   explicit Fiber(Fn fn, std::size_t stack_size = 0);
   ~Fiber();
 

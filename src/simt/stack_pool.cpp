@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <new>
 #include <unordered_map>
 #include <vector>
@@ -78,18 +77,8 @@ constexpr std::size_t kSlabBytes = 8u << 20;
 }  // namespace
 
 std::size_t StackPool::default_stack_size() {
-  static const std::size_t kSize = [] {
-    std::size_t bytes = kDefaultStackSize;
-    if (const char* env = std::getenv("BALBENCH_FIBER_STACK_KB")) {
-      char* end = nullptr;
-      const unsigned long long kib = std::strtoull(env, &end, 10);
-      if (end != env && kib > 0) bytes = static_cast<std::size_t>(kib) * 1024;
-    }
-    const std::size_t page = page_size();
-    if (bytes < page) bytes = page;
-    return (bytes + page - 1) / page * page;
-  }();
-  return kSize;
+  const std::size_t page = page_size();
+  return (kDefaultStackSize + page - 1) / page * page;
 }
 
 StackPool::Stack StackPool::acquire(std::size_t stack_size) {

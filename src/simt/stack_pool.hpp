@@ -83,8 +83,8 @@ class StackPool {
   [[nodiscard]] static Stats stats();
 
   /// Usable bytes given to fibers that do not ask for a specific size:
-  /// kDefaultStackSize, overridable via BALBENCH_FIBER_STACK_KB
-  /// (clamped to >= 1 page; read once per process).
+  /// kDefaultStackSize rounded up to a whole number of pages.  A
+  /// process that needs more passes its own size to Engine::spawn.
   [[nodiscard]] static std::size_t default_stack_size();
 
   static constexpr std::size_t kDefaultStackSize = 256 * 1024;

@@ -2,13 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/topology.hpp"
 #include "simt/engine.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace bn = balbench::net;
 namespace bs = balbench::simt;
+namespace bu = balbench::util;
 
 namespace {
 
@@ -18,6 +26,45 @@ bn::CrossbarParams simple_xbar(int procs, double bw, double lat) {
   p.port_bw = bw;
   p.latency_sec = lat;
   return p;
+}
+
+struct TimedFlow {
+  int src = 0;
+  int dst = 0;
+  double bytes = 0.0;
+  double start = 0.0;
+};
+
+/// Drive `flows` through a fresh FlowNetwork on `topo` and return an
+/// FNV-1a digest over the IEEE-754 bits of every flow's completion
+/// time, in `flows` order.
+std::uint64_t completion_digest(const bn::Topology& topo,
+                                const std::vector<TimedFlow>& flows) {
+  bs::Engine eng;
+  bn::FlowNetwork net(topo, eng);
+  std::vector<double> done(flows.size(), -1.0);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const TimedFlow& f = flows[i];
+    eng.schedule_at(f.start, [&net, &done, &f, i] {
+      net.start_flow(f.src, f.dst, f.bytes,
+                     [&done, i](bs::Time t) { done[i] = t; });
+    });
+  }
+  eng.run();
+  EXPECT_EQ(net.active_flows(), 0u);
+  std::string bits;
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    EXPECT_GT(done[i], 0.0) << "flow " << i << " never completed";
+    std::uint64_t u = 0;
+    std::memcpy(&u, &done[i], sizeof u);
+    for (int b = 0; b < 8; ++b) bits.push_back(static_cast<char>(u >> (8 * b)));
+  }
+  return bu::fnv1a(bits);
+}
+
+/// Exact binary start times: k / 1024 seconds.
+double exact_start(bu::Xoshiro256& rng) {
+  return static_cast<double>(rng.below(64)) / 1024.0;
 }
 
 }  // namespace
@@ -143,9 +190,129 @@ TEST(Flow, ManyFlowsAllComplete) {
   EXPECT_GT(net.resolves(), 0u);
 }
 
+TEST(Flow, FillStallThrowsWithContext) {
+  // A NaN capacity never becomes the bottleneck, so progressive filling
+  // cannot freeze anything; the solver must throw, not hand out rates.
+  auto topo = bn::make_crossbar(simple_xbar(2, std::nan(""), 0.0));
+  bs::Engine eng;
+  bn::FlowNetwork net(*topo, eng);
+  net.start_flow(0, 1, 1000.0, [](bs::Time) {});
+  try {
+    eng.run();
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("stalled"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Flow, OutOfRangeEndpointThrows) {
   auto topo = bn::make_crossbar(simple_xbar(2, 1.0, 0.0));
   bs::Engine eng;
   bn::FlowNetwork net(*topo, eng);
   EXPECT_THROW(net.start_flow(0, 7, 1.0, [](bs::Time) {}), std::out_of_range);
 }
+
+// Bit-exact regression pins.  Bandwidths, byte counts and start times
+// are exact binary values, so fair shares tie exactly and the
+// progressive fill's output is fully determined by its arithmetic and
+// its arrival-order commits.  Any change to either -- a reordered
+// subtraction, a different tie rule, a resumable fill -- moves these
+// digests.  The suite names are kept from the component-incremental
+// solver these workloads used to compare against the global fill.
+
+TEST(FlowIncremental, ComponentMergeThenSplitMatchesFull) {
+  bn::CrossbarParams p = simple_xbar(6, 1024.0, 0.0);
+  auto topo = bn::make_crossbar(p);
+  // Two link-disjoint flows, then a bridge 0->3 that shares the tx port
+  // of the first and the rx port of the second, coupling them; the
+  // bridge is small enough to finish first, decoupling them again.
+  std::vector<TimedFlow> flows = {
+      {0, 1, 1 << 20, 0.0},
+      {2, 3, 1 << 20, 0.0},
+      {0, 3, 1 << 12, 1.0 / 8.0},
+      // Late disjoint arrival while the bridge is live.
+      {4, 5, 1 << 16, 1.0 / 4.0},
+  };
+  EXPECT_EQ(completion_digest(*topo, flows), 0x4b9df118e8818bc3ULL);
+}
+
+class FlowIncrementalRandom : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlowIncrementalRandom, TorusWorkloadMatchesFull) {
+  static constexpr std::uint64_t kDigest[] = {
+      0xf7e3ec8e385b48d7ULL, 0xc54138b99a515ca2ULL, 0xea27248c70711204ULL,
+      0x02500a5799f17095ULL, 0x7bbabc685b4df02fULL, 0x2612d5f9dd8a426aULL,
+      0x3c93f6bbb7cf1c07ULL, 0x1c817b925c280046ULL,
+  };
+  bu::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()));
+  bn::Torus3DParams p;
+  p.dims[0] = 4;
+  p.dims[1] = 4;
+  p.dims[2] = 2;
+  p.nic_bw = 1 << 27;
+  p.duplex_factor = 1.25;
+  p.link_bw = 1 << 28;
+  p.base_latency = 1.0 / (1 << 20);
+  p.per_hop_latency = 1.0 / (1 << 22);
+  auto topo = bn::make_torus3d(p);
+  const auto n = static_cast<std::uint64_t>(topo->num_endpoints());
+
+  std::vector<TimedFlow> flows;
+  const int nflows = 24 + static_cast<int>(rng.below(24));
+  for (int i = 0; i < nflows; ++i) {
+    TimedFlow f;
+    f.src = static_cast<int>(rng.below(n));
+    do {
+      f.dst = static_cast<int>(rng.below(n));
+    } while (f.dst == f.src);
+    f.bytes = static_cast<double>((1 + rng.below(64)) << 12);
+    f.start = exact_start(rng);
+    flows.push_back(f);
+  }
+  EXPECT_EQ(completion_digest(*topo, flows), kDigest[GetParam() - 1]);
+}
+
+TEST_P(FlowIncrementalRandom, AdjacencyWorkloadMatchesFull) {
+  static constexpr std::uint64_t kDigest[] = {
+      0xf32a6a5b28e4f2a9ULL, 0x3b6da080f30f4992ULL, 0x1d605f6f67284ad4ULL,
+      0xab9503024087d4f9ULL, 0x817e5262b0e80c97ULL, 0x72532453a7d0254bULL,
+      0xef11a4eed740733bULL, 0x0c455465a917faa0ULL,
+  };
+  bu::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 7919u);
+  // Random sparse switch graph: a ring (keeps it connected) plus a few
+  // chords, two endpoints attached per switch.
+  bn::AdjacencyParams p;
+  p.nodes = 8;
+  p.port_bw = 4096.0;
+  p.latency_sec = 1.0 / (1 << 16);
+  p.per_hop_latency = 1.0 / (1 << 18);
+  for (int i = 0; i < p.nodes; ++i) {
+    p.edges.push_back({i, (i + 1) % p.nodes, 8192.0});
+    p.attach.push_back(i);
+    p.attach.push_back(i);
+  }
+  for (int c = 0; c < 3; ++c) {
+    const int a = static_cast<int>(rng.below(8));
+    const int b = static_cast<int>(rng.below(8));
+    if (a != b) p.edges.push_back({a, b, 4096.0});
+  }
+  auto topo = bn::make_adjacency(p);
+  const auto n = static_cast<std::uint64_t>(topo->num_endpoints());
+
+  std::vector<TimedFlow> flows;
+  const int nflows = 16 + static_cast<int>(rng.below(16));
+  for (int i = 0; i < nflows; ++i) {
+    TimedFlow f;
+    f.src = static_cast<int>(rng.below(n));
+    do {
+      f.dst = static_cast<int>(rng.below(n));
+    } while (f.dst == f.src);
+    f.bytes = static_cast<double>((1 + rng.below(256)) << 8);
+    f.start = exact_start(rng);
+    flows.push_back(f);
+  }
+  EXPECT_EQ(completion_digest(*topo, flows), kDigest[GetParam() - 1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlowIncrementalRandom, ::testing::Range(1, 9));
