@@ -12,10 +12,19 @@
 // Every change re-runs the fill over all active flows (docs/SIMULATOR.md
 // "Re-solve"): in the b_eff ring and random patterns every flow is
 // coupled to every other one through shared links, so there is no
-// smaller independent component to re-solve.  What keeps a resolve
-// cheap is committing only the flows whose rate actually moved; the
-// model keeps the phenomena the paper relies on (shared torus links,
-// NIC duplex limits, SMP bus saturation).
+// smaller independent component to re-solve.  The fill itself is
+// bottleneck-driven: a per-fill link->flow index (CSR, each link's
+// flows in arrival order) and an 8-ary min-tree over the links' exact
+// residual fair shares let each round visit only the links and flows
+// it freezes -- O(sum of path lengths * log links) per fill instead of
+// O(rounds * (links + sum of path lengths)).  Candidates are tested in
+// arrival order against the state earlier freezes of the same round
+// left behind, which reproduces the scan-everything fill bit for bit
+// (same rates, same rounds; docs/SIMULATOR.md "Re-solve" has the
+// argument).  What keeps a resolve cheap beyond that is committing
+// only the flows whose rate actually moved; the model keeps the
+// phenomena the paper relies on (shared torus links, NIC duplex
+// limits, SMP bus saturation).
 #pragma once
 
 #include <cstdint>
@@ -46,6 +55,17 @@ class FlowNetwork {
 
   /// Total resolver invocations (micro-benchmark instrumentation).
   [[nodiscard]] std::uint64_t resolves() const { return resolves_; }
+
+  /// Progressive-filling rounds summed over all fills.  A pure function
+  /// of the flow history, like resolves().
+  [[nodiscard]] std::uint64_t fill_rounds() const { return fill_rounds_; }
+
+  /// Fill work summed over all fills: one per link-share evaluation
+  /// (min-tree nodes built, inspected or recomputed; bottleneck tests)
+  /// plus one per link-flow incidence visited (index building,
+  /// link->flow list scans, freeze updates).  Deterministic, so "more
+  /// work" and "slower work" can be told apart.
+  [[nodiscard]] std::uint64_t fill_visits() const { return fill_visits_; }
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
   [[nodiscard]] simt::Engine& engine() { return engine_; }
@@ -107,13 +127,55 @@ class FlowNetwork {
   bool resolve_pending_ = false;
   std::uint64_t resolves_ = 0;
 
-  // Scratch buffers reused across resolves; residual_/flows_on_link_
-  // are only valid at indices listed in touched_links_.
-  std::vector<double> residual_;
-  std::vector<int> flows_on_link_;
-  std::vector<LinkId> touched_links_;
-  std::vector<std::uint32_t> unfixed_;
-  std::vector<const std::vector<LinkId>*> paths_scratch_;
+  std::uint64_t fill_rounds_ = 0;
+  std::uint64_t fill_visits_ = 0;
+
+  // Fill state, reused across fills (no allocation in steady state).
+  // Between fills every link has flows == 0, every min-tree node is
+  // +inf and no dirty bit is set; a fill that ends early (a stall
+  // throws) leaves fill_clean_ false, and the next fill starts over.
+  // Flows are numbered by arrival index; rounds count from 1 in every
+  // fill.
+  static constexpr std::uint32_t kFrozen = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kFanout = 8;  // min-tree node width (min_of_node)
+  struct LinkFill {
+    double residual = 0.0;           // capacity not yet handed out
+    double share = 0.0;              // residual / flows, as of the last change
+    int flows = 0;                   // unfixed flows crossing the link
+    std::uint32_t queued_round = 0;  // round its flows were last queued
+    std::uint32_t csr_begin = 0;     // its flows in csr_flows_
+    std::uint32_t csr_end = 0;
+  };
+  struct FlowPath {
+    const LinkId* begin;
+    const LinkId* end;
+  };
+  /// An all-+inf min-tree with one leaf per link.
+  void build_share_tree(std::size_t links);
+  void mark_leaf_dirty(LinkId link) {
+    const auto node = static_cast<std::size_t>(link) / kFanout;
+    tree_dirty_[tree_dirty_level_[1] + node / 64] |= std::uint64_t{1} << (node % 64);
+  }
+  /// Recompute the inner nodes above dirty leaves; returns how many.
+  std::uint64_t update_share_tree();
+
+  bool fill_clean_ = false;
+  std::vector<LinkFill> link_fill_;         // by LinkId
+  std::vector<LinkId> touched_links_;       // links crossed in this fill
+  std::vector<FlowPath> fill_paths_;        // by arrival index
+  std::vector<std::uint32_t> csr_flows_;    // each link's flows, ascending
+  // Min-tree over link shares (leaf l is link l), leaves first, then
+  // each coarser level; level t starts at share_level_[t] and the root
+  // is the last node.
+  std::vector<double> share_tree_;
+  std::vector<std::uint32_t> share_level_;
+  // Inner nodes to recompute after a round, one bit each: level t >= 1
+  // owns words [tree_dirty_level_[t], tree_dirty_level_[t + 1]).
+  std::vector<std::uint64_t> tree_dirty_;
+  std::vector<std::uint32_t> tree_dirty_level_;
+  std::vector<std::uint64_t> seed_stack_;   // (level << 32 | node) to inspect
+  std::vector<std::uint64_t> candidates_;   // bitset over arrival indices
+  std::vector<std::uint32_t> flow_round_;   // round queued; kFrozen if fixed
   std::vector<double> rates_scratch_;
 };
 

@@ -452,6 +452,8 @@ void SimTransport::run_with_setup(int nprocs,
     metrics_->counter("simt.context_switches").add(run.engine.context_switches());
     metrics_->sum("simt.virtual_seconds").add(run.engine.now());
     metrics_->counter("net.flow_resolves").add(run.flows.resolves());
+    metrics_->counter("net.flow_fill_rounds").add(run.flows.fill_rounds());
+    metrics_->counter("net.flow_fill_visits").add(run.flows.fill_visits());
     // Capacity high-waters (merge across cells: max).  Both derive
     // from the simulated configuration, never from the stack pool's
     // host-side reuse behaviour, which would break record determinism

@@ -91,7 +91,7 @@ void Fiber::run() {
   }
   finished_ = true;
   // Return control to the resumer; this fiber must never be resumed
-  // again (resume() asserts on finished_).
+  // again (resume() throws on finished_).
   Fiber* self = g_current_fiber;
   g_current_fiber = nullptr;
   // nullptr fake-stack slot: the fiber is exiting for good, so ASan
@@ -104,8 +104,19 @@ void Fiber::run() {
 }
 
 void Fiber::resume() {
-  assert(g_current_fiber == nullptr && "nested fiber resume not supported");
-  assert(!finished_ && "resume of finished fiber");
+  // Checked in every build: resuming a finished fiber would switch to
+  // the context its final swapcontext saved, and trampoline would then
+  // return with no uc_link, ending the thread.
+  if (g_current_fiber != nullptr) {
+    throw std::logic_error(
+        "Fiber::resume: nested resume from inside a running fiber (only the "
+        "scheduler stack may resume fibers)");
+  }
+  if (finished_) {
+    throw std::logic_error(
+        "Fiber::resume: fiber already finished (its function returned or "
+        "threw); a finished fiber cannot be resumed");
+  }
   started_ = true;
   g_current_fiber = this;
   asan_start_switch(&asan_resumer_fake_, stack_.base, stack_.size);

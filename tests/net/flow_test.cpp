@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -206,6 +207,72 @@ TEST(Flow, FillStallThrowsWithContext) {
   }
 }
 
+TEST(Flow, LinkFallingUnderTheThresholdMidRoundFreezesItsLaterFlows) {
+  // Switches 0-1-2 in a line.  Flow 0 crosses wire A (0-1) alone and
+  // wire B (1-2); c - 1 more flows cross only B.  A's share m is the
+  // round's minimum.  B's share r/c starts just above m + eps, but once
+  // flow 0 freezes, (r - m)/(c - 1) rounds to at or under it, so the
+  // round's in-order test must freeze flow 1 at m as well instead of
+  // leaving it for the next round at B's (larger) share.  Only links
+  // with ~10^4 flows get this close; the values were found by search.
+  const double m = 0x1.8786454bcc99bp+24;
+  const double r = 0x1.000496b40fc55p+39;
+  const int c = 21427;
+  ASSERT_GT(r / c, m + m * 1e-12);
+  ASSERT_LE(std::max(0.0, r - m) / (c - 1), m + m * 1e-12);
+  bn::AdjacencyParams p;
+  p.nodes = 3;
+  p.attach = {0, 1, 2};
+  p.edges = {{0, 1, m}, {1, 2, r}};
+  p.port_bw = 1e15;
+  p.latency_sec = 0.0;
+  p.per_hop_latency = 0.0;
+  auto topo = bn::make_adjacency(p);
+
+  bs::Engine eng;
+  bn::FlowNetwork net(*topo, eng);
+  const double probe_bytes = 1000.0;
+  double probe_done = -1.0;
+  net.start_flow(0, 2, 1e12, [](bs::Time) {});
+  net.start_flow(1, 2, probe_bytes, [&probe_done](bs::Time t) {
+    probe_done = t;
+    throw std::runtime_error("probe landed");  // stop: the rest is slow
+  });
+  for (int i = 2; i < c; ++i) net.start_flow(1, 2, 1e12, [](bs::Time) {});
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_EQ(probe_done, probe_bytes / m);
+}
+
+TEST(Flow, LinkRisingOverTheThresholdMidRoundKeepsItsLaterFlowsUnfixed) {
+  // Two wires no flow shares: A (share m, one flow) is the round's minimum;
+  // B carries flows 1 and 2 at a share inside the eps band above m, so
+  // both start the round as candidates.  Freezing flow 1 at m lifts B's
+  // share to r - m, above the band: flow 2 must wait for the next round
+  // and run at r - m, not be frozen at m with its link-mate.
+  const double m = 1e6;
+  const double r = 0x1.e848000001e32p+20;  // 2m(1 + 0.9e-12)
+  ASSERT_LE(r / 2, m + m * 1e-12);
+  ASSERT_GT(r - m, m + m * 1e-12);
+  bn::AdjacencyParams p;
+  p.nodes = 4;
+  p.attach = {0, 1, 2, 3};
+  p.edges = {{0, 1, m}, {2, 3, r}, {1, 2, 1e15}};  // last: connectivity only
+  p.port_bw = 1e15;
+  p.latency_sec = 0.0;
+  p.per_hop_latency = 0.0;
+  auto topo = bn::make_adjacency(p);
+
+  bs::Engine eng;
+  bn::FlowNetwork net(*topo, eng);
+  const double probe_bytes = 1000.0;
+  double probe_done = -1.0;
+  net.start_flow(0, 1, 1e9, [](bs::Time) {});
+  net.start_flow(2, 3, 1e9, [](bs::Time) {});
+  net.start_flow(2, 3, probe_bytes, [&probe_done](bs::Time t) { probe_done = t; });
+  eng.run();
+  EXPECT_EQ(probe_done, probe_bytes / (r - m));
+}
+
 TEST(Flow, OutOfRangeEndpointThrows) {
   auto topo = bn::make_crossbar(simple_xbar(2, 1.0, 0.0));
   bs::Engine eng;
@@ -316,3 +383,55 @@ TEST_P(FlowIncrementalRandom, AdjacencyWorkloadMatchesFull) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowIncrementalRandom, ::testing::Range(1, 9));
+
+// Realistic-bandwidth pin.  The exact-binary pins above make fair
+// shares tie exactly, so they never reach the progressive fill's
+// relative-epsilon band or a link ratio that moves across the
+// bottleneck threshold in the middle of a round.  The T3E's torus
+// values (machines.cpp, built here by hand so test_net needs no
+// machines library) and microsecond latencies are not dyadic, and
+// two-flows-per-rank permutation traffic at three sizes with staggered
+// starts exercises both.  Digests were recorded from the scan-based
+// fill that preceded the heap-driven one.
+class FlowT3ERandom : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlowT3ERandom, PermutationWorkloadIsPinned) {
+  static constexpr std::uint64_t kDigest[] = {
+      0x13a6f8d4ed8798deULL, 0xff716798a23086cbULL, 0x8711a77fc255ab4fULL,
+      0x02d6d6d64957c2fbULL, 0xfe0c5d909f4a950cULL, 0x6dc337da8eff1e3dULL,
+      0xfffde0c933701547ULL, 0x588ab1209b097cc2ULL,
+  };
+  constexpr double kMiB = 1024.0 * 1024.0;
+  constexpr int kRanks = 128;
+  bn::Torus3DParams p;
+  bn::torus_dims_for(kRanks, p.dims);
+  p.nic_bw = 330 * kMiB;
+  p.duplex_factor = 1.25;
+  p.link_bw = 360 * kMiB;
+  p.base_latency = 14e-6;
+  p.per_hop_latency = 0.1e-6;
+  auto topo = bn::make_torus3d(p);
+  ASSERT_EQ(topo->num_endpoints(), kRanks);
+
+  bu::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 104729u);
+  constexpr double kBytes[] = {1000.0, 60000.0, 1.0e6};
+  std::vector<TimedFlow> flows;
+  for (int copy = 0; copy < 2; ++copy) {
+    std::vector<int> perm(kRanks);
+    for (int r = 0; r < kRanks; ++r) perm[static_cast<std::size_t>(r)] = r;
+    for (std::size_t i = perm.size(); i > 1; --i) {
+      std::swap(perm[i - 1], perm[rng.below(i)]);
+    }
+    for (int r = 0; r < kRanks; ++r) {
+      TimedFlow f;
+      f.src = r;
+      f.dst = perm[static_cast<std::size_t>(r)];
+      f.bytes = kBytes[rng.below(3)];
+      f.start = static_cast<double>(rng.below(200)) * 1e-6;
+      flows.push_back(f);
+    }
+  }
+  EXPECT_EQ(completion_digest(*topo, flows), kDigest[GetParam() - 1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlowT3ERandom, ::testing::Range(1, 9));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace bs = balbench::simt;
@@ -87,4 +88,37 @@ TEST(Fiber, ManyFibersWithDeepStackUse) {
   for (auto& f : fibers) f->resume();
   for (auto& f : fibers) f->resume();
   EXPECT_EQ(sum, 99 * 100 / 2);
+}
+
+TEST(Fiber, ResumeOfFinishedFiberThrows) {
+  bs::Fiber f([] {});
+  f.resume();
+  ASSERT_TRUE(f.finished());
+  try {
+    f.resume();
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("already finished"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(bs::Fiber::current(), nullptr);
+}
+
+TEST(Fiber, NestedResumeThrows) {
+  bs::Fiber inner([] {});
+  std::string error;
+  bs::Fiber outer([&] {
+    try {
+      inner.resume();
+    } catch (const std::logic_error& e) {
+      error = e.what();
+    }
+  });
+  outer.resume();
+  EXPECT_TRUE(outer.finished());
+  EXPECT_NE(error.find("nested resume"), std::string::npos) << error;
+  // The refused resume left the inner fiber untouched.
+  EXPECT_FALSE(inner.finished());
+  inner.resume();
+  EXPECT_TRUE(inner.finished());
 }
