@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,14 +15,6 @@ namespace {
 
 constexpr const char* kIndexSchema = "balbench-perf-history-index/1";
 
-std::string slurp_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 bool file_exists(const std::string& path) {
   std::error_code ec;
   return std::filesystem::exists(path, ec);
@@ -35,7 +26,7 @@ bool file_exists(const std::string& path) {
 /// obs::parse_json diagnostics carry line/column/key-path), never as
 /// a context-free message halfway through a multi-shard load.
 History parse_history_file(const std::string& path) {
-  const std::string text = slurp_file(path);
+  const std::string text = util::read_file(path);
   try {
     return parse_history(text);
   } catch (const std::exception& e) {
@@ -151,7 +142,7 @@ HistoryStore HistoryStore::open(const std::string& path) {
     store.kind_ = Kind::Missing;
     return store;
   }
-  const std::string text = slurp_file(path);
+  const std::string text = util::read_file(path);
   try {
     const obs::JsonValue doc = obs::parse_json(text);
     const std::string& schema = doc.at("schema").as_string();

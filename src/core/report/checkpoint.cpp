@@ -2,13 +2,12 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "util/atomic_write.hpp"
+#include "obs/journal.hpp"
 
 namespace balbench::report {
 
@@ -25,31 +24,21 @@ std::uint64_t as_u64(const obs::JsonValue& v) {
 int as_int(const obs::JsonValue& v) {
   return static_cast<int>(std::llround(v.as_number()));
 }
+double as_double(const obs::JsonValue& v) { return v.as_number(); }
+std::string as_string(const obs::JsonValue& v) { return v.as_string(); }
 
-void write_metrics(obs::JsonWriter& w, const obs::MetricsSnapshot& m) {
-  w.begin_object();
-  w.key("counters").begin_object();
-  for (const auto& [k, v] : m.counters) w.field(k, v);
-  w.end_object();
-  w.key("sums").begin_object();
-  for (const auto& [k, v] : m.sums) w.field(k, v);
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [k, v] : m.gauges) w.field(k, v);
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [k, h] : m.histograms) {
-    w.key(k).begin_object();
-    w.field("count", h.count).field("sum", h.sum).field("max", h.max);
-    w.key("buckets").begin_array();
-    for (const auto& [index, count] : h.buckets) {
-      w.begin_array().value(index).value(count).end_array();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
+template <typename Values>
+void write_array(obs::JsonWriter& w, const char* key, const Values& values) {
+  w.key(key).begin_array();
+  for (const auto& v : values) w.value(v);
+  w.end_array();
+}
+
+template <typename Read>
+auto read_array(const obs::JsonValue& v, Read read) {
+  std::vector<decltype(read(v))> out;
+  for (const auto& e : v.as_array()) out.push_back(read(e));
+  return out;
 }
 
 obs::MetricsSnapshot read_metrics(const obs::JsonValue& v) {
@@ -96,32 +85,42 @@ void write_status(obs::JsonWriter& w,
   w.end_array();
 }
 
-std::vector<robust::CellStatus> read_status(const obs::JsonValue& v) {
-  std::vector<robust::CellStatus> out;
-  for (const auto& e : v.as_array()) {
-    robust::CellStatus s;
-    s.outcome = outcome_from_name(e.at("outcome").as_string());
-    s.attempts = as_int(e.at("attempts"));
-    s.backoff_s = e.at("backoff_s").as_number();
-    s.error = e.at("error").as_string();
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-void write_strings(obs::JsonWriter& w, const std::vector<std::string>& v) {
-  w.begin_array();
-  for (const auto& s : v) w.value(s);
-  w.end_array();
-}
-
-std::vector<std::string> read_strings(const obs::JsonValue& v) {
-  std::vector<std::string> out;
-  for (const auto& e : v.as_array()) out.push_back(e.as_string());
-  return out;
+robust::CellStatus read_status(const obs::JsonValue& e) {
+  robust::CellStatus s;
+  s.outcome = outcome_from_name(e.at("outcome").as_string());
+  s.attempts = as_int(e.at("attempts"));
+  s.backoff_s = e.at("backoff_s").as_number();
+  s.error = e.at("error").as_string();
+  return s;
 }
 
 }  // namespace
+
+void write_metrics(obs::JsonWriter& w, const obs::MetricsSnapshot& m) {
+  w.begin_object();
+  w.key("counters").begin_object();
+  for (const auto& [k, v] : m.counters) w.field(k, v);
+  w.end_object();
+  w.key("sums").begin_object();
+  for (const auto& [k, v] : m.sums) w.field(k, v);
+  w.end_object();
+  w.key("gauges").begin_object();
+  for (const auto& [k, v] : m.gauges) w.field(k, v);
+  w.end_object();
+  w.key("histograms").begin_object();
+  for (const auto& [k, h] : m.histograms) {
+    w.key(k).begin_object();
+    w.field("count", h.count).field("sum", h.sum).field("max", h.max);
+    w.key("buckets").begin_array();
+    for (const auto& [index, count] : h.buckets) {
+      w.begin_array().value(index).value(count).end_array();
+    }
+    w.end_array();
+    w.end_object();
+  }
+  w.end_object();
+  w.end_object();
+}
 
 // ---------------------------------------------------------------------------
 // b_eff result round-trip
@@ -132,9 +131,7 @@ void write_beff_result(obs::JsonWriter& w, const beff::BeffResult& r) {
   w.field("kind", "beff");
   w.field("nprocs", r.nprocs);
   w.field("lmax", r.lmax);
-  w.key("sizes").begin_array();
-  for (const auto s : r.sizes) w.value(s);
-  w.end_array();
+  write_array(w, "sizes", r.sizes);
   w.key("patterns").begin_array();
   for (const auto& p : r.patterns) {
     w.begin_object();
@@ -144,9 +141,7 @@ void write_beff_result(obs::JsonWriter& w, const beff::BeffResult& r) {
     for (const auto& s : p.sizes) {
       w.begin_object();
       w.field("size", s.size);
-      w.key("method_bw").begin_array();
-      for (const double b : s.method_bw) w.value(b);
-      w.end_array();
+      write_array(w, "method_bw", s.method_bw);
       w.field("best_bw", s.best_bw);
       w.field("looplength", s.looplength);
       w.end_object();
@@ -168,19 +163,11 @@ void write_beff_result(obs::JsonWriter& w, const beff::BeffResult& r) {
   w.field("worst_cycle_bw", r.analysis.worst_cycle_bw);
   w.field("bisection_paired_bw", r.analysis.bisection_paired_bw);
   w.field("bisection_interleaved_bw", r.analysis.bisection_interleaved_bw);
-  w.key("cart2d_dims").begin_array();
-  for (const int d : r.analysis.cart2d_dims) w.value(d);
-  w.end_array();
-  w.key("cart2d_per_dim_bw").begin_array();
-  for (const double b : r.analysis.cart2d_per_dim_bw) w.value(b);
-  w.end_array();
+  write_array(w, "cart2d_dims", r.analysis.cart2d_dims);
+  write_array(w, "cart2d_per_dim_bw", r.analysis.cart2d_per_dim_bw);
   w.field("cart2d_combined_bw", r.analysis.cart2d_combined_bw);
-  w.key("cart3d_dims").begin_array();
-  for (const int d : r.analysis.cart3d_dims) w.value(d);
-  w.end_array();
-  w.key("cart3d_per_dim_bw").begin_array();
-  for (const double b : r.analysis.cart3d_per_dim_bw) w.value(b);
-  w.end_array();
+  write_array(w, "cart3d_dims", r.analysis.cart3d_dims);
+  write_array(w, "cart3d_per_dim_bw", r.analysis.cart3d_per_dim_bw);
   w.field("cart3d_combined_bw", r.analysis.cart3d_combined_bw);
   w.end_object();
   w.field("benchmark_seconds", r.benchmark_seconds);
@@ -188,8 +175,7 @@ void write_beff_result(obs::JsonWriter& w, const beff::BeffResult& r) {
   write_metrics(w, r.metrics);
   w.key("cell_status");
   write_status(w, r.cell_status);
-  w.key("cell_labels");
-  write_strings(w, r.cell_labels);
+  write_array(w, "cell_labels", r.cell_labels);
   w.end_object();
 }
 
@@ -197,7 +183,7 @@ beff::BeffResult read_beff_result(const obs::JsonValue& v) {
   beff::BeffResult r;
   r.nprocs = as_int(v.at("nprocs"));
   r.lmax = as_i64(v.at("lmax"));
-  for (const auto& e : v.at("sizes").as_array()) r.sizes.push_back(as_i64(e));
+  r.sizes = read_array(v.at("sizes"), as_i64);
   for (const auto& pe : v.at("patterns").as_array()) {
     beff::PatternMeasurement p;
     p.name = pe.at("name").as_string();
@@ -233,24 +219,18 @@ beff::BeffResult read_beff_result(const obs::JsonValue& v) {
   r.analysis.bisection_paired_bw = a.at("bisection_paired_bw").as_number();
   r.analysis.bisection_interleaved_bw =
       a.at("bisection_interleaved_bw").as_number();
-  for (const auto& e : a.at("cart2d_dims").as_array()) {
-    r.analysis.cart2d_dims.push_back(as_int(e));
-  }
-  for (const auto& e : a.at("cart2d_per_dim_bw").as_array()) {
-    r.analysis.cart2d_per_dim_bw.push_back(e.as_number());
-  }
+  r.analysis.cart2d_dims = read_array(a.at("cart2d_dims"), as_int);
+  r.analysis.cart2d_per_dim_bw =
+      read_array(a.at("cart2d_per_dim_bw"), as_double);
   r.analysis.cart2d_combined_bw = a.at("cart2d_combined_bw").as_number();
-  for (const auto& e : a.at("cart3d_dims").as_array()) {
-    r.analysis.cart3d_dims.push_back(as_int(e));
-  }
-  for (const auto& e : a.at("cart3d_per_dim_bw").as_array()) {
-    r.analysis.cart3d_per_dim_bw.push_back(e.as_number());
-  }
+  r.analysis.cart3d_dims = read_array(a.at("cart3d_dims"), as_int);
+  r.analysis.cart3d_per_dim_bw =
+      read_array(a.at("cart3d_per_dim_bw"), as_double);
   r.analysis.cart3d_combined_bw = a.at("cart3d_combined_bw").as_number();
   r.benchmark_seconds = v.at("benchmark_seconds").as_number();
   r.metrics = read_metrics(v.at("metrics"));
-  r.cell_status = read_status(v.at("cell_status"));
-  r.cell_labels = read_strings(v.at("cell_labels"));
+  r.cell_status = read_array(v.at("cell_status"), read_status);
+  r.cell_labels = read_array(v.at("cell_labels"), as_string);
   return r;
 }
 
@@ -296,9 +276,7 @@ void write_beffio_result(obs::JsonWriter& w, const beffio::BeffIoResult& r) {
   }
   w.end_array();
   w.field("b_eff_io", r.b_eff_io);
-  w.key("random_extension").begin_array();
-  for (const double b : r.random_extension) w.value(b);
-  w.end_array();
+  write_array(w, "random_extension", r.random_extension);
   w.field("benchmark_seconds", r.benchmark_seconds);
   w.field("segment_bytes", r.segment_bytes);
   w.key("fs_stats").begin_object();
@@ -314,8 +292,7 @@ void write_beffio_result(obs::JsonWriter& w, const beffio::BeffIoResult& r) {
   write_metrics(w, r.metrics);
   w.key("chain_status");
   write_status(w, r.chain_status);
-  w.key("chain_labels");
-  write_strings(w, r.chain_labels);
+  write_array(w, "chain_labels", r.chain_labels);
   w.end_object();
 }
 
@@ -374,64 +351,76 @@ beffio::BeffIoResult read_beffio_result(const obs::JsonValue& v) {
   r.fs_stats.rmw_chunks = as_i64(fs.at("rmw_chunks"));
   r.fs_stats.seeks = fs.at("seeks").as_number();
   r.metrics = read_metrics(v.at("metrics"));
-  r.chain_status = read_status(v.at("chain_status"));
-  r.chain_labels = read_strings(v.at("chain_labels"));
+  r.chain_status = read_array(v.at("chain_status"), read_status);
+  r.chain_labels = read_array(v.at("chain_labels"), as_string);
   return r;
 }
 
 // ---------------------------------------------------------------------------
-// Journal
+// Journals
 // ---------------------------------------------------------------------------
+
+namespace {
+
+template <typename Result>
+std::string compact(void (*write)(obs::JsonWriter&, const Result&),
+                    const Result& r) {
+  std::ostringstream out;
+  {
+    obs::JsonWriter w(out, 0);
+    write(w, r);
+  }
+  return out.str();
+}
+
+/// The resume policy both checkpoints share: a missing, unusable or
+/// other-configuration journal starts fresh with a stderr note
+/// (resuming into the wrong configuration would be worse than
+/// re-running); otherwise `visit` replays every record.  Returns false
+/// when starting fresh, so the caller drops what was partly replayed.
+bool resume_journal(const char* tag, const char* unit, const std::string& path,
+                    const char* kind, const std::string& config,
+                    const obs::JournalVisitor& visit) {
+  try {
+    if (const auto n = obs::read_journal(path, kind, config, visit)) {
+      std::fprintf(stderr, "%s %s: resuming, %zu %s%s completed\n", tag,
+                   path.c_str(), *n, unit, *n == 1 ? "" : "s");
+      return true;
+    }
+    std::fprintf(stderr, "%s %s: no journal, starting fresh\n", tag,
+                 path.c_str());
+  } catch (const obs::JournalConfigMismatch&) {
+    std::fprintf(stderr, "%s %s: written for a different configuration, "
+                 "discarding journal\n", tag, path.c_str());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s unusable journal (%s), starting fresh\n", tag,
+                 e.what());
+  }
+  return false;
+}
+
+}  // namespace
 
 Checkpoint::Checkpoint(std::string path, std::string config_key, bool resume)
     : path_(std::move(path)), config_key_(std::move(config_key)) {
-  if (!resume) return;
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "[checkpoint] %s: no journal, starting fresh\n",
-                 path_.c_str());
-    return;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    const obs::JsonValue doc = obs::parse_json(buf.str());
-    if (doc.at("schema").as_string() != "balbench-checkpoint/1") {
-      throw std::runtime_error("schema is not balbench-checkpoint/1");
+  // Round-trip each task through the typed structs so the stored form
+  // is canonical again and a malformed payload is rejected here, not
+  // mid-sweep.
+  const auto replay = [this](const std::string& task,
+                             const obs::JsonValue& payload) {
+    const std::string& kind = payload.at("kind").as_string();
+    if (kind == "beff") {
+      payloads_[task] = compact(write_beff_result, read_beff_result(payload));
+    } else if (kind == "beffio") {
+      payloads_[task] =
+          compact(write_beffio_result, read_beffio_result(payload));
+    } else {
+      throw std::runtime_error("unknown task kind '" + kind + "'");
     }
-    if (doc.at("config").as_string() != config_key_) {
-      std::fprintf(stderr,
-                   "[checkpoint] %s: written for a different configuration, "
-                   "discarding journal\n",
-                   path_.c_str());
-      return;
-    }
-    for (const auto& [task, payload] : doc.at("tasks").as_object()) {
-      // Round-trip through the typed structs so the stored form is
-      // canonical again and a malformed payload is rejected here, not
-      // mid-sweep.
-      const std::string& kind = payload.at("kind").as_string();
-      std::ostringstream out;
-      {
-        obs::JsonWriter w(out, 0);
-        if (kind == "beff") {
-          write_beff_result(w, read_beff_result(payload));
-        } else if (kind == "beffio") {
-          write_beffio_result(w, read_beffio_result(payload));
-        } else {
-          throw std::runtime_error("unknown task kind '" + kind + "'");
-        }
-      }
-      payloads_[task] = out.str();
-    }
-    std::fprintf(stderr, "[checkpoint] %s: resuming, %zu task%s completed\n",
-                 path_.c_str(), payloads_.size(),
-                 payloads_.size() == 1 ? "" : "s");
-  } catch (const std::exception& e) {
+  };
+  if (resume && !resume_journal("[checkpoint]", "task", path_, kKind,
+                                config_key_, replay)) {
     payloads_.clear();
-    std::fprintf(stderr,
-                 "[checkpoint] %s: unusable journal (%s), starting fresh\n",
-                 path_.c_str(), e.what());
   }
 }
 
@@ -440,60 +429,42 @@ bool Checkpoint::has(const std::string& task) const {
   return payloads_.count(task) != 0;
 }
 
-bool Checkpoint::load_beff(const std::string& task,
-                           beff::BeffResult* out) const {
-  std::string payload;
+std::optional<obs::JsonValue> Checkpoint::payload(const std::string& task,
+                                                  const char* kind) const {
+  std::string text;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = payloads_.find(task);
-    if (it == payloads_.end()) return false;
-    payload = it->second;
+    if (it == payloads_.end()) return std::nullopt;
+    text = it->second;
   }
-  const obs::JsonValue v = obs::parse_json(payload);
-  if (v.at("kind").as_string() != "beff") return false;
-  *out = read_beff_result(v);
-  return true;
+  obs::JsonValue v = obs::parse_json(text);
+  if (v.at("kind").as_string() != kind) return std::nullopt;
+  return v;
+}
+
+bool Checkpoint::load_beff(const std::string& task,
+                           beff::BeffResult* out) const {
+  const auto v = payload(task, "beff");
+  if (v) *out = read_beff_result(*v);
+  return v.has_value();
 }
 
 bool Checkpoint::load_io(const std::string& task,
                          beffio::BeffIoResult* out) const {
-  std::string payload;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = payloads_.find(task);
-    if (it == payloads_.end()) return false;
-    payload = it->second;
-  }
-  const obs::JsonValue v = obs::parse_json(payload);
-  if (v.at("kind").as_string() != "beffio") return false;
-  *out = read_beffio_result(v);
-  return true;
+  const auto v = payload(task, "beffio");
+  if (v) *out = read_beffio_result(*v);
+  return v.has_value();
 }
 
 void Checkpoint::record_beff(const std::string& task,
                              const beff::BeffResult& r) {
-  std::ostringstream out;
-  {
-    obs::JsonWriter w(out, 0);
-    write_beff_result(w, r);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  payloads_[task] = out.str();
-  ++recorded_;
-  persist_locked();
+  record(task, compact(write_beff_result, r));
 }
 
 void Checkpoint::record_io(const std::string& task,
                            const beffio::BeffIoResult& r) {
-  std::ostringstream out;
-  {
-    obs::JsonWriter w(out, 0);
-    write_beffio_result(w, r);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  payloads_[task] = out.str();
-  ++recorded_;
-  persist_locked();
+  record(task, compact(write_beffio_result, r));
 }
 
 std::size_t Checkpoint::recorded() const {
@@ -501,21 +472,49 @@ std::size_t Checkpoint::recorded() const {
   return recorded_;
 }
 
-void Checkpoint::persist_locked() {
-  std::string text =
-      "{\"schema\":\"balbench-checkpoint/1\",\"config\":\"" +
-      obs::json_escape(config_key_) + "\",\"tasks\":{";
-  bool first = true;
-  for (const auto& [task, payload] : payloads_) {
-    if (!first) text += ',';
-    first = false;
-    text += '"';
-    text += obs::json_escape(task);
-    text += "\":";
-    text += payload;
+void Checkpoint::record(const std::string& task, std::string payload) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  payloads_[task] = std::move(payload);
+  ++recorded_;
+  obs::JournalWriter journal(kKind, config_key_);
+  for (const auto& [key, text] : payloads_) journal.add(key, text);
+  journal.commit(path_);
+}
+
+PerfCheckpoint::PerfCheckpoint(std::string path, std::string config_key,
+                               bool resume)
+    : path_(std::move(path)), config_key_(std::move(config_key)) {
+  const auto replay = [this](const std::string& id,
+                             const obs::JsonValue& samples) {
+    std::vector<double> v;
+    for (const auto& s : samples.as_array()) v.push_back(s.as_number());
+    cells_[id] = std::move(v);
+  };
+  if (resume && !resume_journal("[perf] checkpoint", "cell", path_, kKind,
+                                config_key_, replay)) {
+    cells_.clear();
   }
-  text += "}}\n";
-  util::atomic_write(path_, text);
+}
+
+bool PerfCheckpoint::load(const std::string& id,
+                          std::vector<double>* samples) const {
+  const auto it = cells_.find(id);
+  if (it == cells_.end()) return false;
+  *samples = it->second;
+  return true;
+}
+
+void PerfCheckpoint::record(const std::string& id,
+                            const std::vector<double>& samples) {
+  cells_[id] = samples;
+  obs::JournalWriter journal(kKind, config_key_);
+  for (const auto& [cid, v] : cells_) {
+    std::string text = "[";
+    for (const double x : v) text += obs::json_double(x) + ',';
+    if (!v.empty()) text.pop_back();
+    journal.add(cid, text + ']');
+  }
+  journal.commit(path_);
 }
 
 }  // namespace balbench::report

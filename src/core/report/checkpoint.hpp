@@ -1,44 +1,41 @@
-// Crash-safe checkpoint journal for the experiments sweep (DESIGN.md
-// Sec. 12.3).
-//
-// The journal is one JSON document, schema "balbench-checkpoint/1":
-//
-//   { "schema": "balbench-checkpoint/1",
-//     "config": "<config hash + fault-plan description>",
-//     "tasks": { "<task key>": { "kind": "beff"|"beffio", ... }, ... } }
+// Crash-safe checkpoint journals (DESIGN.md Sec. 12.3): obs journals
+// (obs/journal.hpp) of kind "sweep-checkpoint" (report::Checkpoint,
+// task key -> {"kind": "beff"|"beffio", ...}) and "perf-checkpoint"
+// (report::PerfCheckpoint, cell id -> [sample seconds, ...]).
 //
 // Every completed sweep task is serialized in full -- every measured
 // number, the merged metrics snapshot, and (under a fault plan) the
-// per-cell retry outcomes -- so a resumed sweep replays the task from
-// the journal instead of re-simulating it and produces byte-identical
-// final outputs (asserted by the robust_kill_resume ctest, which
-// SIGKILLs a sweep mid-flight and byte-compares the resumed record
-// against an uninterrupted run).
-//
-// Crash safety comes from util::atomic_write: the journal is rewritten
-// tmp+fsync+rename after every completed task, so a crash at any
-// instant leaves either the previous or the new journal, never a torn
-// file.  A journal whose "config" key does not match the current sweep
-// (different scope, edited fault spec, different code revision of the
-// spec list) is discarded on resume rather than replayed into the
-// wrong configuration.
+// per-cell retry outcomes -- so a resumed sweep replays the task
+// instead of re-simulating it and produces byte-identical final
+// outputs (the robust_kill_resume ctest SIGKILLs a sweep mid-flight
+// and byte-compares the resumed record against an uninterrupted run).
+// The journal is atomically rewritten after every completed task or
+// cell, so a crash leaves the previous or the new journal, never a
+// torn one.  A journal of another config (scope, fault spec, spec
+// list revision; for perf the sampling parameters) is discarded on
+// resume rather than replayed into the wrong configuration.
 //
 // Serialization is lossless for every value the results can hold in
 // practice: doubles round-trip through obs::json_double's shortest
-// form, integers are exact below 2^53 (the JSON number range; all
-// simulated counts are far below it).
+// form, integers are exact below 2^53 (all simulated counts are).
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/beff/beff.hpp"
 #include "core/beffio/beffio.hpp"
 #include "obs/json.hpp"
 
 namespace balbench::report {
+
+/// The metrics-snapshot JSON object of both the task payloads and the
+/// run record.
+void write_metrics(obs::JsonWriter& w, const obs::MetricsSnapshot& m);
 
 /// Lossless JSON round-trip of one benchmark result.  Exposed for the
 /// round-trip unit tests; the journal is the real consumer.
@@ -77,7 +74,11 @@ class Checkpoint {
   [[nodiscard]] std::size_t recorded() const;
 
  private:
-  void persist_locked();
+  static constexpr const char* kKind = "sweep-checkpoint";
+  /// The parsed payload of `task` if it was recorded with `kind`.
+  std::optional<obs::JsonValue> payload(const std::string& task,
+                                        const char* kind) const;
+  void record(const std::string& task, std::string payload);
 
   std::string path_;
   std::string config_key_;
@@ -85,6 +86,26 @@ class Checkpoint {
   /// task key -> canonical serialized payload ("kind" discriminated).
   std::map<std::string, std::string> payloads_;
   std::size_t recorded_ = 0;
+};
+
+/// balbench-perf's journal of completed cells' raw samples.  The
+/// config key pins the cell list AND --repeat/--warmup/--handicap.
+/// Resume semantics as Checkpoint's; single-threaded.
+class PerfCheckpoint {
+ public:
+  PerfCheckpoint(std::string path, std::string config_key, bool resume);
+
+  /// The replayed samples of cell `id`; false if it has none.
+  bool load(const std::string& id, std::vector<double>* samples) const;
+
+  /// Records a completed cell and atomically rewrites the journal.
+  void record(const std::string& id, const std::vector<double>& samples);
+
+ private:
+  static constexpr const char* kKind = "perf-checkpoint";
+  std::string path_;
+  std::string config_key_;
+  std::map<std::string, std::vector<double>> cells_;
 };
 
 }  // namespace balbench::report

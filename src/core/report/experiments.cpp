@@ -337,32 +337,6 @@ double pattern_bw(const beffio::AccessMethodResult& am, int type,
 // JSON helpers
 // ---------------------------------------------------------------------------
 
-void write_metrics(obs::JsonWriter& w, const obs::MetricsSnapshot& m) {
-  w.begin_object();
-  w.key("counters").begin_object();
-  for (const auto& [k, v] : m.counters) w.field(k, v);
-  w.end_object();
-  w.key("sums").begin_object();
-  for (const auto& [k, v] : m.sums) w.field(k, v);
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [k, v] : m.gauges) w.field(k, v);
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [k, h] : m.histograms) {
-    w.key(k).begin_object();
-    w.field("count", h.count).field("sum", h.sum).field("max", h.max);
-    w.key("buckets").begin_array();
-    for (const auto& [index, count] : h.buckets) {
-      w.begin_array().value(index).value(count).end_array();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
-}
-
 /// Emits "status" (worst outcome) plus the not-ok cells of one run.
 /// No-op when the run has no statuses (faults off), preserving the
 /// pre-fault record bytes.

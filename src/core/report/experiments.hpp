@@ -147,7 +147,7 @@ struct ExperimentOptions {
   /// Forwarded into every benchmark driver; per-cell retry outcomes
   /// land in the results and the run record.  nullptr = faults off.
   const robust::FaultPlan* fault_plan = nullptr;
-  /// Path of a "balbench-checkpoint/1" journal; empty = no journal.
+  /// Path of a sweep-checkpoint journal; empty = no journal.
   /// The journal is atomically rewritten after every completed task.
   std::string checkpoint_path;
   /// Replay tasks already completed in the journal instead of

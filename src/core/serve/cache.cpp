@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "core/history/store.hpp"
-#include "obs/json.hpp"
+#include "obs/journal.hpp"
 #include "util/atomic_write.hpp"
 #include "util/hash.hpp"
 
@@ -16,15 +15,7 @@ namespace balbench::serve {
 
 namespace {
 
-constexpr const char* kCacheSchema = "balbench-serve-cache/1";
-
-std::string slurp_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
+constexpr const char* kKind = "serve-cache";
 
 bool file_exists(const std::string& path) {
   std::error_code ec;
@@ -79,48 +70,29 @@ ResultCache::OpenStats ResultCache::open() {
   entries_.clear();
 
   bool dirty = false;  // journal no longer matches disk -> rewrite it
-  if (file_exists(path_)) {
-    obs::JsonValue doc;
-    try {
-      doc = obs::parse_json(slurp_file(path_));
-      const std::string& schema = doc.at("schema").as_string();
-      if (schema != kCacheSchema) {
-        throw std::runtime_error("schema is '" + schema + "', want '" +
-                                 std::string(kCacheSchema) + "'");
-      }
-    } catch (const std::exception& e) {
-      // Same torn-input contract as the history store: one per-file
-      // error naming path, line and column.
-      throw std::runtime_error(path_ + ": " + e.what());
+  obs::read_journal(path_, kKind, "", [&](const std::string& key,
+                                          const obs::JsonValue& v) {
+    const std::string& file = v.at("file").as_string();
+    const std::string& hash = v.at("hash").as_string();
+    if (file.find("..") != std::string::npos ||
+        (!file.empty() && file.front() == '/')) {
+      throw std::runtime_error("entry file '" + file +
+                               "' must be a plain relative path");
     }
-    for (const auto& item : doc.at("entries").as_array()) {
-      const std::string& key = item.at("key").as_string();
-      const std::string& file = item.at("file").as_string();
-      const std::string& hash = item.at("hash").as_string();
-      if (file.find("..") != std::string::npos ||
-          (!file.empty() && file.front() == '/')) {
-        throw std::runtime_error(path_ + ": entry file '" + file +
-                                 "' must be a plain relative path");
-      }
-      const std::string full = entry_path(file);
-      std::string bytes;
-      bool good = false;
-      if (file_exists(full)) {
-        bytes = slurp_file(full);
-        good = util::fnv1a_hex(bytes) == hash;
-      }
-      if (!good) {
-        // Missing or torn entry: quarantine and drop the binding.  The
-        // next request for this key is a plain miss -- recomputation,
-        // not data loss, because sweeps are deterministic.
-        quarantine_file(full);
-        ++stats.quarantined;
-        dirty = true;
-        continue;
-      }
-      entries_[key] = Entry{file, std::move(bytes)};
+    const std::string full = entry_path(file);
+    const bool present = file_exists(full);
+    std::string bytes = present ? util::read_file(full) : std::string();
+    if (!present || util::fnv1a_hex(bytes) != hash) {
+      // Missing or torn entry: quarantine and drop the binding.  The
+      // next request for this key is a plain miss -- recomputation,
+      // not data loss, because sweeps are deterministic.
+      quarantine_file(full);
+      ++stats.quarantined;
+      dirty = true;
+      return;
     }
-  }
+    entries_[key] = Entry{file, std::move(bytes)};
+  });
 
   // Sweep the entries directory for orphans: entry files no journal
   // line references (a crash between "write entry" and "append to
@@ -178,23 +150,20 @@ void ResultCache::store(const std::string& key, std::string_view record) {
 }
 
 void ResultCache::save_journal_locked() const {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  w.begin_object();
-  w.field("schema", kCacheSchema);
-  w.key("entries").begin_array();
+  obs::JournalWriter journal(kKind, "");
   for (const auto& [key, e] : entries_) {  // std::map: sorted by key
-    w.begin_object();
-    w.field("key", key);
-    w.field("file", e.file);
-    w.field("bytes", static_cast<std::int64_t>(e.bytes.size()));
-    w.field("hash", util::fnv1a_hex(e.bytes));
-    w.end_object();
+    std::ostringstream os;
+    {
+      obs::JsonWriter w(os, 0);
+      w.begin_object();
+      w.field("file", e.file);
+      w.field("bytes", static_cast<std::int64_t>(e.bytes.size()));
+      w.field("hash", util::fnv1a_hex(e.bytes));
+      w.end_object();
+    }
+    journal.add(key, os.str());
   }
-  w.end_array();
-  w.end_object();
-  os << '\n';
-  util::atomic_write(path_, os.str());
+  journal.commit(path_);
 }
 
 std::size_t ResultCache::size() const {

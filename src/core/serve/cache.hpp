@@ -5,13 +5,14 @@
 // history::shard_file_name so the two layouts can never drift in
 // their sanitization rules):
 //
-//   CACHE.json                balbench-serve-cache/1 -- the journal:
+//   CACHE.json                the "serve-cache" journal
+//                             (obs/journal.hpp):
 //                             key -> {file, bytes, fnv1a hash}
 //   CACHE.entries/K.json      verbatim balbench-run-record/1 bytes of
 //                             one cached sweep (opaque to the cache)
 //   CACHE.entries/K.checkpoint.json
-//                             in-flight balbench-checkpoint/1 journal
-//                             of a sweep being computed for key K
+//                             in-flight sweep-checkpoint journal of a
+//                             sweep being computed for key K
 //   CACHE.entries/K.json.quarantined
 //                             a damaged entry, kept for autopsy
 //

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -22,9 +21,8 @@
 
 #include "core/report/experiments.hpp"
 #include "core/scenario/scenario.hpp"
-#include "obs/json.hpp"
+#include "obs/journal.hpp"
 #include "robust/fault.hpp"
-#include "util/atomic_write.hpp"
 #include "util/hash.hpp"
 
 namespace balbench::serve {
@@ -85,17 +83,12 @@ std::size_t AdmissionQueue::size() const {
 
 namespace {
 
-constexpr const char* kQueueSchema = "balbench-serve-queue/1";
+constexpr const char* kQueueKind = "serve-queue";
 
 report::Scope parse_scope(const std::string& s) {
   if (s == "quick") return report::Scope::Quick;
   if (s == "doc") return report::Scope::Doc;
   throw std::runtime_error("unknown scope '" + s + "' (quick | doc)");
-}
-
-bool file_exists(const std::string& path) {
-  std::error_code ec;
-  return std::filesystem::exists(path, ec);
 }
 
 }  // namespace
@@ -183,7 +176,8 @@ ServeResponse execute_sweep(const ServeRequest& req,
       // and the finished record is byte-identical to an uninterrupted
       // run (checkpoint replay, DESIGN.md Sec. 12.3).
       opt.checkpoint_path = cache.checkpoint_path(resp.key);
-      opt.resume = file_exists(opt.checkpoint_path);
+      std::error_code ec;
+      opt.resume = std::filesystem::exists(opt.checkpoint_path, ec);
       opt.kill_after = cfg.kill_after;
     }
 
@@ -300,52 +294,38 @@ struct Conn {
   }
 };
 
-struct PersistedQueue {
-  std::vector<ServeRequest> requests;
-};
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Drain queue
 
 std::string queue_file_path(const std::string& cache_path) {
   return cache_path + ".queue.json";
 }
 
 void persist_queue(const std::string& path, const std::vector<Job>& jobs) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  w.begin_object();
-  w.field("schema", kQueueSchema);
-  w.key("requests").begin_array();
+  obs::JournalWriter journal(kQueueKind, "");
   // Each request rides as its own wire line (a string value): the
   // reload path re-parses it with the exact validation a socket line
-  // gets.
-  for (const auto& job : jobs) w.value(write_request(job.req));
-  w.end_array();
-  w.end_object();
-  os << '\n';
-  util::atomic_write(path, os.str());
-}
-
-PersistedQueue load_queue(const std::string& path) {
-  PersistedQueue q;
-  if (!file_exists(path)) return q;
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    const obs::JsonValue doc = obs::parse_json(buf.str());
-    const std::string& schema = doc.at("schema").as_string();
-    if (schema != kQueueSchema) {
-      throw std::runtime_error("schema is '" + schema + "'");
-    }
-    for (const auto& line : doc.at("requests").as_array()) {
-      q.requests.push_back(parse_request(line.as_string()));
-    }
-  } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": " + e.what());
+  // gets.  Keys are admission ordinals.
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    journal.add(std::to_string(i),
+                '"' + obs::json_escape(write_request(jobs[i].req)) + '"');
   }
-  return q;
+  journal.commit(path);
 }
 
-}  // namespace
+std::vector<ServeRequest> load_queue(const std::string& path) {
+  std::vector<ServeRequest> requests;
+  obs::read_journal(path, kQueueKind, "",
+                    [&](const std::string&, const obs::JsonValue& line) {
+                      requests.push_back(parse_request(line.as_string()));
+                    });
+  return requests;
+}
+
+// ---------------------------------------------------------------------------
+// Service
 
 Service::Service(ServeConfig cfg) : cfg_(std::move(cfg)) {}
 
@@ -375,8 +355,8 @@ int Service::run() {
     // removed only after all jobs are in; a crash in between just
     // re-runs them -- sweeps are idempotent through the cache.
     const std::string qpath = queue_file_path(cfg_.cache_path);
-    const PersistedQueue recovered = load_queue(qpath);
-    for (const auto& req : recovered.requests) {
+    const std::vector<ServeRequest> recovered = load_queue(qpath);
+    for (const auto& req : recovered) {
       Job job;
       job.req = req;
       job.conn = -1;
@@ -384,11 +364,11 @@ int Service::run() {
       reg.counter("serve.recovered").add();
       reg.gauge("serve.queue_depth").add(1.0);
     }
-    if (!recovered.requests.empty()) {
+    if (!recovered.empty()) {
       std::error_code ec;
       std::filesystem::remove(qpath, ec);
       if (cfg_.verbose) {
-        std::cerr << "balbench-serve: recovered " << recovered.requests.size()
+        std::cerr << "balbench-serve: recovered " << recovered.size()
                   << " queued request(s) from " << qpath << '\n';
       }
     }

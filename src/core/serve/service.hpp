@@ -19,8 +19,8 @@
 //
 //   SIGTERM/SIGINT/shutdown request -> drain: stop accepting, finish
 //     the in-flight sweep, persist the still-queued requests to
-//     "<cache>.queue.json" (balbench-serve-queue/1), exit 0.  The next
-//     start re-admits them as recovered jobs.
+//     "<cache>.queue.json" (a "serve-queue" journal), exit 0.  The
+//     next start re-admits them as recovered jobs.
 //   SIGKILL -> nothing runs, but nothing is lost: the cache journal
 //     replays (half-written entries quarantined), the in-flight
 //     sweep's checkpoint journal resumes, and a re-issued request
@@ -119,6 +119,13 @@ CacheKey sweep_cache_key(const ServeRequest& req, const std::string& git_rev);
 ServeResponse execute_sweep(const ServeRequest& req,
                             const std::string& git_rev, ResultCache& cache,
                             const ServeConfig& cfg, obs::Registry& reg);
+
+/// The SIGTERM drain queue: a "serve-queue" journal of request wire
+/// lines in admission order.  load_queue re-validates each line like a
+/// socket line; a missing file is an empty queue.
+std::string queue_file_path(const std::string& cache_path);
+void persist_queue(const std::string& path, const std::vector<Job>& jobs);
+std::vector<ServeRequest> load_queue(const std::string& path);
 
 /// The daemon.  Construct, then run() until a drain; returns the
 /// process exit code (0 = clean drain, 1 = fatal setup error).

@@ -5,6 +5,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -78,6 +80,14 @@ void atomic_write(const std::string& path, std::string_view content) {
     fail("rename", path);
   }
   sync_parent_dir(path);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 }  // namespace balbench::util

@@ -38,4 +38,8 @@ namespace balbench::util {
 /// with errno context if any syscall fails.
 void atomic_write(const std::string& path, std::string_view content);
 
+/// The read side: the whole of `path`.  Throws std::runtime_error
+/// ("cannot read <path>") if it cannot be opened.
+std::string read_file(const std::string& path);
+
 }  // namespace balbench::util

@@ -249,7 +249,7 @@ TEST(CheckpointJournal, ConfigMismatchDiscardsTheJournal) {
 
 TEST(CheckpointJournal, MalformedJournalStartsEmpty) {
   const std::string path = ::testing::TempDir() + "ck_malformed.json";
-  balbench::util::atomic_write(path, "{\"schema\": \"balbench-checkpoint/1\", tru");
+  balbench::util::atomic_write(path, "{\"schema\": \"balbench-journal/1\", tru");
   br::Checkpoint ck(path, "cfg-A", true);
   EXPECT_FALSE(ck.has("beff/0"));
   // ...and stays usable for new records.
@@ -280,7 +280,11 @@ TEST(CheckpointJournal, OnDiskDocumentIsWellFormed) {
   br::Checkpoint ck(path, "cfg-A", false);
   ck.record_beff("beff/3", sample_beff());
   const bo::JsonValue doc = bo::parse_json(slurp(path));
-  EXPECT_EQ(doc.at("schema").as_string(), "balbench-checkpoint/1");
+  EXPECT_EQ(doc.at("schema").as_string(), "balbench-journal/1");
+  EXPECT_EQ(doc.at("kind").as_string(), "sweep-checkpoint");
   EXPECT_EQ(doc.at("config").as_string(), "cfg-A");
-  EXPECT_EQ(doc.at("tasks").at("beff/3").at("kind").as_string(), "beff");
+  const auto& records = doc.at("records").as_array();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].as_array().at(0).as_string(), "beff/3");
+  EXPECT_EQ(records[0].as_array().at(1).at("kind").as_string(), "beff");
 }

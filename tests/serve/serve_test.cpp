@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/serve/cache.hpp"
 #include "core/serve/protocol.hpp"
@@ -238,6 +240,37 @@ TEST(ResultCache, CorruptJournalFailsWithPathQualifiedError) {
   }
 }
 
+TEST(ResultCache, BadIndexRecordFailsWithPathQualifiedError) {
+  // Well-formed JSON that is not a usable index: each must refuse to
+  // open with the index path leading the message, never a bare
+  // "JSON: missing key" from deep inside the decoder.
+  const std::string head =
+      R"({"schema":"balbench-journal/1","kind":"serve-cache","config":"",)";
+  const std::vector<std::string> docs = {
+      head + R"("records":[["k",{"file":"f.json","bytes":1}]]})",
+      head + R"("records":"x"})",
+      head + R"("records":[["k"]]})",
+      head + R"("records":[[7,{"file":"f.json","bytes":1,"hash":"0"}]]})",
+      head + R"("records":[["k",{"file":"../f.json","bytes":1,"hash":"0"}]]})",
+      R"({"schema":"balbench-journal/1","kind":"serve-queue","config":"",)"
+      R"("records":[]})",
+      R"({"schema":"other/1","entries":[{"key":"k","file":"f.json"}]})",
+  };
+  const std::string dir = scratch("bad_record");
+  const std::string path = dir + "/CACHE.json";
+  for (const auto& doc : docs) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << doc;
+    bs::ResultCache cache(path);
+    try {
+      cache.open();
+      ADD_FAILURE() << "accepted: " << doc;
+    } catch (const std::exception& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(path + ": ", 0), 0u)
+          << e.what() << "\n  for: " << doc;
+    }
+  }
+}
+
 TEST(ResultCache, CheckpointPathIsStableAcrossInstances) {
   const std::string dir = scratch("ckpt");
   bs::ResultCache a(dir + "/CACHE.json");
@@ -296,6 +329,20 @@ TEST(AdmissionQueue, DrainReturnsLeftoversAndCloses) {
   EXPECT_EQ(rest[1].req.id, "b");
   EXPECT_FALSE(q.try_push(sweep_job("late")));  // closed
   EXPECT_FALSE(q.pop().has_value());            // closed and empty
+}
+
+TEST(DrainQueue, PersistsAndReloadsInAdmissionOrder) {
+  const std::string path = bs::queue_file_path(scratch("queue") + "/C.json");
+  EXPECT_TRUE(bs::load_queue(path).empty());  // no file: nothing queued
+  bs::Job b = sweep_job("b");
+  b.req.scope = "doc";
+  bs::persist_queue(path, {sweep_job("z"), b, sweep_job("a")});
+  const auto back = bs::load_queue(path);
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(back[0].id, "z");
+  EXPECT_EQ(back[1].id, "b");
+  EXPECT_EQ(back[1].scope, "doc");
+  EXPECT_EQ(back[2].id, "a");
 }
 
 // ---------------------------------------------------------------------------

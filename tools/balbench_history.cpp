@@ -68,7 +68,6 @@
 // render); 1 = fatal error or check-doc mismatch; 2 = bad usage.
 // All file outputs go through util::atomic_write ("-" = stdout).
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -87,14 +86,6 @@
 namespace {
 
 using namespace balbench;
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 bool spill(const std::string& path, const std::string& text) {
   if (path == "-") {
@@ -169,7 +160,7 @@ int cmd_ingest(int argc, const char* const* argv) {
   if (host.empty()) host = default_host();
 
   history::HistoryStore store = history::HistoryStore::open(history_path);
-  const obs::JsonValue record = obs::parse_json(slurp(record_path));
+  const obs::JsonValue record = obs::parse_json(util::read_file(record_path));
   const auto result = store.ingest(record, std::move(host), replace);
   std::cerr << "balbench-history: " << (result.replaced ? "replaced" : "ingested")
             << " rev " << result.git_rev << " (config " << result.config_hash
@@ -311,7 +302,7 @@ int cmd_trend(int argc, const char* const* argv, bool splice) {
     matrix_opt.jobs = static_cast<int>(jobs);
     std::ostringstream fleet;
     history::render_fleet_section(fleet, store, matrix_opt);
-    const std::string doc = slurp(doc_path);
+    const std::string doc = util::read_file(doc_path);
     std::string next = history::splice_trend_section(doc, section.str());
     next = history::splice_fleet_section(next, fleet.str());
     if (next != doc) {
@@ -416,7 +407,7 @@ int cmd_check_doc(int argc, const char* const* argv) {
   std::ostringstream fleet;
   history::render_fleet_section(fleet, store, matrix_opt);
 
-  const std::string doc = slurp(doc_path);
+  const std::string doc = util::read_file(doc_path);
   const char* stale = nullptr;
   const std::string committed_trend = history::extract_trend_section(doc);
   const std::string committed_fleet = history::extract_fleet_section(doc);
@@ -455,7 +446,7 @@ int cmd_merge_wall_profiles(int argc, const char* const* argv) {
   bool first = true;
   for (const auto& path : inputs) {
     const history::WallProfileMerge one =
-        history::parse_wall_profile(obs::parse_json(slurp(path)));
+        history::parse_wall_profile(obs::parse_json(util::read_file(path)));
     if (first) {
       merged = one;
       first = false;

@@ -32,8 +32,8 @@
 //                     factor F (busy-spin); exists so the gate itself
 //                     is testable end to end
 //   --wall-profile F  wall-clock profile of the run (obs/prof.hpp)
-//   --checkpoint FILE crash-safe journal of completed cells
-//                     ("balbench-perf-checkpoint/1", atomically
+//   --checkpoint FILE crash-safe journal of completed cells (a
+//                     "perf-checkpoint" balbench-journal/1, atomically
 //                     rewritten after each cell, DESIGN.md Sec. 12.3)
 //   --resume          replay samples of cells already completed in the
 //                     --checkpoint journal instead of re-timing them
@@ -60,10 +60,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -74,6 +72,7 @@
 #include "core/beffio/beffio.hpp"
 #include "core/beffio/pattern_table.hpp"
 #include "core/kernels/kernels.hpp"
+#include "core/report/checkpoint.hpp"
 #include "core/report/experiments.hpp"
 #include "core/scenario/scenario.hpp"
 #include "machines/machines.hpp"
@@ -631,11 +630,7 @@ struct Baseline {
 /// with a pointed message on any violation (shared by --baseline and
 /// --validate, so "validates" and "is comparable" are the same thing).
 Baseline load_record(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const obs::JsonValue doc = obs::parse_json(buf.str());
+  const obs::JsonValue doc = obs::parse_json(util::read_file(path));
   const std::string& schema = doc.at("schema").as_string();
   if (schema != "balbench-perf-record/1") {
     throw std::runtime_error(path + ": schema is '" + schema +
@@ -734,88 +729,6 @@ bool spill(const std::string& path, const std::string& text) {
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Crash-safe cell checkpoint ("balbench-perf-checkpoint/1")
-// ---------------------------------------------------------------------------
-
-/// Journal of completed cells' raw samples; atomically rewritten after
-/// every cell (DESIGN.md Sec. 12.3).  The config key pins the cell
-/// list AND the sampling parameters: samples taken under a different
-/// --repeat/--warmup/--handicap must not be replayed into this run.
-class PerfCheckpoint {
- public:
-  PerfCheckpoint(std::string path, std::string config_key, bool resume)
-      : path_(std::move(path)), config_key_(std::move(config_key)) {
-    if (!resume) return;
-    std::ifstream in(path_, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "[perf] checkpoint %s: no journal, starting "
-                   "fresh\n", path_.c_str());
-      return;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    try {
-      const obs::JsonValue doc = obs::parse_json(buf.str());
-      if (doc.at("schema").as_string() != "balbench-perf-checkpoint/1") {
-        throw std::runtime_error("schema is not balbench-perf-checkpoint/1");
-      }
-      if (doc.at("config").as_string() != config_key_) {
-        std::fprintf(stderr,
-                     "[perf] checkpoint %s: written for a different "
-                     "configuration, discarding\n",
-                     path_.c_str());
-        return;
-      }
-      for (const auto& [id, samples] : doc.at("cells").as_object()) {
-        std::vector<double>& v = cells_[id];
-        for (const auto& s : samples.as_array()) v.push_back(s.as_number());
-      }
-      std::fprintf(stderr, "[perf] checkpoint %s: resuming, %zu cell%s "
-                   "completed\n", path_.c_str(), cells_.size(),
-                   cells_.size() == 1 ? "" : "s");
-    } catch (const std::exception& e) {
-      cells_.clear();
-      std::fprintf(stderr, "[perf] checkpoint %s: unusable journal (%s), "
-                   "starting fresh\n", path_.c_str(), e.what());
-    }
-  }
-
-  bool load(const std::string& id, std::vector<double>* samples) const {
-    const auto it = cells_.find(id);
-    if (it == cells_.end()) return false;
-    *samples = it->second;
-    return true;
-  }
-
-  void record(const std::string& id, const std::vector<double>& samples) {
-    cells_[id] = samples;
-    std::string text = "{\"schema\":\"balbench-perf-checkpoint/1\","
-                       "\"config\":\"" + obs::json_escape(config_key_) +
-                       "\",\"cells\":{";
-    bool first = true;
-    for (const auto& [cid, v] : cells_) {
-      if (!first) text += ',';
-      first = false;
-      text += '"';
-      text += obs::json_escape(cid);
-      text += "\":[";
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i > 0) text += ',';
-        text += obs::json_double(v[i]);
-      }
-      text += ']';
-    }
-    text += "}}\n";
-    util::atomic_write(path_, text);
-  }
-
- private:
-  std::string path_;
-  std::string config_key_;
-  std::map<std::string, std::vector<double>> cells_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -857,8 +770,8 @@ int main(int argc, char** argv) {
   options.add_string("wall-profile", &wall_profile_path,
                      "write a wall-clock profile of this run here");
   options.add_string("checkpoint", &checkpoint_path,
-                     "crash-safe balbench-perf-checkpoint/1 journal of "
-                     "completed cells (atomically rewritten per cell)");
+                     "crash-safe journal of completed cells (atomically "
+                     "rewritten per cell)");
   options.add_flag("resume", &resume,
                    "replay samples of cells already completed in the "
                    "--checkpoint journal instead of re-timing them");
@@ -910,9 +823,9 @@ int main(int argc, char** argv) {
       std::cerr << "balbench-perf: --resume needs --checkpoint FILE\n";
       return 2;
     }
-    std::unique_ptr<PerfCheckpoint> ck;
+    std::unique_ptr<report::PerfCheckpoint> ck;
     if (!checkpoint_path.empty()) {
-      ck = std::make_unique<PerfCheckpoint>(
+      ck = std::make_unique<report::PerfCheckpoint>(
           checkpoint_path,
           perf_config_hash(cells) + "|repeat=" + std::to_string(repeat) +
               "|warmup=" + std::to_string(warmup) +

@@ -128,21 +128,12 @@ bool spill(const std::string& path, const std::string& text) {
   return true;
 }
 
-/// Reads a whole file; throws std::runtime_error when unreadable.
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 int diff_traces(const std::string& path_a, const std::string& path_b,
                 double tolerance) {
   history::TraceDiffOptions opt;
   opt.tolerance_seconds = tolerance;
-  const obs::JsonValue a = obs::parse_json(slurp(path_a));
-  const obs::JsonValue b = obs::parse_json(slurp(path_b));
+  const obs::JsonValue a = obs::parse_json(util::read_file(path_a));
+  const obs::JsonValue b = obs::parse_json(util::read_file(path_b));
   const history::TraceDiff diff = history::diff_traces(a, b, opt);
   history::write_trace_diff(std::cout, diff, path_a, path_b, opt);
   return diff.drifted > 0 ? 3 : 0;
@@ -358,7 +349,7 @@ int main(int argc, char** argv) {
                      "io=P io-spike=P spike-s=T timeout=S retries=N "
                      "backoff=S backoff-cap=S (DESIGN.md Sec. 12.1)");
   options.add_string("checkpoint", &checkpoint_path,
-                     "crash-safe balbench-checkpoint/1 journal of completed "
+                     "crash-safe journal of completed "
                      "sweep tasks (atomically rewritten after each task)");
   options.add_flag("resume", &resume,
                    "replay tasks already completed in the --checkpoint "
@@ -391,7 +382,7 @@ int main(int argc, char** argv) {
   try {
     if (!validate_path.empty()) {
       const std::vector<std::string> violations =
-          scenario::validate_scenario_text(slurp(validate_path));
+          scenario::validate_scenario_text(util::read_file(validate_path));
       if (violations.empty()) {
         std::cerr << "balbench-report: " << validate_path << " is a valid "
                   << "balbench-scenario/1 file\n";

@@ -119,7 +119,7 @@ if(NOT EXISTS ${cache3}.queue.json)
   message(FATAL_ERROR "drain did not persist the queued requests")
 endif()
 file(READ ${cache3}.queue.json qdoc)
-if(NOT qdoc MATCHES "balbench-serve-queue/1")
+if(NOT qdoc MATCHES "\"schema\":\"balbench-journal/1\",\"kind\":\"serve-queue\"")
   message(FATAL_ERROR "persisted queue has the wrong schema:\n${qdoc}")
 endif()
 # The in-flight request must have finished and been answered.
