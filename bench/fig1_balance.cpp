@@ -2,18 +2,20 @@
 // interprocessor communication bandwidth (b_eff) to the floating-point
 // performance (Linpack R_max) -- for a variety of platforms.
 //
+// A view of the report sweep: the b_eff cells of report::beff_specs
+// that report::fig1_points() names (--quick takes the quick scope),
+// run through report::run_cells.
+//
 // The paper's observation: shared-memory vector systems are much
 // better balanced (more communication bytes per flop) than the MPP
 // and SMP-cluster systems.
+#include <algorithm>
 #include <iostream>
-#include <vector>
 
-#include "core/beff/beff.hpp"
+#include "core/report/experiments.hpp"
 #include "machines/machines.hpp"
-#include "parmsg/sim_transport.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/options.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -23,7 +25,7 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::int64_t jobs = 1;
   util::Options options("fig1_balance: balance factor b_eff / R_max (Fig. 1)");
-  options.add_flag("quick", &quick, "use smaller T3E configuration");
+  options.add_flag("quick", &quick, "the quick report scope's Figure 1 cells");
   options.add_jobs(&jobs, "the per-machine sweep");
   try {
     if (!options.parse(argc, argv)) return 0;
@@ -32,46 +34,31 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  struct Config {
-    machines::MachineSpec machine;
-    int nprocs;
-  };
-  std::vector<Config> configs;
-  configs.push_back({machines::cray_t3e_900(), quick ? 64 : 256});
-  configs.push_back({machines::hitachi_sr8000(net::Placement::Sequential), 24});
-  configs.push_back({machines::hitachi_sr2201(), 16});
-  configs.push_back({machines::nec_sx5(), 4});
-  configs.push_back({machines::nec_sx4(), 16});
-  configs.push_back({machines::hp_v9000(), 7});
-  configs.push_back({machines::sgi_sv1(), 15});
-
-  const auto results = util::parallel_map<beff::BeffResult>(
-      static_cast<int>(jobs), configs.size(), [&](std::size_t i) {
-        const auto& cfg = configs[i];
-        std::fprintf(stderr, "[fig1] %s, %d procs...\n",
-                     cfg.machine.name.c_str(), cfg.nprocs);
-        parmsg::SimTransport transport(cfg.machine.make_topology(cfg.nprocs),
-                                       cfg.machine.costs);
-        beff::BeffOptions opt;
-        opt.memory_per_proc = cfg.machine.memory_per_proc;
-        opt.measure_analysis = false;
-        return beff::run_beff(transport, cfg.nprocs, opt);
-      });
+  report::ExperimentsData data;
+  data.beff = report::beff_specs(quick ? report::Scope::Quick : report::Scope::Doc);
+  std::erase_if(data.beff, [](const report::BeffRun& b) {
+    return std::none_of(report::fig1_points().begin(),
+                        report::fig1_points().end(),
+                        [&](const report::Fig1Point& p) {
+                          return b.key == p.key && b.nprocs == p.nprocs;
+                        });
+  });
+  report::ExperimentOptions run;
+  run.jobs = static_cast<int>(jobs);
+  run.verbose = true;
+  report::run_cells(data, run);
 
   util::Table table({"System", "procs", "b_eff\nMByte/s", "R_max\nGFlop/s",
                      "balance factor\nbytes/flop"});
   util::AsciiBarChart chart("Figure 1: balance factor (b_eff / R_max)");
 
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto& cfg = configs[i];
-    const auto& r = results[i];
-    const double rmax_flops =
-        cfg.machine.rmax_gflops_per_proc * 1e9 * cfg.nprocs;
-    const double balance = r.b_eff / rmax_flops;  // bytes per flop
-    table.add_row({cfg.machine.name, util::fmt(cfg.nprocs),
-                   util::format_mbps(r.b_eff),
+  for (const auto& b : data.beff) {
+    const std::string name = machines::machine_by_name(b.key).name;
+    const double rmax_flops = b.rmax_gflops_per_proc * 1e9 * b.nprocs;
+    const double balance = b.r.b_eff / rmax_flops;  // bytes per flop
+    table.add_row({name, util::fmt(b.nprocs), util::format_mbps(b.r.b_eff),
                    util::fmt(rmax_flops / 1e9, 1), util::fmt(balance, 3)});
-    chart.add_bar(cfg.machine.name, balance);
+    chart.add_bar(name, balance);
   }
 
   std::cout << "Figure 1 data: balance factor for a variety of platforms\n";

@@ -2,45 +2,33 @@
 // number of processes on the Cray T3E (HLRS) and the IBM RS 6000/SP
 // "blue Pacific" (LLNL), for several scheduled times T.
 //
+// A view of the report sweep: the "fig3" cells of report::io_specs
+// (--quick takes the quick scope), each re-run at every T of this
+// figure's own axis, through report::run_cells.
+//
 // The paper's shape: on the T3E the I/O bandwidth is a *global
 // resource* -- the maximum is reached around 32 processes with little
 // variation from 8 to 128 -- while on the SP it *tracks the number of
 // compute nodes* until the 20 VSD servers saturate.
+#include <algorithm>
 #include <iostream>
-#include <limits>
 #include <vector>
 
-#include "core/beffio/beffio.hpp"
+#include "core/report/experiments.hpp"
 #include "machines/machines.hpp"
-#include "parmsg/sim_transport.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/options.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
-namespace {
-
-using namespace balbench;
-
-beffio::BeffIoResult run_one(const machines::MachineSpec& m, int nprocs,
-                             double t_seconds) {
-  parmsg::SimTransport transport(m.make_topology(nprocs), m.costs);
-  beffio::BeffIoOptions opt;
-  opt.scheduled_time = t_seconds;
-  opt.memory_per_node = m.memory_per_proc;
-  opt.file_prefix = m.short_name;
-  return beffio::run_beffio(transport, *m.io, nprocs, opt);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace balbench;
+
   bool quick = false;
   std::int64_t jobs = 1;
   util::Options options(
       "fig3_beffio_scaling: b_eff_io over process counts and T (Fig. 3)");
-  options.add_flag("quick", &quick, "fewer partitions / one T value");
+  options.add_flag("quick", &quick, "the quick report scope's cells, one T value");
   options.add_jobs(&jobs, "the (machine, T, partition) sweep");
   try {
     if (!options.parse(argc, argv)) return 0;
@@ -49,47 +37,45 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::vector<int> procs =
-      quick ? std::vector<int>{2, 8, 32} : std::vector<int>{2, 4, 8, 16, 32, 64, 128};
   const std::vector<double> times =
       quick ? std::vector<double>{600.0} : std::vector<double>{600.0, 900.0, 1800.0};
 
-  std::vector<machines::MachineSpec> systems{machines::cray_t3e_900(),
-                                             machines::ibm_sp()};
+  std::vector<report::IoRun> rows =
+      report::io_specs(quick ? report::Scope::Quick : report::Scope::Doc);
+  std::erase_if(rows, [](const report::IoRun& r) { return r.figure != "fig3"; });
+  std::vector<std::string> keys;
+  for (const auto& r : rows) {
+    if (std::find(keys.begin(), keys.end(), r.key) == keys.end()) {
+      keys.push_back(r.key);
+    }
+  }
 
-  // Flatten the (machine, T, partition) space, run every valid point
-  // through the scheduler, then render in sweep order so stdout is
-  // byte-identical for every --jobs value.
-  struct Job {
-    const machines::MachineSpec* machine = nullptr;
-    double T = 0.0;
-    int nprocs = 0;
-    bool valid = false;
-  };
-  std::vector<Job> sweep;
-  for (const auto& m : systems) {
+  // The (machine, T, partition) sweep in rendering order.
+  report::ExperimentsData data;
+  for (const auto& key : keys) {
     for (double T : times) {
-      for (int p : procs) {
-        sweep.push_back({&m, T, p, p <= m.max_procs});
+      for (const auto& r : rows) {
+        if (r.key != key) continue;
+        data.io.push_back(r);
+        data.io.back().scheduled_seconds = T;
       }
     }
   }
-  const auto results = util::parallel_map<beffio::BeffIoResult>(
-      static_cast<int>(jobs), sweep.size(), [&](std::size_t i) {
-        const Job& job = sweep[i];
-        if (!job.valid) return beffio::BeffIoResult{};
-        std::fprintf(stderr, "[fig3] %s, %d procs, T=%.0fs...\n",
-                     job.machine->short_name.c_str(), job.nprocs, job.T);
-        return run_one(*job.machine, job.nprocs, job.T);
-      });
+  report::ExperimentOptions run;
+  run.jobs = static_cast<int>(jobs);
+  run.verbose = true;
+  report::run_cells(data, run);
 
-  std::size_t next = 0;
-  for (const auto& m : systems) {
+  auto next = data.io.begin();
+  for (const auto& key : keys) {
+    const auto m = machines::machine_by_name(key);
     std::cout << "=== " << m.name << " -- " << m.io->name << " ===\n";
     util::Table table({"T", "procs", "write\nMB/s", "rewrite\nMB/s",
                        "read\nMB/s", "b_eff_io\nMB/s"});
     std::vector<std::string> labels;
-    for (int p : procs) labels.push_back(util::fmt(p));
+    for (const auto& r : rows) {
+      if (r.key == key) labels.push_back(util::fmt(r.nprocs));
+    }
     util::AsciiPlot plot(labels, {.width = 60,
                                   .height = 14,
                                   .log_y = false,
@@ -100,15 +86,9 @@ int main(int argc, char** argv) {
       util::Series series;
       series.name = "T=" + util::format_seconds(T);
       series.marker = marker++;
-      for ([[maybe_unused]] int p : procs) {
-        const Job& job = sweep[next];
-        const auto& r = results[next];
-        ++next;
-        if (!job.valid) {
-          series.values.push_back(std::numeric_limits<double>::quiet_NaN());
-          continue;
-        }
-        table.add_row({util::format_seconds(job.T), util::fmt(job.nprocs),
+      for (std::size_t p = 0; p < labels.size(); ++p, ++next) {
+        const auto& r = next->r;
+        table.add_row({util::format_seconds(T), util::fmt(next->nprocs),
                        util::format_mbps(r.write().weighted_bandwidth(), 1),
                        util::format_mbps(r.rewrite().weighted_bandwidth(), 1),
                        util::format_mbps(r.read().weighted_bandwidth(), 1),

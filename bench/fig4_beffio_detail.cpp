@@ -12,18 +12,19 @@
 //  * wellformed vs non-wellformed differs sharply, especially on T3E
 //  * on the IBM SP prototype, segmented collective (type 4) is >10x
 //    worse than segmented non-collective (type 3)
+//
+// A view of the report sweep: the "fig4" cells of report::io_specs
+// (--quick takes the quick scope), run through report::run_cells.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <limits>
 #include <vector>
 
-#include "core/beffio/beffio.hpp"
+#include "core/report/experiments.hpp"
 #include "machines/machines.hpp"
-#include "parmsg/sim_transport.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/options.hpp"
-#include "util/parallel.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -76,18 +77,12 @@ void render_detail(const beffio::BeffIoResult& r, const std::string& name) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  bool report = false;
-  std::string only;
-  std::int64_t nprocs = 0;
-  double t_minutes = 10.0;
+  bool print_report = false;
   std::int64_t jobs = 1;
   util::Options options(
       "fig4_beffio_detail: per-pattern b_eff_io bandwidths (Fig. 4)");
-  options.add_flag("quick", &quick, "smaller partitions");
-  options.add_flag("report", &report, "print the full b_eff_io protocol");
-  options.add_string("machine", &only, "single machine (sp t3e sr8000 sx5)");
-  options.add_int("procs", &nprocs, "override the partition size");
-  options.add_double("minutes", &t_minutes, "scheduled time T in minutes");
+  options.add_flag("quick", &quick, "the quick report scope's Figure 4 cells");
+  options.add_flag("report", &print_report, "print the full b_eff_io protocol");
   options.add_jobs(&jobs, "the per-machine sweep");
   try {
     if (!options.parse(argc, argv)) return 0;
@@ -96,47 +91,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  struct Config {
-    machines::MachineSpec machine;
-    int nprocs;
-    std::int64_t mpart_cap;
-  };
-  std::vector<Config> all_configs;
-  all_configs.push_back({machines::ibm_sp(), quick ? 16 : 64, 0});
-  all_configs.push_back({machines::cray_t3e_900(), quick ? 16 : 64, 0});
-  all_configs.push_back({machines::hitachi_sr8000(net::Placement::Sequential),
-                         quick ? 8 : 24, 0});
-  // "On the SX-5, a reduced maximum chunk size was used" (Sec. 5.3).
-  all_configs.push_back({machines::nec_sx5(), 4, 2LL << 20});
+  report::ExperimentsData data;
+  data.io = report::io_specs(quick ? report::Scope::Quick : report::Scope::Doc);
+  std::erase_if(data.io, [](const report::IoRun& r) { return r.figure != "fig4"; });
+  report::ExperimentOptions run;
+  run.jobs = static_cast<int>(jobs);
+  run.verbose = true;
+  report::run_cells(data, run);
 
-  std::vector<Config> configs;
-  for (auto& cfg : all_configs) {
-    if (!only.empty() && cfg.machine.short_name != only) continue;
-    if (nprocs > 0) cfg.nprocs = static_cast<int>(nprocs);
-    configs.push_back(std::move(cfg));
-  }
-
-  const auto results = util::parallel_map<beffio::BeffIoResult>(
-      static_cast<int>(jobs), configs.size(), [&](std::size_t i) {
-        const Config& cfg = configs[i];
-        std::fprintf(stderr, "[fig4] %s, %d procs, T=%.0f min...\n",
-                     cfg.machine.short_name.c_str(), cfg.nprocs, t_minutes);
-        parmsg::SimTransport transport(cfg.machine.make_topology(cfg.nprocs),
-                                       cfg.machine.costs);
-        beffio::BeffIoOptions opt;
-        opt.scheduled_time = t_minutes * 60.0;
-        opt.memory_per_node = cfg.machine.memory_per_proc;
-        opt.mpart_cap = cfg.mpart_cap;
-        opt.file_prefix = cfg.machine.short_name;
-        return beffio::run_beffio(transport, *cfg.machine.io, cfg.nprocs, opt);
-      });
-
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const Config& cfg = configs[i];
-    std::cout << "==== " << cfg.machine.name << " (" << cfg.nprocs << " procs, "
-              << cfg.machine.io->name << ") ====\n\n";
-    render_detail(results[i], cfg.machine.short_name);
-    if (report) std::cout << beffio::beffio_report(results[i]) << '\n';
+  for (const auto& run : data.io) {
+    const auto m = machines::machine_by_name(run.key);
+    std::cout << "==== " << m.name << " (" << run.nprocs << " procs, "
+              << m.io->name << ") ====\n\n";
+    render_detail(run.r, m.short_name);
+    if (print_report) std::cout << beffio::beffio_report(run.r) << '\n';
   }
   return 0;
 }

@@ -1,15 +1,16 @@
 // Reproduces Figure 5 of the paper: the final b_eff_io values for the
 // four platforms at several partition sizes (T >= 15 minutes, the
 // official schedule).
+//
+// A view of the report sweep: the "fig5" cells of report::io_specs
+// (--quick takes the quick scope), run through report::run_cells.
 #include <iostream>
-#include <vector>
+#include <string>
 
-#include "core/beffio/beffio.hpp"
+#include "core/report/experiments.hpp"
 #include "machines/machines.hpp"
-#include "parmsg/sim_transport.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/options.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -17,11 +18,9 @@ int main(int argc, char** argv) {
   using namespace balbench;
 
   bool quick = false;
-  double t_minutes = 15.0;
   std::int64_t jobs = 1;
   util::Options options("fig5_beffio_final: final b_eff_io comparison (Fig. 5)");
-  options.add_flag("quick", &quick, "fewer partition sizes");
-  options.add_double("minutes", &t_minutes, "scheduled time T in minutes");
+  options.add_flag("quick", &quick, "the quick report scope's Figure 5 cells");
   options.add_jobs(&jobs, "the (machine, partition) sweep");
   try {
     if (!options.parse(argc, argv)) return 0;
@@ -30,89 +29,50 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  struct Config {
-    machines::MachineSpec machine;
-    std::vector<int> partitions;
-    std::int64_t mpart_cap;
-  };
-  std::vector<Config> configs;
-  configs.push_back({machines::ibm_sp(),
-                     quick ? std::vector<int>{16, 64} : std::vector<int>{16, 32, 64, 128},
-                     0});
-  configs.push_back({machines::cray_t3e_900(),
-                     quick ? std::vector<int>{8, 32} : std::vector<int>{8, 16, 32, 64, 128},
-                     0});
-  configs.push_back({machines::hitachi_sr8000(net::Placement::Sequential),
-                     quick ? std::vector<int>{8} : std::vector<int>{8, 16, 24},
-                     0});
-  configs.push_back({machines::nec_sx5(), std::vector<int>{2, 4}, 2LL << 20});
-
-  // Flatten the (machine, partition) sweep, run it through the
-  // scheduler, then reduce in sweep order -- stdout is byte-identical
-  // for every --jobs value.
-  struct Job {
-    const Config* config = nullptr;
-    int nprocs = 0;
-    bool first = false;
-  };
-  std::vector<Job> sweep;
-  for (const auto& cfg : configs) {
-    bool first = true;
-    for (int np : cfg.partitions) {
-      if (np > cfg.machine.max_procs) continue;
-      sweep.push_back({&cfg, np, first});
-      first = false;
-    }
-  }
-  const auto results = util::parallel_map<beffio::BeffIoResult>(
-      static_cast<int>(jobs), sweep.size(), [&](std::size_t i) {
-        const Job& job = sweep[i];
-        const Config& cfg = *job.config;
-        std::fprintf(stderr, "[fig5] %s, %d procs...\n",
-                     cfg.machine.short_name.c_str(), job.nprocs);
-        parmsg::SimTransport transport(cfg.machine.make_topology(job.nprocs),
-                                       cfg.machine.costs);
-        beffio::BeffIoOptions opt;
-        opt.scheduled_time = t_minutes * 60.0;
-        opt.memory_per_node = cfg.machine.memory_per_proc;
-        opt.mpart_cap = cfg.mpart_cap;
-        opt.file_prefix = cfg.machine.short_name;
-        return beffio::run_beffio(transport, *cfg.machine.io, job.nprocs, opt);
-      });
+  report::ExperimentsData data;
+  data.io = report::io_specs(quick ? report::Scope::Quick : report::Scope::Doc);
+  std::erase_if(data.io, [](const report::IoRun& r) { return r.figure != "fig5"; });
+  report::ExperimentOptions run;
+  run.jobs = static_cast<int>(jobs);
+  run.verbose = true;
+  report::run_cells(data, run);
 
   util::Table table({"System", "procs", "write\nMB/s", "rewrite\nMB/s",
                      "read\nMB/s", "b_eff_io\nMB/s"});
   util::AsciiBarChart chart("Figure 5: b_eff_io (best partition per system), MB/s");
 
+  // Rows of one machine are adjacent in the spec; the machine's value
+  // is the best over its partitions.
   double best = 0.0;
   int best_np = 0;
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const Job& job = sweep[i];
-    const auto& r = results[i];
-    if (job.first) {
+  for (std::size_t i = 0; i < data.io.size(); ++i) {
+    const auto& cell = data.io[i];
+    const auto& r = cell.r;
+    const bool first = i == 0 || data.io[i - 1].key != cell.key;
+    const std::string name = machines::machine_by_name(cell.key).name;
+    if (first) {
       best = 0.0;
       best_np = 0;
     }
-    table.add_row({job.first ? job.config->machine.name : "",
-                   util::fmt(job.nprocs),
+    table.add_row({first ? name : "", util::fmt(cell.nprocs),
                    util::format_mbps(r.write().weighted_bandwidth(), 1),
                    util::format_mbps(r.rewrite().weighted_bandwidth(), 1),
                    util::format_mbps(r.read().weighted_bandwidth(), 1),
                    util::format_mbps(r.b_eff_io, 1)});
     if (r.b_eff_io > best) {
       best = r.b_eff_io;
-      best_np = job.nprocs;
+      best_np = cell.nprocs;
     }
-    if (i + 1 == sweep.size() || sweep[i + 1].first) {
+    if (i + 1 == data.io.size() || data.io[i + 1].key != cell.key) {
       table.add_separator();
-      chart.add_bar(job.config->machine.name, best / (1024.0 * 1024.0),
+      chart.add_bar(name, best / (1024.0 * 1024.0),
                     std::to_string(best_np) + " procs");
     }
   }
 
   std::cout << "Figure 5 data: b_eff_io for different numbers of processes\n"
             << "(b_eff_io of a system = maximum over partitions, T = "
-            << t_minutes << " min)\n";
+            << data.io.front().scheduled_seconds / 60.0 << " min)\n";
   table.render(std::cout);
   std::cout << '\n';
   chart.render(std::cout);

@@ -1,61 +1,32 @@
 // Reproduces Table 1 of the paper: "Effective Benchmark Results".
 //
-// For every system (and the paper's process counts) it runs the full
-// b_eff benchmark on the simulated machine and prints the table
-// columns: b_eff, b_eff per proc, L_max, ping-pong bandwidth, b_eff at
-// L_max, per proc at L_max, and per proc at L_max over ring patterns
-// only.  Also prints the paper's Sec. 2.2 "coffee-cup" statistic
-// (seconds to communicate the total memory).
+// A view of the report sweep's b_eff cells (report::beff_specs: the
+// paper's systems and process counts; --quick takes the quick scope):
+// runs them through report::run_cells and prints the table columns:
+// b_eff, b_eff per proc, L_max, ping-pong bandwidth, b_eff at L_max,
+// per proc at L_max, and per proc at L_max over ring patterns only.
+// Also prints the paper's Sec. 2.2 "coffee-cup" statistic (seconds to
+// communicate the total memory).
 #include <cstdio>
 #include <iostream>
-#include <vector>
 
-#include "core/beff/beff.hpp"
+#include "core/report/experiments.hpp"
 #include "machines/machines.hpp"
-#include "parmsg/sim_transport.hpp"
 #include "util/options.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
-namespace {
-
-using namespace balbench;
-
-struct Row {
-  machines::MachineSpec machine;
-  std::vector<int> proc_counts;
-};
-
-/// One (machine, process count) configuration of the sweep.
-struct Job {
-  const Row* row = nullptr;
-  int nprocs = 0;
-  bool first = false;  // first partition of its machine (gets analysis)
-};
-
-beff::BeffResult run_config(const machines::MachineSpec& m, int nprocs,
-                            bool analysis) {
-  parmsg::SimTransport transport(m.make_topology(nprocs), m.costs);
-  beff::BeffOptions opt;
-  opt.memory_per_proc = m.memory_per_proc;
-  opt.measure_analysis = analysis;
-  return beff::run_beff(transport, nprocs, opt);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace balbench;
+
   bool quick = false;
   bool protocol = false;
-  std::string only;
   std::int64_t jobs = 1;
   util::Options options(
       "table1_beff: reproduce Table 1 of the paper "
       "(effective bandwidth results, simulated)");
-  options.add_flag("quick", &quick, "skip the largest T3E configurations");
+  options.add_flag("quick", &quick, "the quick report scope's b_eff cells");
   options.add_flag("protocol", &protocol, "print the full b_eff protocol per run");
-  options.add_string("machine", &only, "run a single machine (short name)");
   options.add_jobs(&jobs, "the (machine, partition) sweep");
   try {
     if (!options.parse(argc, argv)) return 0;
@@ -64,37 +35,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<Row> rows;
-  rows.push_back({machines::cray_t3e_900(),
-                  quick ? std::vector<int>{64, 24, 2}
-                        : std::vector<int>{512, 256, 128, 64, 24, 2}});
-  rows.push_back({machines::hitachi_sr8000(net::Placement::RoundRobin), {128, 24}});
-  rows.push_back({machines::hitachi_sr8000(net::Placement::Sequential), {24}});
-  rows.push_back({machines::hitachi_sr2201(), {16}});
-  rows.push_back({machines::nec_sx5(), {4}});
-  rows.push_back({machines::nec_sx4(), {16, 8, 4}});
-  rows.push_back({machines::hp_v9000(), {7}});
-  rows.push_back({machines::sgi_sv1(), {15}});
-
-  // Flatten the sweep into independent jobs, run them through the
-  // scheduler (each in its own simulator), then render strictly in
-  // job order -- stdout is byte-identical for every --jobs value.
-  std::vector<Job> sweep;
-  for (const auto& row : rows) {
-    if (!only.empty() && row.machine.short_name != only) continue;
-    bool first = true;
-    for (int np : row.proc_counts) {
-      sweep.push_back({&row, np, first});
-      first = false;
-    }
-  }
-  const auto results = util::parallel_map<beff::BeffResult>(
-      static_cast<int>(jobs), sweep.size(), [&](std::size_t i) {
-        const Job& job = sweep[i];
-        std::fprintf(stderr, "[table1] %s, %d procs...\n",
-                     job.row->machine.name.c_str(), job.nprocs);
-        return run_config(job.row->machine, job.nprocs, /*analysis=*/job.first);
-      });
+  report::ExperimentsData data;
+  data.beff = report::beff_specs(quick ? report::Scope::Quick : report::Scope::Doc);
+  report::ExperimentOptions run;
+  run.jobs = static_cast<int>(jobs);
+  run.verbose = true;
+  report::run_cells(data, run);
 
   util::Table table({"System", "number\nof pro-\ncessors", "b_eff\nMByte/s",
                      "b_eff\nper proc.\nMByte/s", "Lmax", "ping-\npong\nMByte/s",
@@ -103,33 +49,33 @@ int main(int argc, char** argv) {
   bool section_dist = false;
   bool section_shared = false;
 
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const Job& job = sweep[i];
-    const auto& r = results[i];
-    if (!job.row->machine.shared_memory && !section_dist) {
+  for (const auto& b : data.beff) {
+    const auto& r = b.r;
+    const auto m = machines::machine_by_name(b.key);
+    if (!m.shared_memory && !section_dist) {
       table.add_section("Distributed memory systems");
       section_dist = true;
     }
-    if (job.row->machine.shared_memory && !section_shared) {
+    if (m.shared_memory && !section_shared) {
       table.add_section("Shared memory systems");
       section_shared = true;
     }
-    table.add_row({job.first ? job.row->machine.name : "", util::fmt(job.nprocs),
+    table.add_row({b.first ? m.name : "", util::fmt(b.nprocs),
                    util::format_mbps(r.b_eff),
                    util::format_mbps(r.per_proc()),
                    util::format_bytes(r.lmax),
-                   job.first && r.analysis.pingpong_bw > 0
+                   b.first && r.analysis.pingpong_bw > 0
                        ? util::format_mbps(r.analysis.pingpong_bw)
                        : "",
                    util::format_mbps(r.b_eff_at_lmax),
                    util::format_mbps(r.per_proc_at_lmax()),
                    util::format_mbps(r.per_proc_at_lmax_rings())});
-    if (job.first && (job.nprocs >= 24)) {
+    if (b.first && (b.nprocs >= 24)) {
       // Coffee-cup statistic (paper Sec. 2.2): total memory over b_eff.
       std::fprintf(stderr,
                    "[table1]   total memory communicated in %s (coffee-cup)\n",
-                   util::format_seconds(r.seconds_for_total_memory(
-                                            job.row->machine.memory_per_proc))
+                   util::format_seconds(
+                       r.seconds_for_total_memory(b.memory_per_proc))
                        .c_str());
     }
     if (protocol) std::cout << beff::protocol_report(r) << '\n';

@@ -443,28 +443,28 @@ std::optional<obs::JsonValue> Checkpoint::payload(const std::string& task,
   return v;
 }
 
-bool Checkpoint::load_beff(const std::string& task,
-                           beff::BeffResult* out) const {
+bool Checkpoint::load(const std::string& task,
+                      beff::BeffResult* out) const {
   const auto v = payload(task, "beff");
   if (v) *out = read_beff_result(*v);
   return v.has_value();
 }
 
-bool Checkpoint::load_io(const std::string& task,
-                         beffio::BeffIoResult* out) const {
+bool Checkpoint::load(const std::string& task,
+                      beffio::BeffIoResult* out) const {
   const auto v = payload(task, "beffio");
   if (v) *out = read_beffio_result(*v);
   return v.has_value();
 }
 
-void Checkpoint::record_beff(const std::string& task,
-                             const beff::BeffResult& r) {
-  record(task, compact(write_beff_result, r));
+void Checkpoint::record(const std::string& task,
+                        const beff::BeffResult& r) {
+  store(task, compact(write_beff_result, r));
 }
 
-void Checkpoint::record_io(const std::string& task,
-                           const beffio::BeffIoResult& r) {
-  record(task, compact(write_beffio_result, r));
+void Checkpoint::record(const std::string& task,
+                        const beffio::BeffIoResult& r) {
+  store(task, compact(write_beffio_result, r));
 }
 
 std::size_t Checkpoint::recorded() const {
@@ -472,7 +472,7 @@ std::size_t Checkpoint::recorded() const {
   return recorded_;
 }
 
-void Checkpoint::record(const std::string& task, std::string payload) {
+void Checkpoint::store(const std::string& task, std::string payload) {
   std::lock_guard<std::mutex> lock(mutex_);
   payloads_[task] = std::move(payload);
   ++recorded_;

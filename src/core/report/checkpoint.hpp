@@ -52,7 +52,7 @@ class Checkpoint {
   /// or configuration-mismatched journal starts empty (with a stderr
   /// note -- resuming silently into the wrong config would be worse
   /// than re-running).  Without `resume`, any existing journal is
-  /// ignored and overwritten by the first record_*() call.
+  /// ignored and overwritten by the first record() call.
   Checkpoint(std::string path, std::string config_key, bool resume);
 
   /// True if `task` was loaded from the journal (replayable).
@@ -60,14 +60,14 @@ class Checkpoint {
 
   /// Replays a completed task into `out`; false if the journal has no
   /// such task (or it was recorded with the other kind).
-  bool load_beff(const std::string& task, beff::BeffResult* out) const;
-  bool load_io(const std::string& task, beffio::BeffIoResult* out) const;
+  bool load(const std::string& task, beff::BeffResult* out) const;
+  bool load(const std::string& task, beffio::BeffIoResult* out) const;
 
   /// Records a completed task and atomically rewrites the journal.
   /// Thread-safe: concurrent sweep workers serialize on one mutex, so
   /// the on-disk journal always holds a prefix-consistent task set.
-  void record_beff(const std::string& task, const beff::BeffResult& r);
-  void record_io(const std::string& task, const beffio::BeffIoResult& r);
+  void record(const std::string& task, const beff::BeffResult& r);
+  void record(const std::string& task, const beffio::BeffIoResult& r);
 
   /// Tasks recorded by THIS process (excludes replayed ones); the
   /// --kill-after test hook counts these.
@@ -78,7 +78,7 @@ class Checkpoint {
   /// The parsed payload of `task` if it was recorded with `kind`.
   std::optional<obs::JsonValue> payload(const std::string& task,
                                         const char* kind) const;
-  void record(const std::string& task, std::string payload);
+  void store(const std::string& task, std::string payload);
 
   std::string path_;
   std::string config_key_;

@@ -53,8 +53,9 @@ std::vector<BeffRun> beff_specs(Scope scope) {
     add("sx5", "NEC SX-5/8B", 4, true, true, {5439, 1360, 8762, 8758, -1});
     return v;
   }
-  // Doc scope: the Table 1 sweep of bench/table1_beff (full fidelity),
-  // paper reference values transcribed from the paper's Table 1.
+  // Doc scope: the paper's Table 1 sweep (full fidelity; bench/
+  // table1_beff renders every row), paper reference values transcribed
+  // from the paper's Table 1.
   add("t3e", "Cray T3E/900", 512, true, true, {19919, 39, 98, 193, 330});
   add("t3e", "Cray T3E/900", 256, false, false);  // Fig. 1 balance point
   add("t3e", "Cray T3E/900", 128, false, false);
@@ -95,7 +96,8 @@ std::vector<IoRun> io_specs(Scope scope) {
     return v;
   }
   // Fig. 3: b_eff_io over process counts, T = 10 min (the T that the
-  // committed table shows; bench/fig3_beffio_scaling also sweeps T).
+  // committed table shows; bench/fig3_beffio_scaling re-runs these
+  // cells at T = 10, 15 and 30 min).
   for (const auto& [key, display] :
        std::vector<std::pair<const char*, const char*>>{{"t3e", "T3E"},
                                                         {"sp", "SP"}}) {
@@ -172,6 +174,14 @@ std::vector<FaultSweepRun> fault_sweep_specs(Scope scope) {
     add("t3e", "Cray T3E/900", 8, rate);
   }
   return v;
+}
+
+const std::vector<Fig1Point>& fig1_points() {
+  static const std::vector<Fig1Point> points = {
+      {"sx4", 16, "SX-4"},       {"sx5", 4, "SX-5"}, {"hpv", 7, "HP-V"},
+      {"sr2201", 16, "SR 2201"}, {"sv1", 15, "SV1"},
+      {"sr8000", 24, "SR 8000"}, {"t3e", 256, "T3E"}};
+  return points;
 }
 
 namespace {
@@ -440,7 +450,7 @@ ExperimentsData run_experiments(Scope scope, int jobs, bool verbose) {
 namespace {
 
 /// --kill-after N: die the way a crash would (no unwinding, no
-/// journal flush beyond what record_*() already persisted).  The
+/// journal flush beyond what record() already persisted).  The
 /// robust_kill_resume ctest then proves a resumed sweep is
 /// byte-identical to an uninterrupted one.
 void maybe_kill(const Checkpoint* ck, int kill_after) {
@@ -518,27 +528,84 @@ std::vector<FaultSweepRun> fault_sweep_runs_from(const scenario::Scenario& sc) {
   return v;
 }
 
-}  // namespace
-
-ExperimentsData run_experiments(const ExperimentOptions& options) {
-  const Scope scope = options.scope;
-  const int jobs = options.jobs;
-  const bool verbose = options.verbose;
-  const scenario::Scenario* sc = options.scenario;
+/// The cell lists `options` selects, with empty results: the
+/// scenario's cells when one is set, else the built-in specs of
+/// options.scope.
+ExperimentsData sweep_spec(const ExperimentOptions& options) {
   ExperimentsData data;
-  data.scope = scope;
-  if (sc != nullptr) {
+  data.scope = options.scope;
+  if (const scenario::Scenario* sc = options.scenario) {
     data.scenario = sc->name;
     data.beff = beff_runs_from(*sc);
     data.io = io_runs_from(*sc);
     data.kernels = kernel_runs_from(*sc);
     data.fault_sweep = fault_sweep_runs_from(*sc);
   } else {
-    data.beff = beff_specs(scope);
-    data.io = io_specs(scope);
-    data.kernels = kernel_specs(scope);
-    data.fault_sweep = fault_sweep_specs(scope);
+    data.beff = beff_specs(options.scope);
+    data.io = io_specs(options.scope);
+    data.kernels = kernel_specs(options.scope);
+    data.fault_sweep = fault_sweep_specs(options.scope);
   }
+  return data;
+}
+
+/// What every cell of one run_cells() call shares.
+struct CellContext {
+  const ExperimentOptions& options;
+  const robust::FaultPlan* fault_plan;  // run-wide plan, null = off
+  Checkpoint* ck;                       // null = no journal
+
+  /// Machine keys resolve scenario-first so a scenario can shadow a
+  /// built-in short name; without a scenario this is machine_by_name.
+  machines::MachineSpec resolve(const std::string& key) const {
+    if (options.scenario != nullptr) {
+      if (const machines::MachineSpec* m = options.scenario->find_machine(key)) {
+        return *m;
+      }
+    }
+    return machines::machine_by_name(key);
+  }
+};
+
+/// The steps every journaled cell shares: replay `task` from the
+/// checkpoint when it holds it; otherwise simulate under the verbose
+/// log lines and a "cell" profiler span, journal the result and honour
+/// --kill-after.
+template <class Result, class Simulate>
+void run_journaled(const CellContext& cx, const std::string& task,
+                   const std::string& what, Result* out, Simulate simulate) {
+  const bool verbose = cx.options.verbose;
+  if (cx.ck != nullptr && cx.ck->load(task, out)) {
+    if (verbose) {
+      std::fprintf(stderr, "[report] replay %s (checkpoint)\n", what.c_str());
+    }
+    return;
+  }
+  const double t0 = verbose ? log_cell_start(what) : 0.0;
+  obs::prof::Scope prof_scope("cell", what);
+  *out = simulate();
+  if (verbose) log_cell_finish(what, t0);
+  if (cx.ck != nullptr) {
+    cx.ck->record(task, *out);
+    maybe_kill(cx.ck, cx.options.kill_after);
+  }
+}
+
+beff::BeffResult simulate_beff(const machines::MachineSpec& m, int nprocs,
+                               bool analysis, const robust::FaultPlan* plan) {
+  parmsg::SimTransport transport(m.make_topology(nprocs), m.costs);
+  beff::BeffOptions opt;
+  opt.memory_per_proc = m.memory_per_proc;
+  opt.measure_analysis = analysis;
+  opt.collect_metrics = true;
+  opt.fault_plan = plan;
+  return beff::run_beff(transport, nprocs, opt);
+}
+
+}  // namespace
+
+void run_cells(ExperimentsData& data, const ExperimentOptions& options) {
+  const scenario::Scenario* sc = options.scenario;
   // Precedence: an explicit --faults plan beats the scenario's own
   // "faults" section (the CLI is the outermost override).
   const robust::FaultPlan* fault_plan = options.fault_plan;
@@ -547,167 +614,118 @@ ExperimentsData run_experiments(const ExperimentOptions& options) {
   }
   if (fault_plan != nullptr) data.faults = fault_plan->describe();
 
-  // Machine keys resolve scenario-first so a scenario can shadow a
-  // built-in short name; without a scenario this is machine_by_name.
-  auto resolve = [sc](const std::string& key) {
-    if (sc != nullptr) {
-      if (const machines::MachineSpec* m = sc->find_machine(key)) return *m;
-    }
-    return machines::machine_by_name(key);
-  };
-
   // The journal key pins everything that changes a task's bytes: the
   // sweep configuration hash (scenario-aware) AND the fault plan (same
   // seed => same injected schedule => same results; a different spec
   // must not be replayed into this run).
   std::unique_ptr<Checkpoint> ck;
   if (!options.checkpoint_path.empty()) {
-    std::string key = config_hash(scope, sc);
+    std::string key = config_hash(options.scope, sc);
     if (fault_plan != nullptr) {
       key += "+faults:" + fault_plan->describe();
     }
     ck = std::make_unique<Checkpoint>(options.checkpoint_path, std::move(key),
                                       options.resume);
   }
+  const CellContext cx{options, fault_plan, ck.get()};
 
-  // One flat task list: every b_eff partition, every b_eff_io run and
-  // the termination-check micro measurement are independent
+  // One flat task list: every b_eff partition, every b_eff_io run,
+  // every kernel suite and every fault-sweep point are independent
   // simulations writing into disjoint slots; host scheduling order
   // cannot change any output byte (DESIGN.md Sec. 9/10.2).
   const std::size_t n_beff = data.beff.size();
   const std::size_t n_io = data.io.size();
   const std::size_t n_kern = data.kernels.size();
   const std::size_t n_fs = data.fault_sweep.size();
-  util::parallel_for(jobs, n_beff + n_io + n_kern + n_fs + 1,
+  util::parallel_for(options.jobs, n_beff + n_io + n_kern + n_fs,
                      [&](std::size_t i) {
     if (i < n_beff) {
       BeffRun& run = data.beff[i];
-      auto m = resolve(run.key);
+      const auto m = cx.resolve(run.key);
       run.memory_per_proc = m.memory_per_proc;
       run.rmax_gflops_per_proc = m.rmax_gflops_per_proc;
-      const std::string what =
-          "b_eff " + run.key + ", " + std::to_string(run.nprocs) + " procs";
-      const std::string task = "beff/" + std::to_string(i);
-      if (ck != nullptr && ck->load_beff(task, &run.r)) {
-        if (verbose) {
-          std::fprintf(stderr, "[report] replay %s (checkpoint)\n",
-                       what.c_str());
-        }
-        return;
-      }
-      const double t0 = verbose ? log_cell_start(what) : 0.0;
-      obs::prof::Scope prof_scope("cell", what);
-      parmsg::SimTransport transport(m.make_topology(run.nprocs), m.costs);
-      beff::BeffOptions opt;
-      opt.memory_per_proc = m.memory_per_proc;
-      opt.measure_analysis = run.first;
-      opt.collect_metrics = true;
-      opt.fault_plan = fault_plan;
-      run.r = beff::run_beff(transport, run.nprocs, opt);
-      if (verbose) log_cell_finish(what, t0);
-      if (ck != nullptr) {
-        ck->record_beff(task, run.r);
-        maybe_kill(ck.get(), options.kill_after);
-      }
+      run_journaled(cx, "beff/" + std::to_string(i),
+                    "b_eff " + run.key + ", " + std::to_string(run.nprocs) +
+                        " procs",
+                    &run.r, [&] {
+                      return simulate_beff(m, run.nprocs, run.first,
+                                           fault_plan);
+                    });
     } else if (i < n_beff + n_io) {
       IoRun& run = data.io[i - n_beff];
-      auto m = resolve(run.key);
+      const auto m = cx.resolve(run.key);
       char t_buf[32];
       std::snprintf(t_buf, sizeof t_buf, "T=%.0fs", run.scheduled_seconds);
-      const std::string what = "b_eff_io " + run.figure + "/" + run.key + ", " +
-                               std::to_string(run.nprocs) + " procs, " + t_buf;
-      const std::string task = "io/" + std::to_string(i - n_beff);
-      if (ck != nullptr && ck->load_io(task, &run.r)) {
-        if (verbose) {
-          std::fprintf(stderr, "[report] replay %s (checkpoint)\n",
-                       what.c_str());
-        }
-        return;
-      }
-      const double t0 = verbose ? log_cell_start(what) : 0.0;
-      obs::prof::Scope prof_scope("cell", what);
-      parmsg::SimTransport transport(m.make_topology(run.nprocs), m.costs);
-      beffio::BeffIoOptions opt;
-      opt.scheduled_time = run.scheduled_seconds;
-      opt.memory_per_node = m.memory_per_proc;
-      opt.mpart_cap = run.mpart_cap;
-      opt.file_prefix = m.short_name;
-      opt.collect_metrics = true;
-      opt.fault_plan = fault_plan;
-      run.r = beffio::run_beffio(transport, *m.io, run.nprocs, opt);
-      if (verbose) log_cell_finish(what, t0);
-      if (ck != nullptr) {
-        ck->record_io(task, run.r);
-        maybe_kill(ck.get(), options.kill_after);
-      }
+      run_journaled(cx, "io/" + std::to_string(i - n_beff),
+                    "b_eff_io " + run.figure + "/" + run.key + ", " +
+                        std::to_string(run.nprocs) + " procs, " + t_buf,
+                    &run.r, [&] {
+                      parmsg::SimTransport transport(
+                          m.make_topology(run.nprocs), m.costs);
+                      beffio::BeffIoOptions opt;
+                      opt.scheduled_time = run.scheduled_seconds;
+                      opt.memory_per_node = m.memory_per_proc;
+                      opt.mpart_cap = run.mpart_cap;
+                      opt.file_prefix = m.short_name;
+                      opt.collect_metrics = true;
+                      opt.fault_plan = fault_plan;
+                      return beffio::run_beffio(transport, *m.io, run.nprocs,
+                                                opt);
+                    });
     } else if (i < n_beff + n_io + n_kern) {
       // Kernel-suite cells are analytic (microseconds of host time)
       // and therefore never journaled: re-running them on resume is
       // byte-identical and cheaper than replaying a checkpoint entry.
       KernelRun& run = data.kernels[i - n_beff - n_io];
-      auto m = resolve(run.key);
+      const auto m = cx.resolve(run.key);
       run.rmax_gflops_per_proc = m.rmax_gflops_per_proc;
       const std::string what =
           "kernels " + run.key + ", " + std::to_string(run.nprocs) + " procs";
-      const double t0 = verbose ? log_cell_start(what) : 0.0;
+      const double t0 = options.verbose ? log_cell_start(what) : 0.0;
       obs::prof::Scope prof_scope("cell", what);
       kernels::KernelOptions opt;
       opt.collect_metrics = true;
       run.r = kernels::run_kernels(m, run.nprocs, opt);
-      if (verbose) log_cell_finish(what, t0);
-    } else if (i < n_beff + n_io + n_kern + n_fs) {
+      if (options.verbose) log_cell_finish(what, t0);
+    } else {
       // Fault-rate sweep: the same b_eff cell re-run under each link
       // fault rate.  Each point carries its own plan (rate, seed,
       // window), independent of the run-wide --faults plan.
       const std::size_t idx = i - n_beff - n_io - n_kern;
       FaultSweepRun& run = data.fault_sweep[idx];
-      auto m = resolve(run.key);
+      const auto m = cx.resolve(run.key);
       char rate_buf[32];
       std::snprintf(rate_buf, sizeof rate_buf, "link=%g", run.rate);
-      const std::string what = "fault-sweep " + run.key + ", " +
-                               std::to_string(run.nprocs) + " procs, " +
-                               rate_buf;
-      const std::string task = "faultsweep/" + std::to_string(idx);
-      if (ck != nullptr && ck->load_beff(task, &run.r)) {
-        if (verbose) {
-          std::fprintf(stderr, "[report] replay %s (checkpoint)\n",
-                       what.c_str());
-        }
-        return;
-      }
-      const double t0 = verbose ? log_cell_start(what) : 0.0;
-      obs::prof::Scope prof_scope("cell", what);
-      parmsg::SimTransport transport(m.make_topology(run.nprocs), m.costs);
-      beff::BeffOptions opt;
-      opt.memory_per_proc = m.memory_per_proc;
-      opt.measure_analysis = false;
-      opt.collect_metrics = true;
-      opt.fault_plan = &run.plan;
-      run.r = beff::run_beff(transport, run.nprocs, opt);
-      if (verbose) log_cell_finish(what, t0);
-      if (ck != nullptr) {
-        ck->record_beff(task, run.r);
-        maybe_kill(ck.get(), options.kill_after);
-      }
-    } else {
-      // Paper Sec. 5.4: barrier + broadcast on 32 T3E PEs versus the
-      // per-call cost of a small I/O access.
-      const std::string what = "termination-check t3e, 32 procs";
-      const double wall0 = verbose ? log_cell_start(what) : 0.0;
-      obs::prof::Scope prof_scope("cell", what);
-      auto m = machines::cray_t3e_900();
-      parmsg::SimTransport transport(m.make_topology(32), m.costs);
-      transport.run(32, [&](parmsg::Comm& c) {
-        const double t0 = c.wtime();
-        c.barrier();
-        int flag = 0;
-        c.bcast(&flag, sizeof flag, 0);
-        if (c.rank() == 0) data.termination_check_seconds = c.wtime() - t0;
-      });
-      data.io_call_seconds = m.io->request_overhead;
-      if (verbose) log_cell_finish(what, wall0);
+      run_journaled(cx, "faultsweep/" + std::to_string(idx),
+                    "fault-sweep " + run.key + ", " +
+                        std::to_string(run.nprocs) + " procs, " + rate_buf,
+                    &run.r, [&] {
+                      return simulate_beff(m, run.nprocs, false, &run.plan);
+                    });
     }
   });
+}
+
+ExperimentsData run_experiments(const ExperimentOptions& options) {
+  ExperimentsData data = sweep_spec(options);
+  run_cells(data, options);
+
+  // Paper Sec. 5.4: barrier + broadcast on 32 T3E PEs versus the
+  // per-call cost of a small I/O access.
+  const std::string what = "termination-check t3e, 32 procs";
+  const double wall0 = options.verbose ? log_cell_start(what) : 0.0;
+  obs::prof::Scope prof_scope("cell", what);
+  auto m = machines::cray_t3e_900();
+  parmsg::SimTransport transport(m.make_topology(32), m.costs);
+  transport.run(32, [&](parmsg::Comm& c) {
+    const double t0 = c.wtime();
+    c.barrier();
+    int flag = 0;
+    c.bcast(&flag, sizeof flag, 0);
+    if (c.rank() == 0) data.termination_check_seconds = c.wtime() - t0;
+  });
+  data.io_call_seconds = m.io->request_overhead;
+  if (options.verbose) log_cell_finish(what, wall0);
   return data;
 }
 
@@ -956,7 +974,7 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
         "build/tools/balbench-report --scope doc --markdown EXPERIMENTS.md  # this file\n"
         "build/tools/balbench-report --scope doc --record beffrun.json     # JSON run record\n"
         "build/tools/balbench-report --trace trace.json --machine t3e --procs 64\n"
-        "for b in build/bench/*; do $b; done    # ASCII tables/plots (≈4 min on 1 core)\n"
+        "for b in table1_beff fig1_balance table2_patterns fig3_beffio_scaling fig4_beffio_detail fig5_beffio_final; do build/bench/$b; done  # ASCII tables/plots\n"
         "```\n"
         "\n"
         "Comparison markers are rule-generated per cell: ✓ = within 10 % of\n"
@@ -1074,16 +1092,12 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
       std::string label;
       double balance;
     };
-    const std::vector<std::tuple<const char*, int, const char*>> points = {
-        {"sx4", 16, "SX-4"},   {"sx5", 4, "SX-5"},   {"hpv", 7, "HP-V"},
-        {"sr2201", 16, "SR 2201"}, {"sv1", 15, "SV1"},
-        {"sr8000", 24, "SR 8000"}, {"t3e", 256, "T3E"}};
     std::vector<BalancePoint> balances;
-    for (const auto& [key, np, label] : points) {
-      const BeffRun* b = find_beff(data, key, np);
+    for (const auto& p : fig1_points()) {
+      const BeffRun* b = find_beff(data, p.key, p.nprocs);
       if (b == nullptr || b->rmax_gflops_per_proc <= 0.0) continue;
       balances.push_back(
-          {label, b->r.b_eff / (b->rmax_gflops_per_proc * 1e9 * b->nprocs)});
+          {p.label, b->r.b_eff / (b->rmax_gflops_per_proc * 1e9 * b->nprocs)});
     }
     if (!balances.empty()) {
       std::stable_sort(balances.begin(), balances.end(),

@@ -15,6 +15,11 @@
 //                                marked with the generating command and
 //                                the config hash.
 //
+// run_experiments() is spec construction plus run_cells(), the one
+// cell runner: the bench/ table and figure binaries take their rows
+// from the same specs (beff_specs, io_specs, fig1_points) and run them
+// through it too, so they are views of these cells.
+//
 // Determinism contract: both outputs are pure functions of (scope,
 // code); the host-side `jobs` knob never changes a byte (asserted at
 // --jobs 1/2/4 in tests/report/run_record_test.cpp and by the
@@ -129,13 +134,27 @@ struct ExperimentsData {
 
 /// The sweep specification itself: every b_eff (machine, partition)
 /// cell and every b_eff_io (machine, T, partition) cell of `scope`,
-/// with empty results.  Exposed so other drivers (balbench-perf) can
-/// enumerate, subset or label the exact cells the pipeline runs; the
-/// returned order is the pipeline's execution-slot order.
+/// with empty results.  Exposed so other drivers (the bench/ table and
+/// figure binaries, balbench-perf) can enumerate, subset or label the
+/// exact cells the pipeline runs; the returned order is the pipeline's
+/// execution-slot order.
 std::vector<BeffRun> beff_specs(Scope scope);
 std::vector<IoRun> io_specs(Scope scope);
 std::vector<KernelRun> kernel_specs(Scope scope);
 std::vector<FaultSweepRun> fault_sweep_specs(Scope scope);
+
+/// One bar of Figure 1 (balance factor b_eff / R_max): the b_eff cell
+/// (machine key, partition) it plots and its bar label.
+struct Fig1Point {
+  const char* key;
+  int nprocs;
+  const char* label;
+};
+
+/// Figure 1's membership, declared once: the EXPERIMENTS.md section
+/// and bench/fig1_balance both plot exactly the b_eff cells listed
+/// here that their sweep holds.
+const std::vector<Fig1Point>& fig1_points();
 
 /// Knobs of one sweep invocation beyond the scope itself (robustness
 /// layer, DESIGN.md Sec. 12).
@@ -177,10 +196,22 @@ struct ExperimentOptions {
 ExperimentsData run_experiments(Scope scope, int jobs, bool verbose = false);
 
 /// Same sweep with the robustness knobs (fault injection, crash-safe
-/// checkpointing, resume).  The termination-check micro task is always
-/// recomputed, never journaled or fault-injected: it is cheap and
-/// feeds only informational fields.
+/// checkpointing, resume): the cells `options` selects -- the built-in
+/// specs of options.scope, or the scenario's -- run through
+/// run_cells().  The termination-check micro task runs after them and
+/// is always recomputed, never journaled or fault-injected: it is
+/// cheap and feeds only informational fields.
 ExperimentsData run_experiments(const ExperimentOptions& options);
+
+/// The one cell runner: simulates every b_eff, b_eff_io, kernel and
+/// fault-sweep cell of `data` in place on options.jobs host threads,
+/// each cell in its own simulator, results in their list slots --
+/// byte-identical for every jobs value.  The lists are taken as given,
+/// so a driver may run any subset or edit of the spec rows.  Honours
+/// options.verbose, fault_plan, checkpoint_path/resume/kill_after and
+/// the scenario's machines and fault plan; journal task keys are the
+/// list indices ("beff/i", "io/i", "faultsweep/i").
+void run_cells(ExperimentsData& data, const ExperimentOptions& options);
 
 /// FNV-1a (64-bit, hex) over the canonical description of the sweep
 /// configuration -- machines, partitions, scheduled times, seeds and

@@ -214,8 +214,8 @@ TEST(CheckpointJournal, RecordsAndResumes) {
   {
     br::Checkpoint ck(path, "cfg-A", /*resume=*/false);
     EXPECT_FALSE(ck.has("beff/0"));
-    ck.record_beff("beff/0", beff);
-    ck.record_io("io/0", io);
+    ck.record("beff/0", beff);
+    ck.record("io/0", io);
     EXPECT_EQ(ck.recorded(), 2u);
   }
   // A fresh process resumes: both tasks replay with every byte intact.
@@ -224,14 +224,14 @@ TEST(CheckpointJournal, RecordsAndResumes) {
   EXPECT_TRUE(resumed.has("io/0"));
   EXPECT_EQ(resumed.recorded(), 0u);  // replayed, not newly recorded
   bb::BeffResult beff_back;
-  ASSERT_TRUE(resumed.load_beff("beff/0", &beff_back));
+  ASSERT_TRUE(resumed.load("beff/0", &beff_back));
   EXPECT_EQ(serialize_beff(beff_back), serialize_beff(beff));
   bio::BeffIoResult io_back;
-  ASSERT_TRUE(resumed.load_io("io/0", &io_back));
+  ASSERT_TRUE(resumed.load("io/0", &io_back));
   EXPECT_EQ(serialize_io(io_back), serialize_io(io));
   // Kind discipline: a beff task cannot replay as an io task.
-  EXPECT_FALSE(resumed.load_io("beff/0", &io_back));
-  EXPECT_FALSE(resumed.load_beff("io/0", &beff_back));
+  EXPECT_FALSE(resumed.load("beff/0", &io_back));
+  EXPECT_FALSE(resumed.load("io/0", &beff_back));
 }
 
 TEST(CheckpointJournal, ConfigMismatchDiscardsTheJournal) {
@@ -239,7 +239,7 @@ TEST(CheckpointJournal, ConfigMismatchDiscardsTheJournal) {
   std::remove(path.c_str());
   {
     br::Checkpoint ck(path, "cfg-A", false);
-    ck.record_beff("beff/0", sample_beff());
+    ck.record("beff/0", sample_beff());
   }
   // Resuming under a different sweep configuration (edited fault spec,
   // different scope) must start empty rather than replay wrong data.
@@ -253,7 +253,7 @@ TEST(CheckpointJournal, MalformedJournalStartsEmpty) {
   br::Checkpoint ck(path, "cfg-A", true);
   EXPECT_FALSE(ck.has("beff/0"));
   // ...and stays usable for new records.
-  ck.record_beff("beff/0", sample_beff());
+  ck.record("beff/0", sample_beff());
   EXPECT_EQ(ck.recorded(), 1u);
   EXPECT_TRUE(ck.has("beff/0"));
 }
@@ -263,12 +263,12 @@ TEST(CheckpointJournal, WithoutResumeExistingJournalIsIgnored) {
   std::remove(path.c_str());
   {
     br::Checkpoint ck(path, "cfg-A", false);
-    ck.record_beff("beff/0", sample_beff());
+    ck.record("beff/0", sample_beff());
   }
   br::Checkpoint fresh(path, "cfg-A", /*resume=*/false);
   EXPECT_FALSE(fresh.has("beff/0"));
-  // The first record_*() overwrites the stale journal on disk.
-  fresh.record_io("io/0", sample_io());
+  // The first record() overwrites the stale journal on disk.
+  fresh.record("io/0", sample_io());
   const std::string doc = slurp(path);
   EXPECT_NE(doc.find("\"io/0\""), std::string::npos);
   EXPECT_EQ(doc.find("\"beff/0\""), std::string::npos);
@@ -278,7 +278,7 @@ TEST(CheckpointJournal, OnDiskDocumentIsWellFormed) {
   const std::string path = ::testing::TempDir() + "ck_schema.json";
   std::remove(path.c_str());
   br::Checkpoint ck(path, "cfg-A", false);
-  ck.record_beff("beff/3", sample_beff());
+  ck.record("beff/3", sample_beff());
   const bo::JsonValue doc = bo::parse_json(slurp(path));
   EXPECT_EQ(doc.at("schema").as_string(), "balbench-journal/1");
   EXPECT_EQ(doc.at("kind").as_string(), "sweep-checkpoint");

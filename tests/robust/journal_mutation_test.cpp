@@ -127,8 +127,8 @@ TEST(JournalMutation, SweepCheckpointStartsFreshOrReplaysWholeTasks) {
   const bio::BeffIoResult io = small_io();
   {
     br::Checkpoint ck(path, "cfg", /*resume=*/false);
-    ck.record_beff("beff/0", beff);
-    ck.record_io("io/0", io);
+    ck.record("beff/0", beff);
+    ck.record("io/0", io);
   }
   const std::string good = slurp(path);
   for (const Variant& v : variants(good)) {
@@ -145,10 +145,10 @@ TEST(JournalMutation, SweepCheckpointStartsFreshOrReplaysWholeTasks) {
     bio::BeffIoResult io_back;
     // A replayed task decodes in full: the reader canonicalized it.
     if (has_beff) {
-      EXPECT_TRUE(ck.load_beff("beff/0", &beff_back));
+      EXPECT_TRUE(ck.load("beff/0", &beff_back));
     }
     if (has_io) {
-      EXPECT_TRUE(ck.load_io("io/0", &io_back));
+      EXPECT_TRUE(ck.load("io/0", &io_back));
     }
     if (v.truncated) {
       // A cut journal is whole (only trailing whitespace lost) or

@@ -32,9 +32,12 @@
 // (DESIGN.md Sec. 13.2):
 //
 //   --history FILE    append the trend section rendered from this
-//                     "balbench-perf-history/1" store to --markdown /
-//                     --check-doc output; the same section is produced
-//                     by `balbench-history render`.
+//                     perf-history store -- a single-file
+//                     "balbench-perf-history/2" document (/1 still
+//                     loads) or a sharded store's
+//                     "balbench-perf-history-index/1" index -- to
+//                     --markdown / --check-doc output; the same section
+//                     is produced by `balbench-history render`.
 //
 // Observe-only extras (stderr / side files, never the byte-compared
 // outputs):
@@ -320,7 +323,9 @@ int main(int argc, char** argv) {
                      "--diff-trace drift tolerance in virtual seconds");
   options.add_string("history", &history_path,
                      "append the perf-history trend section rendered from "
-                     "this balbench-perf-history/1 store to --markdown / "
+                     "this perf-history store (a balbench-perf-history/2 "
+                     "file, /1 still loads, or a sharded store's "
+                     "balbench-perf-history-index/1 index) to --markdown / "
                      "--check-doc output (see balbench-history)");
   options.add_positionals(&positionals, "FILE",
                           "trace files for --diff-trace (exactly two)");
