@@ -554,6 +554,7 @@ void run_chain_once(parmsg::SimTransport& transport,
   }
   out->stats = ctx->fs().stats();
   if (options.collect_metrics) {
+    ctx->fs().report_fabric_totals();
     transport.attach_metrics(nullptr);
     out->metrics = registry.snapshot();
   }

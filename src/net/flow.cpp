@@ -166,64 +166,187 @@ std::uint64_t FlowNetwork::update_share_tree() {
   return recomputed;
 }
 
+void FlowNetwork::append_flow(LinkFlows& lf, ArrivalEntry e) {
+  if (lf.size == lf.capacity) {
+    const std::uint32_t capacity = std::max<std::uint32_t>(4, 2 * lf.capacity);
+    if (index_pool_.size() + capacity > index_pool_.capacity() && pool_unused_ > 0 &&
+        4 * pool_unused_ >= index_pool_.size()) {
+      // Repack instead of reallocating: slide the listed links' runs
+      // (every run in use; a link leaves the list only with an empty
+      // one) down over the moved-out runs, in pool order.
+      repack_order_ = indexed_links_;
+      std::sort(repack_order_.begin(), repack_order_.end(), [this](LinkId a, LinkId b) {
+        return link_flows_[static_cast<std::size_t>(a)].begin <
+               link_flows_[static_cast<std::size_t>(b)].begin;
+      });
+      std::uint32_t end = 0;
+      for (LinkId l : repack_order_) {
+        LinkFlows& run = link_flows_[static_cast<std::size_t>(l)];
+        std::copy_n(index_pool_.begin() + run.begin, run.capacity, index_pool_.begin() + end);
+        run.begin = end;
+        end += run.capacity;
+      }
+      index_pool_.resize(end);
+      pool_unused_ = 0;
+    }
+    const auto begin = static_cast<std::uint32_t>(index_pool_.size());
+    index_pool_.resize(begin + capacity);
+    std::copy_n(index_pool_.begin() + lf.begin, lf.size, index_pool_.begin() + begin);
+    pool_unused_ += lf.capacity;
+    lf.begin = begin;
+    lf.capacity = capacity;
+  }
+  index_pool_[lf.begin + lf.size++] = e;
+}
+
+std::uint64_t FlowNetwork::compact_link(LinkFlows& lf) {
+  const std::uint32_t scanned = lf.size;
+  ArrivalEntry* const first = index_pool_.data() + lf.begin;
+  lf.size = static_cast<std::uint32_t>(
+      std::remove_if(first, first + lf.size,
+                     [this](const ArrivalEntry& e) {
+                       return flow_fill_[e.slot].seq != e.seq;
+                     }) -
+      first);
+  return scanned;
+}
+
+#ifndef NDEBUG
+void FlowNetwork::check_index() const {
+  std::vector<std::vector<ArrivalEntry>> expect(link_flows_.size());
+  for (const ArrivalEntry& e : arrival_order_) {
+    for (LinkId l : slots_[e.slot].path) expect[static_cast<std::size_t>(l)].push_back(e);
+  }
+  for (std::size_t l = 0; l < link_flows_.size(); ++l) {
+    const LinkFlows& lf = link_flows_[l];
+    std::vector<ArrivalEntry> live;
+    for (const ArrivalEntry* e = link_begin(lf); e != link_begin(lf) + lf.size; ++e) {
+      if (flow_fill_[e->slot].seq == e->seq) live.push_back(*e);
+    }
+    const bool same = std::equal(
+        live.begin(), live.end(), expect[l].begin(), expect[l].end(),
+        [](const ArrivalEntry& a, const ArrivalEntry& b) {
+          return a.slot == b.slot && a.seq == b.seq;
+        });
+    if (!same || lf.live != static_cast<int>(expect[l].size()) ||
+        (lf.live > 0 && !lf.listed)) {
+      throw std::logic_error("FlowNetwork: link->flow index of link " +
+                             std::to_string(l) + " differs from a recount (" +
+                             std::to_string(lf.live) + " counted, " +
+                             std::to_string(expect[l].size()) + " active)");
+    }
+  }
+}
+#endif
+
 void FlowNetwork::fill_rates() {
   // --- Progressive filling (max-min fairness). ---
   // Only links actually crossed by an active flow take part; on large
   // topologies this is a small subset.
   const auto& links = topo_.links();
+  const std::size_t n = arrival_order_.size();
+  std::uint64_t visits = 0;
+  std::uint32_t resume = std::exchange(resume_round_, kNever);
   if (link_fill_.size() != links.size() || !fill_clean_) {
+    // The first fill, or one after a stall: start over, index included.
     link_fill_.assign(links.size(), LinkFill{});
+    link_flows_.assign(links.size(), LinkFlows{});
+    index_pool_.clear();
+    pool_unused_ = 0;
+    indexed_links_.clear();
+    indexed_seq_ = 0;
+    freeze_log_.clear();
+    round_begin_.assign(1, 0);
+    round_share_.clear();
     build_share_tree(links.size());
   }
   fill_clean_ = false;
-  const std::size_t n = arrival_order_.size();
-  std::uint64_t visits = 0;
 
-  // Pass 1: resolve the slot indirection once and count each link's
-  // flows.
-  touched_links_.clear();
-  fill_paths_.clear();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::vector<LinkId>& path = slots_[arrival_order_[i].slot].path;
-    fill_paths_.push_back(FlowPath{path.data(), path.data() + path.size()});
-    visits += path.size();
-    for (LinkId l : path) {
-      LinkFill& s = link_fill_[static_cast<std::size_t>(l)];
-      if (s.flows == 0) {
-        touched_links_.push_back(l);
-        s.residual = links[static_cast<std::size_t>(l)].bandwidth;
+  // Index the flows that arrived since the last fill (the tail of the
+  // arrival-ordered list); any arrival means a fill from round 1.
+  std::size_t first_new = n;
+  while (first_new > 0 && arrival_order_[first_new - 1].seq > indexed_seq_) --first_new;
+  if (first_new < n) {
+    resume = 1;
+    indexed_seq_ = arrival_order_[n - 1].seq;
+  }
+  for (std::size_t i = first_new; i < n; ++i) {
+    const ArrivalEntry e = arrival_order_[i];
+    const FlowPath path = flow_fill_[e.slot].path;
+    visits += static_cast<std::uint64_t>(path.end - path.begin);
+    for (const LinkId* p = path.begin; p != path.end; ++p) {
+      LinkFlows& lf = link_flows_[static_cast<std::size_t>(*p)];
+      if (!lf.listed) {
+        lf.listed = true;
+        indexed_links_.push_back(*p);
       }
-      ++s.flows;
+      append_flow(lf, e);
+      ++lf.live;
     }
   }
-  // Pass 2: the link->flow index (CSR) and the touched links' leaves.
-  // Flows are placed in arrival order, so each link's list is
-  // ascending.
-  std::uint32_t offset = 0;
-  for (LinkId l : touched_links_) {
+  // After departures only, `resume` is the lowest round that queued one
+  // of their links in the last fill.  Before it those links were never
+  // at or under the threshold; losing flows only raises their shares,
+  // so every earlier round freezes the same flows at the same share.
+  resume = std::min(resume, static_cast<std::uint32_t>(round_share_.size() + 1));
+
+  // Reset the links with active flows, dropping those whose last flow
+  // left (departures compacted their lists to nothing).  A link keeps
+  // its first-queued round only where the replayed rounds set it.
+  std::size_t kept = 0;
+  for (LinkId l : indexed_links_) {
+    LinkFlows& lf = link_flows_[static_cast<std::size_t>(l)];
+    if (lf.live == 0) {
+      pool_unused_ += lf.capacity;
+      lf = LinkFlows{};
+      continue;
+    }
+    indexed_links_[kept++] = l;
     LinkFill& s = link_fill_[static_cast<std::size_t>(l)];
-    s.csr_begin = s.csr_end = offset;
-    offset += static_cast<std::uint32_t>(s.flows);
-    s.queued_round = 0;  // rounds restart at 1 in every fill
+    s.residual = links[static_cast<std::size_t>(l)].bandwidth;
+    s.flows = lf.live;
+    s.queued_round = 0;
+    if (s.first_queued >= resume) s.first_queued = kNever;
+  }
+  indexed_links_.resize(kept);
+
+  // Replay rounds 1 .. resume - 1: the logged freezes, in order, give
+  // every residual the same max(0, r - m) sequence as the search did.
+  rates_scratch_.assign(n, 0.0);
+  for (std::uint32_t k = 1; k < resume; ++k) {
+    const double m = round_share_[k - 1];
+    for (std::uint32_t j = round_begin_[k - 1]; j < round_begin_[k]; ++j) {
+      FlowFill& ff = flow_fill_[freeze_log_[j]];
+      rates_scratch_[ff.index] = m;
+      ff.round = kFrozen;
+      visits += static_cast<std::uint64_t>(ff.path.end - ff.path.begin);
+      for (const LinkId* p = ff.path.begin; p != ff.path.end; ++p) {
+        LinkFill& s = link_fill_[static_cast<std::size_t>(*p)];
+        s.residual = std::max(0.0, s.residual - m);
+        --s.flows;
+      }
+    }
+  }
+  std::size_t unfixed = n - round_begin_[resume - 1];
+  fill_rounds_ += resume - 1;
+  freeze_log_.resize(round_begin_[resume - 1]);
+  round_begin_.resize(resume);
+  round_share_.resize(resume - 1);
+
+  // The touched links' leaves, from the state the replay left.  A link
+  // whose flows all froze there keeps the +inf leaf the last fill left.
+  for (LinkId l : indexed_links_) {
+    LinkFill& s = link_fill_[static_cast<std::size_t>(l)];
+    if (s.flows == 0) continue;
     s.share = s.residual / s.flows;
     share_tree_[static_cast<std::size_t>(l)] = leaf_share(s.share);
     mark_leaf_dirty(l);
   }
-  csr_flows_.resize(offset);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (const LinkId* p = fill_paths_[i].begin; p != fill_paths_[i].end; ++p) {
-      csr_flows_[link_fill_[static_cast<std::size_t>(*p)].csr_end++] = i;
-    }
-  }
-  visits += offset + touched_links_.size() + update_share_tree();
+  visits += 2 * indexed_links_.size() + update_share_tree();
 
-  rates_scratch_.assign(n, 0.0);
-  flow_round_.assign(n, 0);
   candidates_.assign((n + 63) / 64, 0);
-  const std::uint32_t* const csr = csr_flows_.data();
   const auto top = static_cast<std::uint32_t>(share_level_.size() - 1);
-  std::size_t unfixed = n;
-  for (std::uint32_t round = 1; unfixed > 0; ++round) {
+  for (std::uint32_t round = resume; unfixed > 0; ++round) {
     ++fill_rounds_;
     // Most constrained link: smallest residual fair share, the root.
     const double min_share =
@@ -244,18 +367,31 @@ void FlowNetwork::fill_rates() {
     // test would freeze is queued before its turn.
     std::size_t first_word = candidates_.size();
     std::size_t last_word = 0;
-    const auto queue_flows = [&](const std::uint32_t* first, const std::uint32_t* last) {
-      if (first == last) return;
+    const auto queue_flows = [&](const ArrivalEntry* first, const ArrivalEntry* last) {
       visits += static_cast<std::uint64_t>(last - first);
-      // The list is ascending: its ends bound the words it can touch.
-      first_word = std::min<std::size_t>(first_word, *first / 64);
-      last_word = std::max<std::size_t>(last_word, last[-1] / 64);
       for (; first != last; ++first) {
-        const std::uint32_t fi = *first;
-        if (flow_round_[fi] >= round) continue;  // queued this round, or frozen
-        flow_round_[fi] = round;
-        candidates_[fi / 64] |= std::uint64_t{1} << (fi % 64);
+        FlowFill& ff = flow_fill_[first->slot];
+        // A departed flow's tombstone, a flow queued this round, or a
+        // frozen one.
+        if (ff.seq != first->seq || ff.round >= round) continue;
+        ff.round = round;
+        const std::size_t w = ff.index / 64;
+        first_word = std::min(first_word, w);
+        last_word = std::max(last_word, w);
+        candidates_[w] |= std::uint64_t{1} << (ff.index % 64);
       }
+    };
+    const auto queue_link = [&](LinkId l, LinkFill& s, std::uint64_t after_seq) {
+      s.queued_round = round;
+      s.first_queued = std::min(s.first_queued, round);
+      const LinkFlows& lf = link_flows_[static_cast<std::size_t>(l)];
+      const ArrivalEntry* const first = link_begin(lf);
+      const ArrivalEntry* const last = first + lf.size;
+      queue_flows(std::upper_bound(first, last, after_seq,
+                                   [](std::uint64_t seq, const ArrivalEntry& e) {
+                                     return seq < e.seq;
+                                   }),
+                  last);
     };
     // Links at or under the threshold: descend from the root into every
     // node whose minimum is (a node above it bounds its whole subtree).
@@ -269,9 +405,7 @@ void FlowNetwork::fill_rates() {
         // Only a threshold of +inf lets a link without unfixed flows
         // (or a padding leaf) through.
         if (node >= link_fill_.size() || link_fill_[node].flows == 0) continue;
-        LinkFill& s = link_fill_[node];
-        s.queued_round = round;
-        queue_flows(csr + s.csr_begin, csr + s.csr_end);
+        queue_link(static_cast<LinkId>(node), link_fill_[node], 0);
         continue;
       }
       const std::uint32_t first = node * kFanout;
@@ -292,7 +426,9 @@ void FlowNetwork::fill_rates() {
         const auto fi = static_cast<std::uint32_t>(
             w * 64 + static_cast<std::size_t>(std::countr_zero(candidates_[w])));
         candidates_[w] &= candidates_[w] - 1;
-        const FlowPath path = fill_paths_[fi];
+        const FlowSlot slot = arrival_order_[fi].slot;
+        FlowFill& ff = flow_fill_[slot];
+        const FlowPath path = ff.path;
         // The bottleneck test, on each link's residual / flows (kept
         // current by every change below).
         const bool bottleneck = std::any_of(path.begin, path.end, [&](LinkId l) {
@@ -301,7 +437,8 @@ void FlowNetwork::fill_rates() {
         });
         if (!bottleneck) continue;
         rates_scratch_[fi] = min_share;
-        flow_round_[fi] = kFrozen;
+        ff.round = kFrozen;
+        freeze_log_.push_back(slot);
         ++frozen;
         visits += static_cast<std::uint64_t>(path.end - path.begin);
         for (const LinkId* p = path.begin; p != path.end; ++p) {
@@ -314,9 +451,7 @@ void FlowNetwork::fill_rates() {
           if (s.share <= threshold && s.flows > 0 && s.queued_round != round) {
             // Flows queued for this link from here on stay queued, so
             // one scan per link and round suffices.
-            s.queued_round = round;
-            const std::uint32_t* const last = csr + s.csr_end;
-            queue_flows(std::upper_bound(csr + s.csr_begin, last, fi), last);
+            queue_link(*p, s, ff.seq);
           }
         }
       }
@@ -325,10 +460,22 @@ void FlowNetwork::fill_rates() {
       report_fill_stall("no flow crosses a bottleneck", unfixed, n);
     }
     unfixed -= frozen;
+    round_begin_.push_back(static_cast<std::uint32_t>(freeze_log_.size()));
+    round_share_.push_back(min_share);
     visits += update_share_tree();
   }
   fill_visits_ += visits;
   fill_clean_ = true;
+#ifndef NDEBUG
+  check_index();
+  std::vector<FlowRate> fill(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    fill[i] = FlowRate{slots_[arrival_order_[i].slot].path, rates_scratch_[i]};
+  }
+  if (const std::string err = check_max_min(links, fill); !err.empty()) {
+    throw std::logic_error("FlowNetwork: fill is not max-min fair: " + err);
+  }
+#endif
 }
 
 void FlowNetwork::resolve() {
@@ -341,10 +488,15 @@ void FlowNetwork::resolve() {
   // recognised by its seq) out of the arrival-ordered list, which then
   // holds exactly the active flows in commit order -- no per-resolve
   // sort.
+  // Each active flow's fill record is refreshed on the way.
+  if (flow_fill_.size() < slots_.size()) flow_fill_.resize(slots_.size());
   std::size_t live = 0;
   for (const ArrivalEntry& e : arrival_order_) {
     const ActiveFlow& f = slots_[e.slot];
     if (!f.in_use || f.seq != e.seq) continue;
+    flow_fill_[e.slot] =
+        FlowFill{{f.path.data(), f.path.data() + f.path.size()}, e.seq,
+                 static_cast<std::uint32_t>(live), 0};
     arrival_order_[live++] = e;
   }
   arrival_order_.resize(live);
@@ -389,11 +541,35 @@ void FlowNetwork::resolve() {
   }
 }
 
+std::vector<FlowRate> FlowNetwork::allocation() const {
+  std::vector<FlowRate> out;
+  for (const ArrivalEntry& e : arrival_order_) {
+    const ActiveFlow& f = slots_[e.slot];
+    if (!f.in_use || f.seq != e.seq) continue;
+    out.push_back(FlowRate{f.path, f.rate});
+  }
+  return out;
+}
+
 void FlowNetwork::on_flow_complete(FlowSlot slot) {
   ActiveFlow& f = slots_[slot];
   f.completion_event = 0;
   assert(remaining_at(f, engine_.now()) < kDoneEpsilonBytes &&
          "completion event fired with bytes left");
+  // Unindex: the flow's list entries become tombstones, and the next
+  // fill may resume below the first round that queued any of its links.
+  flow_fill_[slot].seq = 0;
+  std::uint64_t visits = f.path.size();
+  for (LinkId l : f.path) {
+    const auto li = static_cast<std::size_t>(l);
+    LinkFlows& lf = link_flows_[li];
+    --lf.live;
+    resume_round_ = std::min(resume_round_, link_fill_[li].first_queued);
+    if (2 * static_cast<std::uint32_t>(lf.live) <= lf.size) {
+      visits += compact_link(lf);
+    }
+  }
+  fill_visits_ += visits;
   auto cb = std::move(f.done);
   f.in_use = false;
   f.done = nullptr;

@@ -9,28 +9,39 @@
 // such as SimGrid.  Each flow then has its own completion event in the
 // engine's indexed queue, rescheduled in O(log n) when its rate moves.
 //
-// Every change re-runs the fill over all active flows (docs/SIMULATOR.md
+// Every change re-solves all active flows (docs/SIMULATOR.md
 // "Re-solve"): in the b_eff ring and random patterns every flow is
 // coupled to every other one through shared links, so there is no
-// smaller independent component to re-solve.  The fill itself is
-// bottleneck-driven: a per-fill link->flow index (CSR, each link's
-// flows in arrival order) and an 8-ary min-tree over the links' exact
-// residual fair shares let each round visit only the links and flows
-// it freezes -- O(sum of path lengths * log links) per fill instead of
-// O(rounds * (links + sum of path lengths)).  Candidates are tested in
-// arrival order against the state earlier freezes of the same round
-// left behind, which reproduces the scan-everything fill bit for bit
-// (same rates, same rounds; docs/SIMULATOR.md "Re-solve" has the
-// argument).  What keeps a resolve cheap beyond that is committing
-// only the flows whose rate actually moved; the model keeps the
-// phenomena the paper relies on (shared torus links, NIC duplex
-// limits, SMP bus saturation).
+// smaller independent component to re-solve.  The fill is
+// bottleneck-driven and incremental across resolves:
+//
+// * a persistent link->flow index keeps each link's flows in arrival
+//   order and its active-flow count; an arrival appends, a departure
+//   leaves a tombstone (recognised by seq), and a list is compacted
+//   once tombstones reach half its length;
+// * an 8-ary min-tree over the touched links' exact residual fair
+//   shares lets each round visit only the links and flows it freezes;
+// * after departures only, the fill resumes at the first round that
+//   queued one of the departed flows' links: every earlier round froze
+//   the same flows at the same share, so it is replayed from the
+//   previous fill's log (its per-link subtractions, in order) instead
+//   of searched.  An arrival, the first fill and a fill after a stall
+//   resume at round 1 -- the same routine.
+//
+// Candidates are tested in arrival order against the state earlier
+// freezes of the same round left behind, which reproduces the
+// scan-everything fill bit for bit (same rates, same rounds;
+// docs/SIMULATOR.md "Re-solve" has both arguments).  What keeps a
+// resolve cheap beyond that is committing only the flows whose rate
+// actually moved; the model keeps the phenomena the paper relies on
+// (shared torus links, NIC duplex limits, SMP bus saturation).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "net/max_min.hpp"
 #include "net/topology.hpp"
 #include "simt/engine.hpp"
 
@@ -62,10 +73,17 @@ class FlowNetwork {
 
   /// Fill work summed over all fills: one per link-share evaluation
   /// (min-tree nodes built, inspected or recomputed; bottleneck tests)
-  /// plus one per link-flow incidence visited (index building,
-  /// link->flow list scans, freeze updates).  Deterministic, so "more
-  /// work" and "slower work" can be told apart.
+  /// plus one per link-flow incidence visited (link->flow index
+  /// maintenance on arrival and departure, list scans, freeze updates
+  /// and their replay).  Deterministic, so "more work" and "slower
+  /// work" can be told apart.
   [[nodiscard]] std::uint64_t fill_visits() const { return fill_visits_; }
+
+  /// The active flows in arrival order with their committed rates
+  /// (diagnostics: check_max_min's input).  Right after a resolve these
+  /// are the fill's rates; a flow that arrived since has rate 0.  The
+  /// paths stay valid until the flow departs.
+  [[nodiscard]] std::vector<FlowRate> allocation() const;
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
   [[nodiscard]] simt::Engine& engine() { return engine_; }
@@ -130,25 +148,41 @@ class FlowNetwork {
   std::uint64_t fill_rounds_ = 0;
   std::uint64_t fill_visits_ = 0;
 
-  // Fill state, reused across fills (no allocation in steady state).
-  // Between fills every link has flows == 0, every min-tree node is
-  // +inf and no dirty bit is set; a fill that ends early (a stall
-  // throws) leaves fill_clean_ false, and the next fill starts over.
-  // Flows are numbered by arrival index; rounds count from 1 in every
-  // fill.
+  // Fill state, reused across fills (no allocation in steady state)
+  // and allocated by the first one.  Between fills every link has
+  // flows == 0, every min-tree node is +inf and no dirty bit is set; a
+  // fill that ends early (a stall throws) leaves fill_clean_ false, and
+  // the next fill starts over, index included.  Flows are numbered by
+  // arrival index within a fill.
   static constexpr std::uint32_t kFrozen = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNever = 0xFFFFFFFFu;  // round: not queued
   static constexpr std::uint32_t kFanout = 8;  // min-tree node width (min_of_node)
   struct LinkFill {
     double residual = 0.0;           // capacity not yet handed out
     double share = 0.0;              // residual / flows, as of the last change
     int flows = 0;                   // unfixed flows crossing the link
     std::uint32_t queued_round = 0;  // round its flows were last queued
-    std::uint32_t csr_begin = 0;     // its flows in csr_flows_
-    std::uint32_t csr_end = 0;
+    std::uint32_t first_queued = kNever;  // round first queued, last fill
   };
   struct FlowPath {
     const LinkId* begin;
     const LinkId* end;
+  };
+  /// Per flow slot, refreshed by every resolve for the active flows.
+  struct FlowFill {
+    FlowPath path{nullptr, nullptr};
+    std::uint64_t seq = 0;    // the indexed flow in this slot; 0 = none
+    std::uint32_t index = 0;  // arrival index in this fill
+    std::uint32_t round = 0;  // round queued; kFrozen once fixed
+  };
+  /// One link's flows: a run of index_pool_ in arrival order, departed
+  /// flows left as tombstones (their seq no longer matches the slot's).
+  struct LinkFlows {
+    std::uint32_t begin = 0;     // first entry in index_pool_
+    std::uint32_t size = 0;      // entries, tombstones included
+    std::uint32_t capacity = 0;  // pool entries reserved for the link
+    int live = 0;                // entries of active flows
+    bool listed = false;         // in indexed_links_
   };
   /// An all-+inf min-tree with one leaf per link.
   void build_share_tree(std::size_t links);
@@ -158,12 +192,41 @@ class FlowNetwork {
   }
   /// Recompute the inner nodes above dirty leaves; returns how many.
   std::uint64_t update_share_tree();
+  [[nodiscard]] const ArrivalEntry* link_begin(const LinkFlows& lf) const {
+    return index_pool_.data() + lf.begin;
+  }
+  /// Append to a link's run, moving it to the pool's end when full.
+  void append_flow(LinkFlows& lf, ArrivalEntry e);
+  /// Drop a link's tombstones; returns the entries scanned.
+  std::uint64_t compact_link(LinkFlows& lf);
+#ifndef NDEBUG
+  /// Checked builds: the index equals a recount of the active flows.
+  void check_index() const;
+#endif
 
   bool fill_clean_ = false;
-  std::vector<LinkFill> link_fill_;         // by LinkId
-  std::vector<LinkId> touched_links_;       // links crossed in this fill
-  std::vector<FlowPath> fill_paths_;        // by arrival index
-  std::vector<std::uint32_t> csr_flows_;    // each link's flows, ascending
+  std::vector<LinkFill> link_fill_;     // by LinkId
+  std::vector<FlowFill> flow_fill_;     // by FlowSlot
+  // The persistent link->flow index.  The lists share one pool, so a
+  // session allocates a handful of buffers rather than one per link; a
+  // list that outgrows its run moves to the end of the pool, and a
+  // full pool is repacked in place, instead of grown, once moved-out
+  // runs make up a quarter of it.
+  std::vector<LinkFlows> link_flows_;   // by LinkId
+  std::vector<ArrivalEntry> index_pool_;
+  std::size_t pool_unused_ = 0;         // entries of runs moved away
+  std::vector<LinkId> indexed_links_;   // the links with a run
+  std::vector<LinkId> repack_order_;    // indexed_links_ by run, scratch
+  std::uint64_t indexed_seq_ = 0;       // newest flow in the index
+  // Lowest first-queued round over the links of flows that departed
+  // since the last fill: where the next fill resumes.
+  std::uint32_t resume_round_ = kNever;
+  // The last fill's log: round k (from 1) froze the slots
+  // freeze_log_[round_begin_[k - 1], round_begin_[k]) in that order,
+  // at round_share_[k - 1].
+  std::vector<FlowSlot> freeze_log_;
+  std::vector<std::uint32_t> round_begin_;
+  std::vector<double> round_share_;
   // Min-tree over link shares (leaf l is link l), leaves first, then
   // each coarser level; level t starts at share_level_[t] and the root
   // is the last node.
@@ -175,7 +238,6 @@ class FlowNetwork {
   std::vector<std::uint32_t> tree_dirty_level_;
   std::vector<std::uint64_t> seed_stack_;   // (level << 32 | node) to inspect
   std::vector<std::uint64_t> candidates_;   // bitset over arrival indices
-  std::vector<std::uint32_t> flow_round_;   // round queued; kFrozen if fixed
   std::vector<double> rates_scratch_;
 };
 

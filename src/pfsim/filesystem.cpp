@@ -111,6 +111,15 @@ void FileSystem::set_metrics(obs::Registry* registry) {
   m_backlog_ = &registry->gauge("pfsim.backlog_seconds");
 }
 
+void FileSystem::report_fabric_totals() {
+  if (registry_ == nullptr) return;
+  // Sampled once, like the transport's engine and flow totals: the
+  // fabric's FlowNetwork must not depend on obs.
+  registry_->counter("pfsim.fabric_flow_resolves").add(flows_->resolves());
+  registry_->counter("pfsim.fabric_fill_rounds").add(flows_->fill_rounds());
+  registry_->counter("pfsim.fabric_fill_visits").add(flows_->fill_visits());
+}
+
 void FileSystem::note_backlog() {
   if (m_backlog_ == nullptr) return;
   double backlog = 0.0;

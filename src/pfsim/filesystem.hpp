@@ -119,6 +119,13 @@ class FileSystem {
   /// All quantities are simulated, so run records stay deterministic.
   void set_metrics(obs::Registry* registry);
 
+  /// Adds the I/O fabric's flow-solver totals to the attached registry
+  /// (no-op when none is): `pfsim.fabric_flow_resolves`,
+  /// `pfsim.fabric_fill_rounds` and `pfsim.fabric_fill_visits`, the
+  /// fabric's counterparts of the transport's `net.flow_*` counters.
+  /// Call once, at session end.
+  void report_fabric_totals();
+
   /// Attaches the current session's fault injector (not owned; nullptr
   /// detaches -- the default, with zero behavioral change).  With an
   /// injector attached, submit() consults it once per request: an

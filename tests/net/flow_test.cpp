@@ -36,6 +36,55 @@ struct TimedFlow {
   double start = 0.0;
 };
 
+/// FNV-1a digest over the IEEE-754 bits of `times`, in order.
+std::uint64_t time_digest(const std::vector<double>& times) {
+  std::string bits;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    EXPECT_GT(times[i], 0.0) << "flow " << i << " never completed";
+    std::uint64_t u = 0;
+    std::memcpy(&u, &times[i], sizeof u);
+    for (int b = 0; b < 8; ++b) bits.push_back(static_cast<char>(u >> (8 * b)));
+  }
+  return bu::fnv1a(bits);
+}
+
+/// Hand-wired links: every (src, dst) pair gets an explicit route, so a
+/// test can place each flow on exactly the links it needs.  Zero
+/// latency; unlisted pairs have no route.
+class RouteTable : public bn::Topology {
+ public:
+  RouteTable(std::vector<double> capacities, int endpoints)
+      : endpoints_(endpoints) {
+    for (double c : capacities) {
+      links_.push_back(bn::Link{"l" + std::to_string(links_.size()), c});
+    }
+  }
+  void add(int src, int dst, std::vector<bn::LinkId> path) {
+    routes_.push_back({src, dst, std::move(path)});
+  }
+  int num_endpoints() const override { return endpoints_; }
+  const std::vector<bn::Link>& links() const override { return links_; }
+  void route(int src, int dst, std::vector<bn::LinkId>& out) const override {
+    out.clear();
+    for (const Route& r : routes_) {
+      if (r.src == src && r.dst == dst) out = r.path;
+    }
+  }
+  double latency(int, int) const override { return 0.0; }
+  double self_bandwidth() const override { return 1e9; }
+  std::string describe() const override { return "route table"; }
+
+ private:
+  struct Route {
+    int src;
+    int dst;
+    std::vector<bn::LinkId> path;
+  };
+  int endpoints_;
+  std::vector<bn::Link> links_;
+  std::vector<Route> routes_;
+};
+
 /// Drive `flows` through a fresh FlowNetwork on `topo` and return an
 /// FNV-1a digest over the IEEE-754 bits of every flow's completion
 /// time, in `flows` order.
@@ -53,14 +102,7 @@ std::uint64_t completion_digest(const bn::Topology& topo,
   }
   eng.run();
   EXPECT_EQ(net.active_flows(), 0u);
-  std::string bits;
-  for (std::size_t i = 0; i < done.size(); ++i) {
-    EXPECT_GT(done[i], 0.0) << "flow " << i << " never completed";
-    std::uint64_t u = 0;
-    std::memcpy(&u, &done[i], sizeof u);
-    for (int b = 0; b < 8; ++b) bits.push_back(static_cast<char>(u >> (8 * b)));
-  }
-  return bu::fnv1a(bits);
+  return time_digest(done);
 }
 
 /// Exact binary start times: k / 1024 seconds.
@@ -435,3 +477,80 @@ TEST_P(FlowT3ERandom, PermutationWorkloadIsPinned) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowT3ERandom, ::testing::Range(1, 9));
+
+// Resume pins.  After departures only, a fill replays the previous
+// fill's rounds below the first round that queued one of the departed
+// flows' links and searches from there (docs/SIMULATOR.md "Re-solve").
+// Digests were recorded from the fill that preceded the resumable one,
+// which always filled from round 1.
+
+TEST(FlowResume, DepartedFlowsLinkFellUnderTheThresholdAfterItsTurn) {
+  // The values of LinkFallingUnderTheThresholdMidRound...: wire A
+  // (share m) is round 1's minimum, and wire B's share r / c rounds to
+  // at or under the threshold once flow g (crossing A and B) freezes.
+  // Flow d crosses only B and arrives before g, so round 1 queues B
+  // after d's turn: d freezes in round 2, but B was first queued in
+  // round 1.  When d departs, B carries c - 1 flows and never comes
+  // near the threshold in round 1 -- resuming at d's freeze round
+  // would replay round 1's freezes of B's later flows at m.
+  const double m = 0x1.8786454bcc99bp+24;
+  const double r = 0x1.000496b40fc55p+39;
+  const int c = 21427;
+  bn::AdjacencyParams p;
+  p.nodes = 3;
+  p.attach = {0, 1, 2};
+  p.edges = {{0, 1, m}, {1, 2, r}};
+  p.port_bw = 1e15;
+  p.latency_sec = 0.0;
+  p.per_hop_latency = 0.0;
+  auto topo = bn::make_adjacency(p);
+
+  bs::Engine eng;
+  bn::FlowNetwork net(*topo, eng);
+  std::vector<double> done(2, -1.0);
+  net.start_flow(1, 2, 1000.0, [&done](bs::Time t) { done[0] = t; });  // d
+  net.start_flow(0, 2, 1e12, [](bs::Time) {});                         // g
+  net.start_flow(1, 2, 2000.0, [&done](bs::Time t) {
+    done[1] = t;
+    throw std::runtime_error("probe landed");  // stop: the rest is slow
+  });
+  for (int i = 3; i < c; ++i) net.start_flow(1, 2, 1e12, [](bs::Time) {});
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  ASSERT_LT(done[0], done[1]);
+  EXPECT_EQ(time_digest(done), 0x86c7572c6fb911e8ULL);
+}
+
+TEST(FlowResume, DepartureAndArrivalAtTheSameInstant) {
+  // A leaves at t = 2 just as D arrives and takes A's slot: the fill
+  // must see D on its links, not A.
+  RouteTable topo({1024.0, 2048.0}, 5);
+  topo.add(1, 0, {0});     // A
+  topo.add(2, 0, {0, 1});  // B
+  topo.add(3, 0, {1});     // C
+  topo.add(4, 0, {1});     // D
+  const std::vector<TimedFlow> flows = {
+      {1, 0, 1024.0, 0.0},
+      {2, 0, 8192.0, 0.0},
+      {3, 0, 8192.0, 0.0},
+      {4, 0, 2048.0, 2.0},
+  };
+  EXPECT_EQ(completion_digest(topo, flows), 0x7abaf41d3acc7053ULL);
+}
+
+TEST(FlowResume, DepartureEmptiesALink) {
+  // Round 1 freezes F1 and F2 on link 0 at 512; round 2 (1024) freezes
+  // X, alone on link 1, and then Y1 on link 3; round 3 gives Y2 2048.
+  // X leaves first, emptying link 1 and lifting link 3: the next fill
+  // replays round 1 and finds Y1 and Y2 at 1536 in round 2.
+  RouteTable topo({1024.0, 1024.0, 3072.0, 2048.0}, 6);
+  topo.add(1, 0, {0});     // F1
+  topo.add(2, 0, {0});     // F2
+  topo.add(3, 0, {1, 3});  // X
+  topo.add(4, 0, {3, 2});  // Y1
+  topo.add(5, 0, {2});     // Y2
+  const std::vector<TimedFlow> flows = {
+      {1, 0, 4096.0, 0.0}, {2, 0, 4096.0, 0.0}, {3, 0, 1024.0, 0.0},
+      {4, 0, 4096.0, 0.0}, {5, 0, 8192.0, 0.0},
+  };
+  EXPECT_EQ(completion_digest(topo, flows), 0xdde1f20ca2e34242ULL);
+}

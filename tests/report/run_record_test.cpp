@@ -59,7 +59,9 @@ TEST_F(RunRecordJobs, RecordContainsSchemaAndMetrics) {
   // Instrumentation from every layer made it into the merged snapshots.
   for (const char* metric :
        {"parmsg.msgs_sent", "parmsg.bytes_sent", "parmsg.wait_seconds",
-        "simt.events_fired", "pario.bytes_written", "pfsim.requests"}) {
+        "simt.events_fired", "net.flow_fill_rounds", "pario.bytes_written",
+        "pfsim.requests", "pfsim.fabric_flow_resolves",
+        "pfsim.fabric_fill_rounds", "pfsim.fabric_fill_visits"}) {
     EXPECT_NE(record.find(metric), std::string::npos) << metric;
   }
   // Host-side quantities must never leak into a run record.
