@@ -1,16 +1,26 @@
-// Cooperative fibers on top of POSIX ucontext.
+// Cooperative fibers with a register-only stack switch.
 //
 // The simulation transport runs every simulated MPI rank as a fiber:
 // rank code is written as ordinary blocking SPMD code, and a blocking
 // operation suspends the fiber until the discrete-event engine delivers
 // its completion at the right point in *virtual* time.  Cooperative
-// (single-kernel-thread) scheduling keeps runs fully deterministic.  A
-// resume/suspend pair costs ~0.55 us (balbench-perf's micro.fiber_switch
-// cell): swapcontext makes a sigprocmask system call on every switch,
-// which matters when simulating hundreds of ranks on one host core.
+// (single-kernel-thread) scheduling keeps runs fully deterministic.
+//
+// On x86-64 ELF a switch saves only what the SysV ABI makes
+// callee-saved (rbp, rbx, r12-r15, the MXCSR and x87 control words) and
+// swaps stack pointers, with no system call.  A resume/suspend pair
+// costs ~60 ns on a shared 4-vCPU x86-64 VM (balbench-perf's
+// micro.fiber_switch cell).  Other platforms use POSIX ucontext, whose
+// swapcontext also makes a sigprocmask system call on every switch
+// (~0.6 us per pair on the same VM).  See docs/SIMULATOR.md "Fiber
+// lifecycle".
 #pragma once
 
+#if defined(__x86_64__) && defined(__ELF__)
+#define BALBENCH_FIBER_REGISTER_SWITCH 1
+#else
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <exception>
@@ -55,13 +65,20 @@ class Fiber {
   static constexpr std::size_t kDefaultStackSize = StackPool::kDefaultStackSize;
 
  private:
-  static void trampoline(unsigned int hi, unsigned int lo);
-  void run();
+  static void run(Fiber* self);
+  void switch_in();   // resumer -> fiber
+  void switch_out();  // fiber -> resumer
 
   Fn fn_;
   StackPool::Stack stack_;
+#ifdef BALBENCH_FIBER_REGISTER_SWITCH
+  void* sp_ = nullptr;          // fiber's saved stack pointer
+  void* resumer_sp_ = nullptr;  // resumer's saved stack pointer
+#else
+  static void trampoline(unsigned int hi, unsigned int lo);
   ucontext_t context_{};
   ucontext_t return_context_{};
+#endif
   bool started_ = false;
   bool finished_ = false;
   std::exception_ptr error_;

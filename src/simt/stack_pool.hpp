@@ -42,8 +42,9 @@ namespace balbench::simt {
 
 class StackPool {
  public:
-  /// One stack.  `base`/`size` describe the usable region (what goes
-  /// into ucontext's ss_sp/ss_size and the ASan fiber annotations).
+  /// One stack.  `base`/`size` describe the usable region (where
+  /// Fiber builds its first frame, and what the ASan fiber annotations
+  /// are told).
   /// Guarded stacks own their mapping (`map`/`map_size`, starting one
   /// page below `base`); slab-carved stacks have map == nullptr and
   /// live inside a thread-owned slab.
