@@ -174,8 +174,11 @@ std::unique_ptr<bn::Topology> churn_topology(const std::string& kind,
   return bn::make_adjacency(p);
 }
 
+// The kind is a std::string, not a const char*: googletest prints a
+// char pointer with its address, which would put a load-address-
+// dependent value into every discovered test name.
 class MaxMinChurn
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 }  // namespace
 
@@ -188,10 +191,11 @@ TEST_P(MaxMinChurn, EveryFillIsMaxMinFair) {
 
 INSTANTIATE_TEST_SUITE_P(
     Topologies, MaxMinChurn,
-    ::testing::Combine(::testing::Values("torus", "smp", "bus", "crossbar",
-                                         "adjacency"),
+    ::testing::Combine(::testing::Values(std::string("torus"), std::string("smp"),
+                                         std::string("bus"), std::string("crossbar"),
+                                         std::string("adjacency")),
                        ::testing::Range(1, 4)),
     [](const ::testing::TestParamInfo<MaxMinChurn::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param));
     });
