@@ -3,18 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/ascii_plot.hpp"
+#include "util/atomic_write.hpp"
 
 namespace balbench::history {
 
 namespace {
 
-constexpr const char* kSchemaV1 = "balbench-perf-history/1";
-constexpr const char* kSchemaV2 = "balbench-perf-history/2";
+constexpr const char* kSchema = "balbench-perf-history/2";
 constexpr const char* kRecordSchema = "balbench-perf-record/1";
 
 /// Deterministic human time formatting for the markdown tables: three
@@ -37,28 +38,35 @@ std::string fmt_percent(double fraction) {
   return buf;
 }
 
+/// Reads `key` of outside input (a store entry or a perf record) as an
+/// integer in [min, INT_MAX] -- the bounds balbench-perf enforces on
+/// --repeat/--warmup -- instead of casting an arbitrary double.
+int sample_count(const obs::JsonValue& v, const char* key, int min,
+                 const char* what, const std::string& rev) {
+  const double x = v.at(key).as_number();
+  if (!(x >= min && x <= std::numeric_limits<int>::max()) ||
+      x != std::floor(x)) {
+    char got[48];
+    std::snprintf(got, sizeof got, "%g", x);
+    throw std::runtime_error(std::string(what) + ": rev " + rev + " has " +
+                             key + " " + got + ", want an integer >= " +
+                             std::to_string(min));
+  }
+  return static_cast<int>(x);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Store I/O
 // ---------------------------------------------------------------------------
 
-util::RobustSummary cell_stats(const HistoryCell& cell) {
-  return cell.compacted ? cell.summary : util::robust_summary(cell.samples);
-}
-
-std::size_t cell_sample_count(const HistoryCell& cell) {
-  return cell.compacted ? cell.summary.count : cell.samples.size();
-}
-
 History parse_history(std::string_view text) {
   const obs::JsonValue doc = obs::parse_json(text);
   const std::string& schema = doc.at("schema").as_string();
-  const bool v1 = schema == kSchemaV1;
-  if (!v1 && schema != kSchemaV2) {
+  if (schema != kSchema) {
     throw std::runtime_error("history store schema is '" + schema +
-                             "', want '" + kSchemaV2 + "' (or the deprecated "
-                             "read-only '" + kSchemaV1 + "')");
+                             "', want '" + kSchema + "'");
   }
   History h;
   for (const auto& e : doc.at("entries").as_array()) {
@@ -67,44 +75,19 @@ History parse_history(std::string_view text) {
     entry.config_hash = e.at("config_hash").as_string();
     entry.host = e.at("host").as_string();
     entry.suite_spec = e.at("suite").as_string();
-    entry.repeat = static_cast<int>(e.at("repeat").as_number());
-    entry.warmup = static_cast<int>(e.at("warmup").as_number());
+    entry.repeat = sample_count(e, "repeat", 1, "history store", entry.git_rev);
+    entry.warmup = sample_count(e, "warmup", 0, "history store", entry.git_rev);
     for (const auto& c : e.at("cells").as_array()) {
       HistoryCell cell;
       cell.id = c.at("id").as_string();
       cell.suite = c.at("suite").as_string();
-      const obs::JsonValue* samples = c.find("samples_seconds");
-      const obs::JsonValue* summary = v1 ? nullptr : c.find("summary");
-      if ((samples != nullptr) == (summary != nullptr)) {
-        throw std::runtime_error(
-            "history store: cell " + cell.id + " of rev " + entry.git_rev +
-            " must have exactly one of samples_seconds (raw) or summary "
-            "(compacted)");
+      for (const auto& s : c.at("samples_seconds").as_array()) {
+        cell.samples.push_back(s.as_number());
       }
-      if (samples != nullptr) {
-        for (const auto& s : samples->as_array()) {
-          cell.samples.push_back(s.as_number());
-        }
-        if (cell.samples.empty()) {
-          throw std::runtime_error("history store: cell " + cell.id +
-                                   " of rev " + entry.git_rev +
-                                   " has no samples");
-        }
-      } else {
-        cell.compacted = true;
-        cell.summary.count =
-            static_cast<std::size_t>(summary->at("count").as_number());
-        cell.summary.median = summary->at("median_seconds").as_number();
-        cell.summary.mad = summary->at("mad_seconds").as_number();
-        cell.summary.ci_lo = summary->at("ci95_lo_seconds").as_number();
-        cell.summary.ci_hi = summary->at("ci95_hi_seconds").as_number();
-        cell.summary.min = summary->at("min_seconds").as_number();
-        cell.summary.max = summary->at("max_seconds").as_number();
-        if (cell.summary.count == 0) {
-          throw std::runtime_error("history store: compacted cell " + cell.id +
-                                   " of rev " + entry.git_rev +
-                                   " has a zero sample count");
-        }
+      if (cell.samples.empty()) {
+        throw std::runtime_error("history store: cell " + cell.id +
+                                 " of rev " + entry.git_rev +
+                                 " has no samples");
       }
       entry.cells.push_back(std::move(cell));
     }
@@ -120,7 +103,7 @@ History parse_history(std::string_view text) {
 void write_history(std::ostream& os, const History& h) {
   obs::JsonWriter w(os);
   w.begin_object();
-  w.field("schema", kSchemaV2);
+  w.field("schema", kSchema);
   w.key("entries").begin_array();
   for (const auto& e : h.entries) {
     w.begin_object();
@@ -135,21 +118,9 @@ void write_history(std::ostream& os, const History& h) {
       w.begin_object();
       w.field("id", c.id);
       w.field("suite", c.suite);
-      if (c.compacted) {
-        w.key("summary").begin_object();
-        w.field("count", static_cast<std::int64_t>(c.summary.count));
-        w.field("median_seconds", c.summary.median);
-        w.field("mad_seconds", c.summary.mad);
-        w.field("ci95_lo_seconds", c.summary.ci_lo);
-        w.field("ci95_hi_seconds", c.summary.ci_hi);
-        w.field("min_seconds", c.summary.min);
-        w.field("max_seconds", c.summary.max);
-        w.end_object();
-      } else {
-        w.key("samples_seconds").begin_array();
-        for (double s : c.samples) w.value(s);
-        w.end_array();
-      }
+      w.key("samples_seconds").begin_array();
+      for (double s : c.samples) w.value(s);
+      w.end_array();
       w.end_object();
     }
     w.end_array();
@@ -158,6 +129,24 @@ void write_history(std::ostream& os, const History& h) {
   w.end_array();
   w.end_object();
   os << '\n';
+}
+
+History load_history(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return History{};
+  try {
+    return parse_history(util::read_file(path));
+  } catch (const std::exception& e) {
+    // A torn store file (truncated mid-write, disk-level corruption)
+    // fails with one error naming path, line and column.
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
+
+void save_history(const std::string& path, const History& h) {
+  std::ostringstream out;
+  write_history(out, h);
+  util::atomic_write(path, out.str());
 }
 
 const HistoryEntry& ingest_record(History& h, const obs::JsonValue& record,
@@ -172,8 +161,8 @@ const HistoryEntry& ingest_record(History& h, const obs::JsonValue& record,
   entry.config_hash = record.at("config_hash").as_string();
   entry.host = std::move(host);
   entry.suite_spec = record.at("suite").as_string();
-  entry.repeat = static_cast<int>(record.at("repeat").as_number());
-  entry.warmup = static_cast<int>(record.at("warmup").as_number());
+  entry.repeat = sample_count(record, "repeat", 1, "record", entry.git_rev);
+  entry.warmup = sample_count(record, "warmup", 0, "record", entry.git_rev);
   for (const auto& c : record.at("cells").as_array()) {
     HistoryCell cell;
     cell.id = c.at("id").as_string();
@@ -207,36 +196,6 @@ const HistoryEntry& ingest_record(History& h, const obs::JsonValue& record,
   return h.entries.back();
 }
 
-std::size_t compact_history(History& h, int keep_revisions) {
-  if (keep_revisions < 0) keep_revisions = 0;
-  // Revision depth is per (config hash, host) group: count, for every
-  // entry, how many *later* entries belong to the same group.  The
-  // newest keep_revisions of each group keep their raw samples.
-  std::size_t compacted_entries = 0;
-  for (std::size_t i = 0; i < h.entries.size(); ++i) {
-    HistoryEntry& e = h.entries[i];
-    std::size_t newer = 0;
-    for (std::size_t j = i + 1; j < h.entries.size(); ++j) {
-      if (h.entries[j].config_hash == e.config_hash &&
-          h.entries[j].host == e.host) {
-        ++newer;
-      }
-    }
-    if (newer < static_cast<std::size_t>(keep_revisions)) continue;
-    bool changed = false;
-    for (HistoryCell& c : e.cells) {
-      if (c.compacted) continue;
-      c.summary = util::robust_summary(c.samples);
-      c.samples.clear();
-      c.samples.shrink_to_fit();
-      c.compacted = true;
-      changed = true;
-    }
-    if (changed) ++compacted_entries;
-  }
-  return compacted_entries;
-}
-
 void render_list(std::ostream& os, const History& h) {
   // Sort by (host, config hash, revision-axis position): the axis
   // position is the entry's index, which within one (config, host)
@@ -251,42 +210,29 @@ void render_list(std::ostream& os, const History& h) {
     return a < b;
   });
 
-  std::size_t raw_entries = 0;
-  std::size_t compacted_cells = 0;
   std::size_t total_samples = 0;
   std::vector<std::string> hosts;
   os << "rev       host             config            suite     cells  "
-        "samples  state\n";
+        "samples\n";
   for (std::size_t i : order) {
     const HistoryEntry& e = h.entries[i];
     if (std::find(hosts.begin(), hosts.end(), e.host) == hosts.end()) {
       hosts.push_back(e.host);
     }
     std::size_t samples = 0;
-    std::size_t compacted = 0;
-    for (const auto& c : e.cells) {
-      samples += cell_sample_count(c);
-      if (c.compacted) ++compacted;
-    }
-    compacted_cells += compacted;
+    for (const auto& c : e.cells) samples += c.samples.size();
     total_samples += samples;
-    const char* state = compacted == 0          ? "raw"
-                        : compacted == e.cells.size() ? "compacted"
-                                                      : "mixed";
-    if (compacted == 0) ++raw_entries;
     char line[256];
-    std::snprintf(line, sizeof line, "%-9s %-16s %-17s %-9s %5zu  %7zu  %s\n",
+    std::snprintf(line, sizeof line, "%-9s %-16s %-17s %-9s %5zu  %7zu\n",
                   e.git_rev.c_str(), e.host.c_str(), e.config_hash.c_str(),
-                  e.suite_spec.c_str(), e.cells.size(), samples, state);
+                  e.suite_spec.c_str(), e.cells.size(), samples);
     os << line;
   }
   char foot[192];
   std::snprintf(foot, sizeof foot,
-                "%zu entr%s | %zu host%s | %zu raw, %zu compacted | %zu "
-                "sample%s held\n",
+                "%zu entr%s | %zu host%s | %zu sample%s held\n",
                 h.entries.size(), h.entries.size() == 1 ? "y" : "ies",
-                hosts.size(), hosts.size() == 1 ? "" : "s", raw_entries,
-                h.entries.size() - raw_entries, total_samples,
+                hosts.size(), hosts.size() == 1 ? "" : "s", total_samples,
                 total_samples == 1 ? "" : "s");
   os << foot;
 }
@@ -363,7 +309,7 @@ std::vector<GroupTrend> analyze_trends(const History& h,
       for (std::size_t r = 0; r < nrevs; ++r) {
         for (const auto& c : h.entries[idx[r]].cells) {
           if (c.id != id) continue;
-          stats[r] = cell_stats(c);
+          stats[r] = util::robust_summary(c.samples);
           present[r] = true;
           t.medians[r] = stats[r].median;
           ++t.revisions;
@@ -498,11 +444,7 @@ bool render_trend_section(std::ostream& os, const History& h,
         "hash,\n"
         "host); trends are recomputed from the stored raw samples "
         "(median/MAD/\n"
-        "bootstrap-95 %-CI via `util::robust_summary`; entries downsampled "
-        "by\n"
-        "`balbench-history compact` keep exactly those summaries, so "
-        "verdicts\n"
-        "survive compaction byte for byte).  Every number below "
+        "bootstrap-95 %-CI via `util::robust_summary`).  Every number below "
         "is\n"
         "HOST wall-clock read from the committed store — the section is a "
         "pure\n"
@@ -662,11 +604,28 @@ bool render_trend_section(std::ostream& os, const History& h,
   return drifted;
 }
 
-std::string splice_marked_section(const std::string& doc,
-                                  const std::string& section,
-                                  std::string_view begin_prefix,
-                                  std::string_view end_line) {
-  const std::size_t begin = doc.find(begin_prefix);
+namespace {
+
+/// Bounds [first, second) of the PERF HISTORY section in `doc`, the end
+/// past the end marker's newline.  `first` is npos without a begin
+/// marker, `second` is npos without a matching end marker.
+std::pair<std::size_t, std::size_t> trend_section_bounds(
+    const std::string& doc) {
+  const std::string_view end_line = kTrendEndLine;
+  const std::size_t begin = doc.find(kTrendBeginPrefix);
+  if (begin == std::string::npos) return {begin, begin};
+  std::size_t end = doc.find(end_line, begin);
+  if (end == std::string::npos) return {begin, end};
+  end += end_line.size();
+  if (end < doc.size() && doc[end] == '\n') ++end;
+  return {begin, end};
+}
+
+}  // namespace
+
+std::string splice_trend_section(const std::string& doc,
+                                 const std::string& section) {
+  const auto [begin, end] = trend_section_bounds(doc);
   if (begin == std::string::npos) {
     std::string out = doc;
     if (!out.empty() && out.back() != '\n') out += '\n';
@@ -674,36 +633,18 @@ std::string splice_marked_section(const std::string& doc,
     out += section;
     return out;
   }
-  std::size_t end = doc.find(end_line, begin);
   if (end == std::string::npos) {
-    throw std::runtime_error("document has a begin marker '" +
-                             std::string(begin_prefix) +
+    throw std::runtime_error(std::string("document has a begin marker '") +
+                             kTrendBeginPrefix +
                              "' but no matching end marker");
   }
-  end += end_line.size();
-  if (end < doc.size() && doc[end] == '\n') ++end;
   return doc.substr(0, begin) + section + doc.substr(end);
 }
 
-std::string extract_marked_section(const std::string& doc,
-                                   std::string_view begin_prefix,
-                                   std::string_view end_line) {
-  const std::size_t begin = doc.find(begin_prefix);
-  if (begin == std::string::npos) return {};
-  std::size_t end = doc.find(end_line, begin);
-  if (end == std::string::npos) return {};
-  end += end_line.size();
-  if (end < doc.size() && doc[end] == '\n') ++end;
-  return doc.substr(begin, end - begin);
-}
-
-std::string splice_trend_section(const std::string& doc,
-                                 const std::string& section) {
-  return splice_marked_section(doc, section, kTrendBeginPrefix, kTrendEndLine);
-}
-
 std::string extract_trend_section(const std::string& doc) {
-  return extract_marked_section(doc, kTrendBeginPrefix, kTrendEndLine);
+  const auto [begin, end] = trend_section_bounds(doc);
+  if (end == std::string::npos) return {};
+  return doc.substr(begin, end - begin);
 }
 
 }  // namespace balbench::history

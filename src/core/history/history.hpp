@@ -6,10 +6,10 @@
 // every single-baseline gate and still ends 20 % slower.  The history
 // store turns those snapshots into a tracked series:
 //
-//   * an append-only "balbench-perf-history/1" JSON store that ingests
+//   * an append-only "balbench-perf-history/2" JSON file that ingests
 //     perf records keyed by (git revision, config hash, host).  The
 //     same key may appear once: re-recording a revision must replace
-//     history consciously (delete + re-ingest), never silently.
+//     history consciously (--replace), never silently.
 //     Entries with different config hashes or hosts are NEVER compared
 //     against each other -- a machine change or a suite change is not
 //     a regression;
@@ -46,29 +46,13 @@
 
 namespace balbench::history {
 
-/// One cell of one ingested snapshot.  Fresh entries carry the raw
-/// samples (statistics recomputed at analysis time); entries that
-/// `balbench-history compact` has downsampled carry only the robust
-/// summary -- the exact util::RobustSummary the raw samples produced,
-/// so every verdict and every rendered byte stays identical after the
-/// samples are dropped.
+/// One cell of one ingested snapshot: the raw samples, from which
+/// every statistic is recomputed at analysis time.
 struct HistoryCell {
   std::string id;     // "suite.name[...]", unique within the entry
   std::string suite;  // "micro" | "sweep" | "kernels" | "calib"
-  std::vector<double> samples;  // host seconds, in run order (raw cells)
-  bool compacted = false;       // true: samples dropped, summary kept
-  util::RobustSummary summary;  // compacted cells only
+  std::vector<double> samples;  // host seconds, in run order
 };
-
-/// The cell's robust statistics: the stored summary for compacted
-/// cells, util::robust_summary(samples) (default parameters) for raw
-/// cells.  Compaction stores exactly what this function would have
-/// computed, which is the whole byte-identity argument.
-util::RobustSummary cell_stats(const HistoryCell& cell);
-
-/// Raw sample count of the cell (compacted cells report the count the
-/// summary was computed from).
-std::size_t cell_sample_count(const HistoryCell& cell);
 
 /// One ingested balbench-perf-record/1 snapshot.
 struct HistoryEntry {
@@ -87,19 +71,24 @@ struct History {
   std::vector<HistoryEntry> entries;
 };
 
-/// Parses a "balbench-perf-history/2" document, or -- read-only
-/// compatibility, every cell raw -- the deprecated
-/// "balbench-perf-history/1".  Throws std::runtime_error with a
-/// pointed message on any schema violation (missing fields, empty
-/// samples, wrong schema string, a cell with both samples and a
-/// summary).
+/// Parses a "balbench-perf-history/2" document.  Throws
+/// std::runtime_error with a pointed message on any schema violation
+/// (missing fields, empty samples, wrong schema string, a `repeat` or
+/// `warmup` that is not an integer in range).
 History parse_history(std::string_view text);
 
 /// Serializes the store (schema "balbench-perf-history/2") with the
-/// deterministic JsonWriter formatting; same store, same bytes.  Raw
-/// cells keep their verbatim samples (lossless v1 round-trip for
-/// uncompacted entries); compacted cells emit the summary object.
+/// deterministic JsonWriter formatting; same store, same bytes.
 void write_history(std::ostream& os, const History& h);
+
+/// Reads the store file at `path`.  A missing file is an empty store;
+/// an unreadable or corrupt one throws std::runtime_error whose
+/// message starts with the path, followed by the obs::parse_json
+/// line/column/key-path diagnostics.
+History load_history(const std::string& path);
+
+/// Writes the store to `path` through util::atomic_write.
+void save_history(const std::string& path, const History& h);
 
 /// Validates `record` as a balbench-perf-record/1 document and appends
 /// it as a new entry under `host`.  Throws std::runtime_error if the
@@ -111,18 +100,10 @@ void write_history(std::ostream& os, const History& h);
 const HistoryEntry& ingest_record(History& h, const obs::JsonValue& record,
                                   std::string host, bool replace = false);
 
-/// Downsamples every entry older than the newest `keep_revisions`
-/// revisions of its (config hash, host) group: raw cells become
-/// compacted cells (samples dropped, util::robust_summary retained).
-/// Already-compacted cells are untouched, so compacting twice equals
-/// compacting once byte for byte.  Returns the number of entries that
-/// lost raw samples in this pass.
-std::size_t compact_history(History& h, int keep_revisions);
-
 /// Deterministic plain-text inventory of the store: one line per
-/// entry -- (rev x host x suite) with cell count, sample count and
-/// compaction state -- sorted by (host, config hash, revision-axis
-/// position), plus a totals footer.
+/// entry -- (rev x host x suite) with cell and sample counts -- sorted
+/// by (host, config hash, revision-axis position), plus a totals
+/// footer.
 void render_list(std::ostream& os, const History& h);
 
 // ---------------------------------------------------------------------------
@@ -211,16 +192,5 @@ std::string splice_trend_section(const std::string& doc,
 /// Extracts the PERF HISTORY section (markers included, trailing
 /// newline included) or returns "" when the document has none.
 std::string extract_trend_section(const std::string& doc);
-
-/// Generic versions of the two above for any marker-delimited section
-/// (the FLEET VIEW section of core/history/matrix reuses them, so the
-/// splice/extract semantics can never diverge between sections).
-std::string splice_marked_section(const std::string& doc,
-                                  const std::string& section,
-                                  std::string_view begin_prefix,
-                                  std::string_view end_line);
-std::string extract_marked_section(const std::string& doc,
-                                   std::string_view begin_prefix,
-                                   std::string_view end_line);
 
 }  // namespace balbench::history

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/history/store.hpp"
 #include "obs/journal.hpp"
 #include "util/atomic_write.hpp"
 #include "util/hash.hpp"
@@ -29,14 +28,20 @@ void quarantine_file(const std::string& path) {
   std::filesystem::rename(path, path + ".quarantined", ec);
 }
 
-/// The entry file a key lands in.  shard_file_name sanitizes the ':'
-/// separators to '_'; the key alphabet (hex digests, "unknown", "-",
-/// ':') makes the mapping injective, so the empty `taken` list can
-/// never be asked to disambiguate and the name is a pure function of
-/// the key -- which is what lets checkpoint_path() survive a server
+/// The entry file a key lands in: the key with every character outside
+/// [A-Za-z0-9._-] -- in practice the ':' separators -- replaced by '_',
+/// plus ".json".  The key alphabet (hex digests, "unknown", "-", ':')
+/// makes the mapping injective, and the name is a pure function of the
+/// key -- which is what lets checkpoint_path() survive a server
 /// restart.
 std::string entry_file_name(const std::string& key) {
-  return history::shard_file_name(key, {});
+  std::string name;
+  for (char c : key) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+    name += ok ? c : '_';
+  }
+  return name + ".json";
 }
 
 }  // namespace

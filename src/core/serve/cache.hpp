@@ -1,9 +1,8 @@
 // Durable result cache of balbench-serve (DESIGN.md Sec. 17.2).
 //
-// Layout, modeled on the PR-8 sharded history store (a small JSON
-// index over opaque per-entry files; file naming reuses
-// history::shard_file_name so the two layouts can never drift in
-// their sanitization rules):
+// Layout: a small JSON index over opaque per-entry files, each named
+// after its key with every character outside [A-Za-z0-9._-] replaced
+// by '_':
 //
 //   CACHE.json                the "serve-cache" journal
 //                             (obs/journal.hpp):

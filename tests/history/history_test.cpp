@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "util/atomic_write.hpp"
 
 namespace bh = balbench::history;
 namespace bo = balbench::obs;
@@ -102,6 +104,67 @@ TEST(HistoryStore, IngestRejectsWrongSchema) {
       bh::ingest_record(h, bo::parse_json("{\"schema\":\"nope/1\"}"), "host0"),
       std::runtime_error);
   EXPECT_THROW(bh::parse_history("{\"schema\":\"nope/1\",\"entries\":[]}"),
+               std::runtime_error);
+}
+
+TEST(HistoryStore, RepeatAndWarmupMustBeIntegersInRange) {
+  // Outside input: a store or record carrying a count no int can hold
+  // must be rejected, naming the revision, never cast.  Both paths take
+  // the same bounds as balbench-perf.  obs::parse_json already refuses
+  // 5e999 (it overflows a double) as a bad number at the key's path.
+  bh::History h;
+  bh::ingest_record(h, make_record("abc", "cafe", {{"c.a", "calib", 0.005}}),
+                    "host0");
+  std::ostringstream os;
+  bh::write_history(os, h);
+  const std::string store = os.str();
+  const std::string record =
+      "{\"schema\":\"balbench-perf-record/1\",\"suite\":\"calib\","
+      "\"repeat\":5,\"warmup\":1,\"config_hash\":\"cafe\","
+      "\"provenance\":{\"generator\":\"test\",\"git_rev\":\"abc\"},"
+      "\"cells\":[{\"id\":\"c.a\",\"suite\":\"calib\","
+      "\"samples_seconds\":[0.005]}]}";
+  // Replaces the value of `key` (followed by `sep`) in `text`.
+  auto with = [](std::string text, const std::string& key,
+                 const std::string& sep, const std::string& value) {
+    const std::size_t at = text.find(key);
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + key.size() + sep.size();
+    return text.replace(from, text.find_first_of(",}\n", from) - from, value);
+  };
+  for (const std::string field : {"repeat", "warmup"}) {
+    const std::string key = '"' + field + '"';
+    for (const std::string value : {"1e300", "-1e300", "5e999", "2.5"}) {
+      SCOPED_TRACE(field + " = " + value);
+      const std::string names =
+          value == "5e999" ? "." + field + "): bad number" : "rev abc";
+      try {
+        (void)bh::parse_history(with(store, key, ": ", value));
+        ADD_FAILURE() << "store accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+            << e.what();
+      }
+      bh::History fresh;
+      try {
+        bh::ingest_record(fresh, bo::parse_json(with(record, key, ":", value)),
+                          "host0");
+        ADD_FAILURE() << "record accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+            << e.what();
+      }
+      EXPECT_TRUE(fresh.entries.empty());
+    }
+  }
+  // The bounds themselves are valid: repeat >= 1, warmup >= 0.
+  const bh::History edge = bh::parse_history(
+      with(with(store, "\"repeat\"", ": ", "1"), "\"warmup\"", ": ", "0"));
+  EXPECT_EQ(edge.entries[0].repeat, 1);
+  EXPECT_EQ(edge.entries[0].warmup, 0);
+  EXPECT_THROW(bh::parse_history(with(store, "\"repeat\"", ": ", "0")),
+               std::runtime_error);
+  EXPECT_THROW(bh::parse_history(with(store, "\"warmup\"", ": ", "-1")),
                std::runtime_error);
 }
 
@@ -241,98 +304,19 @@ TEST(HistoryIngest, ReplaceOverwritesInPlace) {
   EXPECT_EQ(h.entries[1].git_rev, "r2");
 }
 
-TEST(HistoryCompact, OldEntriesLoseSamplesButKeepExactStats) {
-  bh::History h = series({0.005, 0.010, 0.007, 0.008});
-  // Reference stats computed from the raw samples, before compaction.
-  const balbench::util::RobustSummary raw0 = bh::cell_stats(h.entries[0].cells[0]);
-
-  EXPECT_EQ(bh::compact_history(h, /*keep_revisions=*/2), 2u);
-  EXPECT_TRUE(h.entries[0].cells[0].compacted);
-  EXPECT_TRUE(h.entries[1].cells[0].compacted);
-  EXPECT_FALSE(h.entries[2].cells[0].compacted);
-  EXPECT_FALSE(h.entries[3].cells[0].compacted);
-  EXPECT_TRUE(h.entries[0].cells[0].samples.empty());
-  EXPECT_EQ(bh::cell_sample_count(h.entries[0].cells[0]), 5u);
-
-  // The stored summary is exactly what the raw samples produced.
-  const balbench::util::RobustSummary after = bh::cell_stats(h.entries[0].cells[0]);
-  EXPECT_EQ(after.median, raw0.median);
-  EXPECT_EQ(after.mad, raw0.mad);
-  EXPECT_EQ(after.ci_lo, raw0.ci_lo);
-  EXPECT_EQ(after.ci_hi, raw0.ci_hi);
-}
-
-TEST(HistoryCompact, VerdictsAndSectionSurviveCompactionByteForByte) {
-  bh::History raw = series({0.100, 0.103, 0.106, 0.109, 0.113});
-  std::ostringstream before;
-  const bool drift_before =
-      bh::render_trend_section(before, raw, bh::TrendOptions{});
-
-  bh::History compacted = raw;
-  EXPECT_EQ(bh::compact_history(compacted, 2), 3u);
-  std::ostringstream after;
-  const bool drift_after =
-      bh::render_trend_section(after, compacted, bh::TrendOptions{});
-
-  EXPECT_EQ(drift_before, drift_after);
-  EXPECT_EQ(before.str(), after.str());
-}
-
-TEST(HistoryCompact, CompactTwiceEqualsCompactOnce) {
-  bh::History h = series({0.005, 0.010, 0.007});
-  EXPECT_EQ(bh::compact_history(h, 1), 2u);
-  std::ostringstream once;
-  bh::write_history(once, h);
-  EXPECT_EQ(bh::compact_history(h, 1), 0u);  // nothing left to compact
-  std::ostringstream twice;
-  bh::write_history(twice, h);
-  EXPECT_EQ(once.str(), twice.str());
-}
-
-TEST(HistoryCompact, CompactedStoreRoundTrips) {
-  bh::History h = series({0.005, 0.010, 0.007});
-  bh::compact_history(h, 1);
-  std::ostringstream os;
-  bh::write_history(os, h);
-  const bh::History back = bh::parse_history(os.str());
-  std::ostringstream os2;
-  bh::write_history(os2, back);
-  EXPECT_EQ(os.str(), os2.str());
-  EXPECT_TRUE(back.entries[0].cells[0].compacted);
-  EXPECT_EQ(bh::cell_stats(back.entries[0].cells[0]).median,
-            bh::cell_stats(h.entries[0].cells[0]).median);
-}
-
-TEST(HistoryCompact, CellWithBothSamplesAndSummaryRejected) {
-  bh::History h = series({0.005});
-  std::ostringstream os;
-  bh::write_history(os, h);
-  // Inject a summary next to the raw samples: v2 cells carry one XOR
-  // the other.
-  std::string text = os.str();
-  const std::string needle = "\"samples_seconds\"";
-  const auto at = text.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  text.insert(at,
-              "\"summary\": {\"count\": 5, \"median_seconds\": 1.0, "
-              "\"mad_seconds\": 0.0, \"ci95_lo_seconds\": 1.0, "
-              "\"ci95_hi_seconds\": 1.0, \"min_seconds\": 1.0, "
-              "\"max_seconds\": 1.0}, ");
-  EXPECT_THROW(bh::parse_history(text), std::runtime_error);
-}
-
 TEST(HistoryList, InventoryIsDeterministicAndCountsState) {
   bh::History h = series({0.005, 0.010, 0.007});
   bh::ingest_record(h, make_record("r9", "beef", {{"c.b", "micro", 0.001}}),
                     "host1");
-  bh::compact_history(h, 2);
   std::ostringstream a, b;
   bh::render_list(a, h);
   bh::render_list(b, h);
   EXPECT_EQ(a.str(), b.str());
-  EXPECT_NE(a.str().find("4 entries | 2 hosts | 3 raw, 1 compacted"),
+  EXPECT_NE(a.str().find("4 entries | 2 hosts | 20 samples held"),
             std::string::npos);
-  EXPECT_NE(a.str().find("compacted"), std::string::npos);
+  // host0's three revisions come first, in ingest order.
+  EXPECT_LT(a.str().find("rev0 "), a.str().find("rev2 "));
+  EXPECT_LT(a.str().find("rev2 "), a.str().find("r9 "));
 }
 
 TEST(HistoryChart, FlatSeriesRendersNoSpreadNote) {
@@ -347,4 +331,50 @@ TEST(HistoryChart, FlatSeriesRendersNoSpreadNote) {
   bh::render_trend_section(again, series({0.005, 0.005, 0.005}),
                            bh::TrendOptions{});
   EXPECT_EQ(os.str(), again.str());
+}
+
+namespace {
+
+/// A fresh per-test scratch directory under gtest's TempDir.
+std::string scratch(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "history_io_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+}  // namespace
+
+TEST(HistoryStoreIO, MissingStoreBootstrapsSingleFileV2) {
+  const std::string path = scratch("boot") + "/BENCH.json";
+  bh::History h = bh::load_history(path);
+  EXPECT_TRUE(h.entries.empty());
+
+  bh::ingest_record(h, make_record("r1", "cafe", {{"c.a", "calib", 0.005}}),
+                    "host-a");
+  bh::save_history(path, h);
+  EXPECT_NE(balbench::util::read_file(path).find("balbench-perf-history/2"),
+            std::string::npos);
+  const bh::History back = bh::load_history(path);
+  ASSERT_EQ(back.entries.size(), 1u);
+  EXPECT_EQ(back.entries[0].git_rev, "r1");
+}
+
+TEST(HistoryStoreIO, IngestReplaceRoundTrips) {
+  const std::string path = scratch("replace") + "/BENCH.json";
+  bh::History h;
+  bh::ingest_record(h, make_record("r1", "cafe", {{"c.a", "calib", 0.005}}),
+                    "host-a");
+  bh::save_history(path, h);
+
+  bh::History store = bh::load_history(path);
+  const auto rec = make_record("r1", "cafe", {{"c.a", "calib", 0.009}});
+  EXPECT_THROW(bh::ingest_record(store, rec, "host-a"), std::runtime_error);
+  bh::ingest_record(store, rec, "host-a", /*replace=*/true);
+  EXPECT_EQ(store.entries.size(), 1u);
+  bh::save_history(path, store);
+
+  const bh::History back = bh::load_history(path);
+  ASSERT_EQ(back.entries.size(), 1u);
+  EXPECT_DOUBLE_EQ(back.entries[0].cells[0].samples[0], 0.009);
 }

@@ -279,6 +279,9 @@ TEST(ResultCache, CheckpointPathIsStableAcrossInstances) {
   // was writing, so the path is a pure function of (cache, key).
   EXPECT_EQ(a.checkpoint_path("rev:cfg:-"), b.checkpoint_path("rev:cfg:-"));
   EXPECT_NE(a.checkpoint_path("rev:cfg:-"), a.checkpoint_path("rev:other:-"));
+  // The on-disk name maps every character outside [A-Za-z0-9._-] to '_'.
+  EXPECT_EQ(a.checkpoint_path("rev:cfg:-"),
+            dir + "/CACHE.json.entries/rev_cfg_-.checkpoint.json");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// balbench-history: the perf-history front end (DESIGN.md Sec. 13, 16).
+// balbench-history: the perf-history front end (DESIGN.md Sec. 13).
 //
 // Subcommands:
 //
@@ -7,52 +7,28 @@
 //       `balbench-perf --record`) to the history store, keyed by (git
 //       revision, config hash, host).  A missing store file is
 //       created; re-ingesting an existing key is an error unless
-//       --replace deliberately overwrites the entry in place.  On a
-//       sharded store only the host's shard plus the index are
-//       rewritten -- every other host's bytes stay untouched.
+//       --replace deliberately overwrites the entry in place.
 //
-//   list --history FILE [--jobs N]
+//   list --history FILE
 //       Deterministic (rev x host x suite) inventory of the store:
-//       cell counts, sample counts and compaction state per entry.
+//       cell and sample counts per entry.
 //
-//   compact --history FILE --keep-revisions N
-//       Downsamples entries older than the newest N revisions of
-//       their (config hash, host) group: raw samples are dropped,
-//       the exact robust summaries they produced are kept, so every
-//       drift verdict and every rendered byte survives compaction.
-//       Rewrites single-file stores as balbench-perf-history/2 (the
-//       v1 -> v2 upgrade); sharded stores stream shard by shard.
-//
-//   migrate --history FILE --output INDEX [--jobs N]
-//       One-shot rewrite of a store (v1 or v2, single-file or
-//       sharded) as a sharded store: per-host shard files under
-//       "<INDEX>.shards/", index at INDEX.
-//
-//   trend --history FILE [--window N] [--threshold F] [--jobs N]
+//   trend --history FILE [--window N] [--threshold F]
 //       Prints the trend section (per-group tables + ASCII chart) to
 //       stdout.  Exit 3 when any cell regressed under the
 //       sliding-window CI-overlap rule.
 //
-//   matrix --history FILE [--rev R] [--threshold F] [--jobs N]
-//          [--json FILE]
-//       The fleet view: a (host x cell) matrix of one revision with
-//       normalized medians, cross-host dispersion (MAD) and the
-//       code-vs-host drift attribution.  Markdown to stdout by
-//       default, "balbench-history-matrix/1" JSON with --json.
-//
 //   render --history FILE --doc FILE [--window N] [--threshold F]
-//          [--jobs N]
-//       Splices freshly rendered PERF HISTORY *and* FLEET VIEW
-//       sections into the document (appended when absent), without
-//       re-running the experiments sweep.  Exit 3 on drift.
+//       Splices a freshly rendered PERF HISTORY section into the
+//       document (appended when absent), without re-running the
+//       experiments sweep.  Exit 3 on drift.
 //
 //   check-doc --history FILE --doc FILE [--window N] [--threshold F]
-//             [--jobs N]
-//       Byte-compares the document's PERF HISTORY and FLEET VIEW
-//       sections against a fresh render; exit 1 on mismatch.  This is
-//       the `history_doc_drift` ctest -- the cheap mirror of
+//       Byte-compares the document's PERF HISTORY section against a
+//       fresh render; exit 1 on mismatch.  This is the
+//       `history_doc_drift` ctest -- the cheap mirror of
 //       doc_drift_guard (seconds, not minutes, because only the
-//       sections are recomputed).
+//       section is recomputed).
 //
 //   merge-wall-profiles [--output FILE] PROFILE...
 //       Sums the category rollups and scheduler telemetry of N
@@ -60,14 +36,13 @@
 //       kept, plus "merged_runs"); merged records are themselves
 //       mergeable.
 //
-// Every subcommand accepts both store layouts (single-file and
-// sharded) through HistoryStore::open, and every output is
-// byte-identical for any --jobs N and any shard order.
+// The store is one balbench-perf-history/2 file (history::load_history).
 //
 // Exit codes: 0 = clean; 3 = completed but drift detected (trend /
 // render); 1 = fatal error or check-doc mismatch; 2 = bad usage.
 // All file outputs go through util::atomic_write ("-" = stdout).
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -76,8 +51,6 @@
 #include <unistd.h>
 
 #include "core/history/history.hpp"
-#include "core/history/matrix.hpp"
-#include "core/history/store.hpp"
 #include "core/history/wall_merge.hpp"
 #include "obs/json.hpp"
 #include "util/atomic_write.hpp"
@@ -112,23 +85,14 @@ std::string default_host() {
   return "unknown-host";
 }
 
-/// Opens the store and loads all entries in canonical order.
-history::History load_history(const std::string& path, bool allow_missing,
-                              int jobs = 1) {
-  const history::HistoryStore store = history::HistoryStore::open(path);
-  if (store.kind() == history::HistoryStore::Kind::Missing && !allow_missing) {
+/// Loads an existing store; unlike ingest, the readers refuse a
+/// missing file rather than analyze an empty store.
+history::History load_existing(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) {
     throw std::runtime_error("cannot read " + path);
   }
-  return store.load_all(jobs);
-}
-
-const char* store_kind_name(history::HistoryStore::Kind kind) {
-  switch (kind) {
-    case history::HistoryStore::Kind::Missing: return "missing";
-    case history::HistoryStore::Kind::SingleFile: return "single-file";
-    case history::HistoryStore::Kind::Sharded: return "sharded";
-  }
-  return "?";
+  return history::load_history(path);
 }
 
 int cmd_ingest(int argc, const char* const* argv) {
@@ -140,8 +104,7 @@ int cmd_ingest(int argc, const char* const* argv) {
       "balbench-history ingest: append one balbench-perf-record/1 "
       "snapshot to the history store, keyed by (git revision, config "
       "hash, host).  Duplicate keys are rejected unless --replace "
-      "deliberately overwrites the entry in place.  Sharded stores "
-      "rewrite only the host's shard plus the index");
+      "deliberately overwrites the entry in place");
   options.add_string("history", &history_path,
                      "the history store (created when missing)");
   options.add_string("record", &record_path,
@@ -159,101 +122,34 @@ int cmd_ingest(int argc, const char* const* argv) {
   }
   if (host.empty()) host = default_host();
 
-  history::HistoryStore store = history::HistoryStore::open(history_path);
+  history::History store = history::load_history(history_path);
   const obs::JsonValue record = obs::parse_json(util::read_file(record_path));
-  const auto result = store.ingest(record, std::move(host), replace);
-  std::cerr << "balbench-history: " << (result.replaced ? "replaced" : "ingested")
-            << " rev " << result.git_rev << " (config " << result.config_hash
-            << ", host " << result.host << ", " << result.cells
-            << " cells); " << store_kind_name(store.kind())
-            << " store now holds " << result.store_entries << " snapshot(s)";
-  if (store.kind() == history::HistoryStore::Kind::Sharded) {
-    std::cerr << " across " << store.index().shards.size() << " shard(s)";
-  }
-  std::cerr << '\n';
+  const std::size_t before = store.entries.size();
+  const history::HistoryEntry& entry =
+      history::ingest_record(store, record, std::move(host), replace);
+  history::save_history(history_path, store);
+  std::cerr << "balbench-history: "
+            << (store.entries.size() == before ? "replaced" : "ingested")
+            << " rev " << entry.git_rev << " (config " << entry.config_hash
+            << ", host " << entry.host << ", " << entry.cells.size()
+            << " cells); store now holds " << store.entries.size()
+            << " snapshot(s)\n";
   return 0;
 }
 
 int cmd_list(int argc, const char* const* argv) {
   std::string history_path;
-  std::int64_t jobs = 1;
   util::Options options(
       "balbench-history list: deterministic (rev x host x suite) "
-      "inventory of the store -- cell counts, sample counts and "
-      "compaction state per entry, sorted by (host, config, revision "
-      "axis)");
+      "inventory of the store -- cell and sample counts per entry, "
+      "sorted by (host, config, revision axis)");
   options.add_string("history", &history_path, "the history store");
-  options.add_jobs(&jobs, "shard loading");
   if (!options.parse(argc, argv)) return 0;
   if (history_path.empty()) {
     std::cerr << "balbench-history list: --history is required\n";
     return 2;
   }
-  const history::History store =
-      load_history(history_path, /*allow_missing=*/false,
-                   static_cast<int>(jobs));
-  history::render_list(std::cout, store);
-  return 0;
-}
-
-int cmd_compact(int argc, const char* const* argv) {
-  std::string history_path;
-  std::int64_t keep = 5;
-  util::Options options(
-      "balbench-history compact: downsample entries older than the "
-      "newest --keep-revisions revisions of their (config hash, host) "
-      "group -- raw samples dropped, their exact robust summaries "
-      "kept, so drift verdicts survive byte for byte.  Single-file "
-      "stores are rewritten as balbench-perf-history/2 (the v1 -> v2 "
-      "upgrade); sharded stores stream one shard at a time");
-  options.add_string("history", &history_path, "the history store");
-  options.add_int("keep-revisions", &keep,
-                  "per-group revisions whose raw samples are kept");
-  if (!options.parse(argc, argv)) return 0;
-  if (history_path.empty()) {
-    std::cerr << "balbench-history compact: --history is required\n";
-    return 2;
-  }
-  if (keep < 1) {
-    std::cerr << "balbench-history compact: --keep-revisions must be >= 1\n";
-    return 2;
-  }
-  history::HistoryStore store = history::HistoryStore::open(history_path);
-  const std::size_t n = store.compact(static_cast<int>(keep));
-  std::cerr << "balbench-history: compacted " << n << " entr"
-            << (n == 1 ? "y" : "ies") << " (keeping the newest " << keep
-            << " revision(s) per group raw) in the "
-            << store_kind_name(store.kind()) << " store " << history_path
-            << '\n';
-  return 0;
-}
-
-int cmd_migrate(int argc, const char* const* argv) {
-  std::string history_path;
-  std::string output;
-  std::int64_t jobs = 1;
-  util::Options options(
-      "balbench-history migrate: one-shot rewrite of a store (v1 or "
-      "v2, single-file or sharded) as a sharded store -- per-host "
-      "shard files under '<OUTPUT>.shards/', index at OUTPUT.  After "
-      "migration, ingesting one host rewrites only that host's shard");
-  options.add_string("history", &history_path, "the store to migrate");
-  options.add_string("output", &output, "the index file to write");
-  options.add_jobs(&jobs, "shard loading");
-  if (!options.parse(argc, argv)) return 0;
-  if (history_path.empty() || output.empty()) {
-    std::cerr << "balbench-history migrate: --history and --output are "
-                 "required\n";
-    return 2;
-  }
-  const history::History store =
-      load_history(history_path, /*allow_missing=*/false,
-                   static_cast<int>(jobs));
-  history::HistoryStore::write_sharded(store, output);
-  const history::HistoryStore sharded = history::HistoryStore::open(output);
-  std::cerr << "balbench-history: migrated " << store.entries.size()
-            << " snapshot(s) into " << sharded.index().shards.size()
-            << " shard(s) under " << output << '\n';
+  history::render_list(std::cout, load_existing(history_path));
   return 0;
 }
 
@@ -262,11 +158,10 @@ int cmd_trend(int argc, const char* const* argv, bool splice) {
   std::string doc_path;
   std::int64_t window = history::TrendOptions{}.window;
   double threshold = history::TrendOptions{}.threshold;
-  std::int64_t jobs = 1;
   util::Options options(
-      splice ? "balbench-history render: splice the PERF HISTORY and "
-               "FLEET VIEW sections into the document (appended when "
-               "absent) without re-running the sweep.  Exit 3 on drift"
+      splice ? "balbench-history render: splice the PERF HISTORY "
+               "section into the document (appended when absent) "
+               "without re-running the sweep.  Exit 3 on drift"
              : "balbench-history trend: print the trend section (per-"
                "group tables + ASCII chart) to stdout.  Exit 3 on drift");
   options.add_string("history", &history_path, "the history store to analyze");
@@ -279,7 +174,6 @@ int cmd_trend(int argc, const char* const* argv, bool splice) {
   options.add_double("threshold", &threshold,
                      "regression slack as a fraction of the window's "
                      "pessimistic CI edge");
-  options.add_jobs(&jobs, "shard loading and matrix statistics");
   if (!options.parse(argc, argv)) return 0;
   if (history_path.empty() || (splice && doc_path.empty())) {
     std::cerr << "balbench-history: --history" << (splice ? " and --doc" : "")
@@ -287,28 +181,20 @@ int cmd_trend(int argc, const char* const* argv, bool splice) {
     return 2;
   }
 
-  const history::History store =
-      load_history(history_path, /*allow_missing=*/false,
-                   static_cast<int>(jobs));
   history::TrendOptions trend_opt;
   trend_opt.window = static_cast<int>(window);
   trend_opt.threshold = threshold;
   std::ostringstream section;
-  const bool drifted =
-      history::render_trend_section(section, store, trend_opt);
+  const bool drifted = history::render_trend_section(
+      section, load_existing(history_path), trend_opt);
 
   if (splice) {
-    history::MatrixOptions matrix_opt;
-    matrix_opt.jobs = static_cast<int>(jobs);
-    std::ostringstream fleet;
-    history::render_fleet_section(fleet, store, matrix_opt);
     const std::string doc = util::read_file(doc_path);
-    std::string next = history::splice_trend_section(doc, section.str());
-    next = history::splice_fleet_section(next, fleet.str());
+    const std::string next = history::splice_trend_section(doc, section.str());
     if (next != doc) {
       if (!spill(doc_path, next)) return 1;
-      std::cerr << "balbench-history: updated the PERF HISTORY and FLEET "
-                   "VIEW sections of " << doc_path << '\n';
+      std::cerr << "balbench-history: updated the PERF HISTORY section of "
+                << doc_path << '\n';
     } else {
       std::cerr << "balbench-history: " << doc_path << " is up to date\n";
     }
@@ -322,63 +208,15 @@ int cmd_trend(int argc, const char* const* argv, bool splice) {
   return 0;
 }
 
-int cmd_matrix(int argc, const char* const* argv) {
-  std::string history_path;
-  std::string rev;
-  std::string json_path;
-  double threshold = history::MatrixOptions{}.threshold;
-  std::int64_t jobs = 1;
-  util::Options options(
-      "balbench-history matrix: the fleet view -- a (host x cell) "
-      "matrix of one revision with per-host normalized medians, "
-      "cross-host dispersion (MAD) and the code-vs-host drift "
-      "attribution.  Markdown to stdout by default; "
-      "balbench-history-matrix/1 JSON with --json.  Byte-identical "
-      "for any shard order and any --jobs N");
-  options.add_string("history", &history_path, "the history store");
-  options.add_string("rev", &rev,
-                     "revision to slice (default: the newest revision in "
-                     "canonical store order)");
-  options.add_string("json", &json_path,
-                     "write the balbench-history-matrix/1 record here "
-                     "('-' = stdout) instead of markdown");
-  options.add_double("threshold", &threshold,
-                     "|relative delta| beyond which a host counts as "
-                     "moved vs its previous revision");
-  options.add_jobs(&jobs, "shard loading and per-row bootstrap statistics");
-  if (!options.parse(argc, argv)) return 0;
-  if (history_path.empty()) {
-    std::cerr << "balbench-history matrix: --history is required\n";
-    return 2;
-  }
-  const history::History store =
-      load_history(history_path, /*allow_missing=*/false,
-                   static_cast<int>(jobs));
-  history::MatrixOptions matrix_opt;
-  matrix_opt.rev = rev;
-  matrix_opt.threshold = threshold;
-  matrix_opt.jobs = static_cast<int>(jobs);
-  if (!json_path.empty()) {
-    const history::MatrixView view = history::analyze_matrix(store, matrix_opt);
-    std::ostringstream out;
-    history::write_matrix_json(out, view);
-    if (!spill(json_path, out.str())) return 1;
-    return 0;
-  }
-  history::render_fleet_section(std::cout, store, matrix_opt);
-  return 0;
-}
-
 int cmd_check_doc(int argc, const char* const* argv) {
   std::string history_path;
   std::string doc_path;
   std::int64_t window = history::TrendOptions{}.window;
   double threshold = history::TrendOptions{}.threshold;
-  std::int64_t jobs = 1;
   util::Options options(
       "balbench-history check-doc: byte-compare the document's PERF "
-      "HISTORY and FLEET VIEW sections against a fresh render of the "
-      "store.  Exit 1 on mismatch");
+      "HISTORY section against a fresh render of the store.  Exit 1 on "
+      "mismatch");
   options.add_string("history", &history_path, "the history store");
   options.add_string("doc", &doc_path, "the document (EXPERIMENTS.md)");
   options.add_int("window", &window,
@@ -386,7 +224,6 @@ int cmd_check_doc(int argc, const char* const* argv) {
   options.add_double("threshold", &threshold,
                      "regression slack as a fraction of the window's "
                      "pessimistic CI edge");
-  options.add_jobs(&jobs, "shard loading and matrix statistics");
   if (!options.parse(argc, argv)) return 0;
   if (history_path.empty() || doc_path.empty()) {
     std::cerr << "balbench-history check-doc: --history and --doc are "
@@ -394,31 +231,20 @@ int cmd_check_doc(int argc, const char* const* argv) {
     return 2;
   }
 
-  const history::History store =
-      load_history(history_path, /*allow_missing=*/false,
-                   static_cast<int>(jobs));
   history::TrendOptions trend_opt;
   trend_opt.window = static_cast<int>(window);
   trend_opt.threshold = threshold;
   std::ostringstream section;
-  history::render_trend_section(section, store, trend_opt);
-  history::MatrixOptions matrix_opt;
-  matrix_opt.jobs = static_cast<int>(jobs);
-  std::ostringstream fleet;
-  history::render_fleet_section(fleet, store, matrix_opt);
+  history::render_trend_section(section, load_existing(history_path),
+                                trend_opt);
 
   const std::string doc = util::read_file(doc_path);
-  const char* stale = nullptr;
-  const std::string committed_trend = history::extract_trend_section(doc);
-  const std::string committed_fleet = history::extract_fleet_section(doc);
-  if (committed_trend != section.str()) stale = "PERF HISTORY";
-  else if (committed_fleet != fleet.str()) stale = "FLEET VIEW";
-  if (stale == nullptr) {
-    std::cerr << "balbench-history: the PERF HISTORY and FLEET VIEW "
-                 "sections of " << doc_path << " are up to date\n";
+  if (history::extract_trend_section(doc) == section.str()) {
+    std::cerr << "balbench-history: the PERF HISTORY section of " << doc_path
+              << " is up to date\n";
     return 0;
   }
-  std::cerr << "balbench-history: the " << stale << " section of " << doc_path
+  std::cerr << "balbench-history: the PERF HISTORY section of " << doc_path
             << " is missing or drifted; regenerate with\n"
                "  balbench-history render --history "
             << history_path << " --doc " << doc_path << '\n';
@@ -463,24 +289,18 @@ int cmd_merge_wall_profiles(int argc, const char* const* argv) {
 }
 
 void usage(std::ostream& os) {
-  os << "balbench-history: perf-history store, trend and fleet analysis "
-        "(DESIGN.md Sec. 13, 16)\n\n"
+  os << "balbench-history: perf-history store and trend analysis "
+        "(DESIGN.md Sec. 13)\n\n"
         "subcommands:\n"
         "  ingest               append a balbench-perf-record/1 snapshot "
         "to the store\n"
-        "  list                 (rev x host x suite) inventory with "
-        "compaction state\n"
-        "  compact              drop raw samples of old revisions, keep "
-        "their summaries\n"
-        "  migrate              rewrite a store as per-host shards under "
-        "an index\n"
+        "  list                 (rev x host x suite) inventory of the "
+        "store\n"
         "  trend                print the trend section; exit 3 on "
         "regression drift\n"
-        "  matrix               (host x cell) fleet matrix of one "
-        "revision\n"
-        "  render               splice the PERF HISTORY + FLEET VIEW "
-        "sections into EXPERIMENTS.md\n"
-        "  check-doc            byte-compare the document's sections "
+        "  render               splice the PERF HISTORY section into "
+        "EXPERIMENTS.md\n"
+        "  check-doc            byte-compare the document's section "
         "against a fresh render\n"
         "  merge-wall-profiles  sum N balbench-wall-profile/1 files into "
         "one record\n\n"
@@ -508,10 +328,7 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "ingest") return cmd_ingest(sub_argc, sub_argv);
     if (cmd == "list") return cmd_list(sub_argc, sub_argv);
-    if (cmd == "compact") return cmd_compact(sub_argc, sub_argv);
-    if (cmd == "migrate") return cmd_migrate(sub_argc, sub_argv);
     if (cmd == "trend") return cmd_trend(sub_argc, sub_argv, /*splice=*/false);
-    if (cmd == "matrix") return cmd_matrix(sub_argc, sub_argv);
     if (cmd == "render") return cmd_trend(sub_argc, sub_argv, /*splice=*/true);
     if (cmd == "check-doc") return cmd_check_doc(sub_argc, sub_argv);
     if (cmd == "merge-wall-profiles") {

@@ -32,12 +32,9 @@
 // (DESIGN.md Sec. 13.2):
 //
 //   --history FILE    append the trend section rendered from this
-//                     perf-history store -- a single-file
-//                     "balbench-perf-history/2" document (/1 still
-//                     loads) or a sharded store's
-//                     "balbench-perf-history-index/1" index -- to
-//                     --markdown / --check-doc output; the same section
-//                     is produced by `balbench-history render`.
+//                     "balbench-perf-history/2" store to --markdown /
+//                     --check-doc output; the same section is produced
+//                     by `balbench-history render`.
 //
 // Observe-only extras (stderr / side files, never the byte-compared
 // outputs):
@@ -92,8 +89,6 @@
 #include "core/beff/beff.hpp"
 #include "core/beffio/beffio.hpp"
 #include "core/history/history.hpp"
-#include "core/history/matrix.hpp"
-#include "core/history/store.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/history/trace_diff.hpp"
 #include "core/report/experiments.hpp"
@@ -323,9 +318,7 @@ int main(int argc, char** argv) {
                      "--diff-trace drift tolerance in virtual seconds");
   options.add_string("history", &history_path,
                      "append the perf-history trend section rendered from "
-                     "this perf-history store (a balbench-perf-history/2 "
-                     "file, /1 still loads, or a sharded store's "
-                     "balbench-perf-history-index/1 index) to --markdown / "
+                     "this balbench-perf-history/2 store to --markdown / "
                      "--check-doc output (see balbench-history)");
   options.add_positionals(&positionals, "FILE",
                           "trace files for --diff-trace (exactly two)");
@@ -470,16 +463,10 @@ int main(int argc, char** argv) {
     if (!markdown_path.empty() || !check_path.empty()) {
       std::string trend_section;
       if (!history_path.empty()) {
-        const history::History store =
-            history::HistoryStore::open(history_path)
-                .load_all(run_opt.jobs);
         std::ostringstream section;
-        history::render_trend_section(section, store, history::TrendOptions{});
-        // The fleet view rides along under its own markers so both
-        // sections stay in lockstep with the committed store.
-        section << '\n';
-        history::render_fleet_section(section, store,
-                                      history::MatrixOptions{});
+        history::render_trend_section(section,
+                                      history::load_history(history_path),
+                                      history::TrendOptions{});
         trend_section = section.str();
       }
       std::ostringstream out;

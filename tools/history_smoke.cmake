@@ -9,6 +9,8 @@
 #      document gains the PERF HISTORY section with chart + DRIFT line
 #   5. check-doc on the freshly rendered doc     -> exit 0
 #   6. balbench-report --diff-trace T T          -> exit 0, zero drift
+#   7. ingest record B again with --replace      -> exit 0
+#   8. list the store                            -> still 2 entries
 # The synthetic samples are exact constants, so the robust CIs are
 # degenerate and the 2x regression fires deterministically.
 if(NOT BALBENCH_HISTORY OR NOT BALBENCH_REPORT OR NOT WORK_DIR)
@@ -123,4 +125,24 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "--diff-trace of identical traces exited ${rc}, want 0")
 endif()
 
-message(STATUS "history smoke: ingest/duplicate/drift/check-doc/diff-trace all behaved")
+# Act 7: a deliberate re-ingest of an existing key succeeds.
+execute_process(
+  COMMAND ${BALBENCH_HISTORY} ingest --history ${store} --record ${record_b}
+          --host smoke-host --replace
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "ingest --replace of a duplicate key failed (exit ${rc})")
+endif()
+
+# Act 8: the replace overwrote in place, so the store did not grow.
+execute_process(
+  COMMAND ${BALBENCH_HISTORY} list --history ${store}
+  RESULT_VARIABLE rc OUTPUT_VARIABLE listing)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "list failed (exit ${rc})")
+endif()
+if(NOT listing MATCHES "\n2 entries \\| 1 host \\| 20 samples held\n")
+  message(FATAL_ERROR "list does not count 2 entries after --replace:\n${listing}")
+endif()
+
+message(STATUS "history smoke: ingest/duplicate/drift/check-doc/diff-trace/replace/list all behaved")
