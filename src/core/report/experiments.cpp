@@ -116,6 +116,10 @@ std::vector<IoRun> io_specs(Scope scope) {
   return v;
 }
 
+namespace {
+
+/// The kernel-suite and fault-sweep rows of the built-in sweep;
+/// sweep_spec() is their public face.
 std::vector<KernelRun> kernel_specs(Scope scope) {
   std::vector<KernelRun> v;
   auto add = [&](const char* key, const char* display, int np) {
@@ -175,6 +179,8 @@ std::vector<FaultSweepRun> fault_sweep_specs(Scope scope) {
   }
   return v;
 }
+
+}  // namespace
 
 const std::vector<Fig1Point>& fig1_points() {
   static const std::vector<Fig1Point> points = {
@@ -439,14 +445,6 @@ void log_cell_finish(const std::string& what, double t0) {
 
 }  // namespace
 
-ExperimentsData run_experiments(Scope scope, int jobs, bool verbose) {
-  ExperimentOptions options;
-  options.scope = scope;
-  options.jobs = jobs;
-  options.verbose = verbose;
-  return run_experiments(options);
-}
-
 namespace {
 
 /// --kill-after N: die the way a crash would (no unwinding, no
@@ -528,9 +526,8 @@ std::vector<FaultSweepRun> fault_sweep_runs_from(const scenario::Scenario& sc) {
   return v;
 }
 
-/// The cell lists `options` selects, with empty results: the
-/// scenario's cells when one is set, else the built-in specs of
-/// options.scope.
+}  // namespace
+
 ExperimentsData sweep_spec(const ExperimentOptions& options) {
   ExperimentsData data;
   data.scope = options.scope;
@@ -549,6 +546,8 @@ ExperimentsData sweep_spec(const ExperimentOptions& options) {
   return data;
 }
 
+namespace {
+
 /// What every cell of one run_cells() call shares.
 struct CellContext {
   const ExperimentOptions& options;
@@ -558,12 +557,8 @@ struct CellContext {
   /// Machine keys resolve scenario-first so a scenario can shadow a
   /// built-in short name; without a scenario this is machine_by_name.
   machines::MachineSpec resolve(const std::string& key) const {
-    if (options.scenario != nullptr) {
-      if (const machines::MachineSpec* m = options.scenario->find_machine(key)) {
-        return *m;
-      }
-    }
-    return machines::machine_by_name(key);
+    return options.scenario != nullptr ? options.scenario->resolve_machine(key)
+                                       : machines::machine_by_name(key);
   }
 };
 
@@ -761,15 +756,11 @@ std::string describe_config(Scope scope) {
 
 }  // namespace
 
-std::string config_hash(Scope scope) {
+std::string config_hash(Scope scope, const scenario::Scenario* sc) {
   // util::fnv1a_hex uses the same FNV-1a 64-bit constants and 16-digit
   // hex form this function always produced, so hashes stamped into
   // committed records and EXPERIMENTS.md stay valid.
-  return util::fnv1a_hex(describe_config(scope));
-}
-
-std::string config_hash(Scope scope, const scenario::Scenario* sc) {
-  if (sc == nullptr) return config_hash(scope);
+  if (sc == nullptr) return util::fnv1a_hex(describe_config(scope));
   // A scenario run's configuration IS the scenario: its canonical
   // describe() covers every machine parameter, cell, fault plan and
   // sweep point, so two scenarios hash equal iff they schedule

@@ -15,10 +15,12 @@
 //                                marked with the generating command and
 //                                the config hash.
 //
-// run_experiments() is spec construction plus run_cells(), the one
-// cell runner: the bench/ table and figure binaries take their rows
-// from the same specs (beff_specs, io_specs, fig1_points) and run them
-// through it too, so they are views of these cells.
+// run_experiments() is spec construction (sweep_spec) plus
+// run_cells(), the one cell runner: the bench/ table and figure
+// binaries take their rows from the same specs (beff_specs, io_specs,
+// fig1_points) and run them through it too, so they are views of these
+// cells, and balbench-perf times single rows of sweep_spec() through
+// it.
 //
 // Determinism contract: both outputs are pure functions of (scope,
 // code); the host-side `jobs` knob never changes a byte (asserted at
@@ -132,16 +134,14 @@ struct ExperimentsData {
   std::string faults;
 };
 
-/// The sweep specification itself: every b_eff (machine, partition)
-/// cell and every b_eff_io (machine, T, partition) cell of `scope`,
-/// with empty results.  Exposed so other drivers (the bench/ table and
-/// figure binaries, balbench-perf) can enumerate, subset or label the
-/// exact cells the pipeline runs; the returned order is the pipeline's
-/// execution-slot order.
+/// The sweep specification's b_eff (machine, partition) and b_eff_io
+/// (machine, T, partition) rows of `scope`, with empty results.
+/// Exposed so the bench/ table and figure binaries can enumerate,
+/// subset or label the exact cells the pipeline runs; the returned
+/// order is the pipeline's execution-slot order.  sweep_spec() below
+/// returns every row, kernel and fault-sweep rows included.
 std::vector<BeffRun> beff_specs(Scope scope);
 std::vector<IoRun> io_specs(Scope scope);
-std::vector<KernelRun> kernel_specs(Scope scope);
-std::vector<FaultSweepRun> fault_sweep_specs(Scope scope);
 
 /// One bar of Figure 1 (balance factor b_eff / R_max): the b_eff cell
 /// (machine key, partition) it plots and its bar label.
@@ -186,21 +186,24 @@ struct ExperimentOptions {
   const scenario::Scenario* scenario = nullptr;
 };
 
-/// Runs the whole sweep with `jobs` host worker threads (outer
-/// parallelism over configurations; each simulation itself is serial).
-/// Metrics collection is always on; every result is byte-identical for
-/// every jobs value.  `verbose` logs per-cell start/finish lines with
-/// host wall times to stderr -- stderr only, so it can never perturb
-/// the byte-compared outputs (asserted by the doc_drift_guard ctest,
-/// which runs with --verbose on).
-ExperimentsData run_experiments(Scope scope, int jobs, bool verbose = false);
+/// The cell lists `options` selects, with empty results: the
+/// scenario's cells when options.scenario is set, else the built-in
+/// specs of options.scope.  This is what run_experiments() runs;
+/// balbench-perf walks the same rows to name and time its cells.
+ExperimentsData sweep_spec(const ExperimentOptions& options);
 
-/// Same sweep with the robustness knobs (fault injection, crash-safe
-/// checkpointing, resume): the cells `options` selects -- the built-in
-/// specs of options.scope, or the scenario's -- run through
-/// run_cells().  The termination-check micro task runs after them and
-/// is always recomputed, never journaled or fault-injected: it is
-/// cheap and feeds only informational fields.
+/// Runs the whole sweep with options.jobs host worker threads (outer
+/// parallelism over configurations; each simulation itself is serial)
+/// and the robustness knobs (fault injection, crash-safe
+/// checkpointing, resume): sweep_spec(options) run through
+/// run_cells().  Metrics collection is always on; every result is
+/// byte-identical for every jobs value.  options.verbose logs per-cell
+/// start/finish lines with host wall times to stderr -- stderr only,
+/// so it can never perturb the byte-compared outputs (asserted by the
+/// doc_drift_guard ctest, which runs with --verbose on).  The
+/// termination-check micro task runs after the cells and is always
+/// recomputed, never journaled or fault-injected: it is cheap and
+/// feeds only informational fields.
 ExperimentsData run_experiments(const ExperimentOptions& options);
 
 /// The one cell runner: simulates every b_eff, b_eff_io, kernel and
@@ -214,15 +217,12 @@ ExperimentsData run_experiments(const ExperimentOptions& options);
 void run_cells(ExperimentsData& data, const ExperimentOptions& options);
 
 /// FNV-1a (64-bit, hex) over the canonical description of the sweep
-/// configuration -- machines, partitions, scheduled times, seeds and
-/// aggregation constants.  Stamped into both outputs so a record can
-/// be matched to the configuration that produced it.
-std::string config_hash(Scope scope);
-
-/// Scenario-run variant: hashes the scenario's canonical describe()
-/// (machines, cells, fault plan, fault sweep) instead of the built-in
-/// spec lists.  Falls back to config_hash(scope) when `sc` is null, so
-/// drivers can call it unconditionally.
+/// configuration.  Stamped into both outputs so a record can be
+/// matched to the configuration that produced it.  With `sc` null it
+/// hashes the built-in specs of `scope` -- machines, partitions,
+/// scheduled times, seeds and aggregation constants; with a scenario
+/// it hashes the scenario's canonical describe() (machines, cells,
+/// fault plan, fault sweep) instead.
 std::string config_hash(Scope scope, const scenario::Scenario* sc);
 
 /// `git rev-parse --short HEAD`, or "unknown" outside a work tree.

@@ -98,7 +98,7 @@ CacheKey sweep_cache_key(const ServeRequest& req, const std::string& git_rev) {
   CacheKey key;
   key.git_rev = git_rev;
   if (req.scenario.empty()) {
-    key.config_hash = report::config_hash(scope);
+    key.config_hash = report::config_hash(scope, nullptr);
     key.scenario_hash = "-";
   } else {
     const scenario::Scenario sc = scenario::parse_scenario_text(req.scenario);

@@ -482,7 +482,11 @@ std::vector<MachineSpec> all_machines() {
 }
 
 MachineSpec machine_by_name(const std::string& short_name) {
-  for (auto& m : all_machines()) {
+  // Built once: the report's cell runner resolves a key per cell, and
+  // a kernel-suite cell is short enough (tens of microseconds) that
+  // building all ten specs per lookup shows in its timing.
+  static const std::vector<MachineSpec> registry = all_machines();
+  for (const auto& m : registry) {
     if (m.short_name == short_name) return m;
   }
   throw std::invalid_argument("unknown machine '" + short_name + "' (try: " +

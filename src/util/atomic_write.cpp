@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -80,6 +81,15 @@ void atomic_write(const std::string& path, std::string_view content) {
     fail("rename", path);
   }
   sync_parent_dir(path);
+}
+
+void write_output(const std::string& path, std::string_view content) {
+  if (path != "-") {
+    atomic_write(path, content);
+    return;
+  }
+  std::cout << content;
+  if (!std::cout) throw std::runtime_error("cannot write to stdout");
 }
 
 std::string read_file(const std::string& path) {

@@ -38,6 +38,11 @@ namespace balbench::util {
 /// with errno context if any syscall fails.
 void atomic_write(const std::string& path, std::string_view content);
 
+/// A tool's output file: "-" = stdout, any other path through
+/// atomic_write.  Throws std::runtime_error on failure; the caller
+/// adds its own prefix.
+void write_output(const std::string& path, std::string_view content);
+
 /// The read side: the whole of `path`.  Throws std::runtime_error
 /// ("cannot read <path>") if it cannot be opened.
 std::string read_file(const std::string& path);

@@ -1,10 +1,47 @@
 #include "util/options.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 namespace balbench::util {
+
+namespace {
+
+[[noreturn]] void bad_number(const std::string& what, const char* want,
+                             const std::string& text) {
+  throw std::invalid_argument(what + " wants " + want + ", got '" + text +
+                              "'");
+}
+
+}  // namespace
+
+std::int64_t parse_int(const std::string& text, const std::string& what) {
+  std::size_t used = 0;
+  std::int64_t value = 0;
+  try {
+    value = std::stoll(text, &used);
+  } catch (const std::exception&) {
+    bad_number(what, "an integer", text);
+  }
+  if (used != text.size()) bad_number(what, "an integer", text);
+  return value;
+}
+
+double parse_double(const std::string& text, const std::string& what) {
+  std::size_t used = 0;
+  double value = 0.0;
+  try {
+    value = std::stod(text, &used);
+  } catch (const std::exception&) {
+    bad_number(what, "a finite number", text);
+  }
+  if (used != text.size() || !std::isfinite(value)) {
+    bad_number(what, "a finite number", text);
+  }
+  return value;
+}
 
 Options::Options(std::string program_description)
     : description_(std::move(program_description)) {}
@@ -97,10 +134,10 @@ bool Options::parse(int argc, const char* const* argv) {
     }
     switch (spec.kind) {
       case Spec::Kind::Int:
-        *static_cast<std::int64_t*>(spec.target) = std::stoll(value);
+        *static_cast<std::int64_t*>(spec.target) = parse_int(value, "--" + arg);
         break;
       case Spec::Kind::Double:
-        *static_cast<double*>(spec.target) = std::stod(value);
+        *static_cast<double*>(spec.target) = parse_double(value, "--" + arg);
         break;
       case Spec::Kind::String:
         *static_cast<std::string*>(spec.target) = value;

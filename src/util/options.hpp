@@ -14,6 +14,13 @@
 
 namespace balbench::util {
 
+/// Strict number parsing: the whole of `text` must parse, and a double
+/// must be finite.  Throws std::invalid_argument naming `what` (e.g.
+/// "--threshold") otherwise.  Options uses these for every int and
+/// float value; tools use them for numbers inside their own syntax.
+std::int64_t parse_int(const std::string& text, const std::string& what);
+double parse_double(const std::string& text, const std::string& what);
+
 class Options {
  public:
   explicit Options(std::string program_description);
@@ -38,7 +45,9 @@ class Options {
                        const std::string& name, const std::string& help);
 
   /// Parses argv.  Returns false if --help was requested (help text is
-  /// printed to stdout).  Throws std::invalid_argument on bad input.
+  /// printed to stdout).  Throws std::invalid_argument on bad input,
+  /// including an int or float value that does not parse whole or a
+  /// float that is not finite (nan, inf).
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string help() const;

@@ -22,8 +22,10 @@ struct Rendered {
 };
 
 Rendered render(int jobs) {
-  const ExperimentsData data = run_experiments(Scope::Quick, jobs);
-  const std::string hash = config_hash(Scope::Quick);
+  ExperimentOptions options;
+  options.jobs = jobs;
+  const ExperimentsData data = run_experiments(options);
+  const std::string hash = config_hash(Scope::Quick, nullptr);
   Rendered out;
   {
     std::ostringstream os;
@@ -52,8 +54,8 @@ TEST_F(RunRecordJobs, RecordContainsSchemaAndMetrics) {
   EXPECT_NE(record.find("\"schema\": \"balbench-run-record/1\""),
             std::string::npos);
   EXPECT_NE(record.find("\"scope\": \"quick\""), std::string::npos);
-  EXPECT_NE(record.find("\"config_hash\": \"" + config_hash(Scope::Quick) +
-                        "\""),
+  EXPECT_NE(record.find("\"config_hash\": \"" +
+                        config_hash(Scope::Quick, nullptr) + "\""),
             std::string::npos);
   EXPECT_NE(record.find("\"git_rev\": \"test-rev\""), std::string::npos);
   // Instrumentation from every layer made it into the merged snapshots.
@@ -74,7 +76,8 @@ TEST_F(RunRecordJobs, MarkdownContainsStampedTables) {
   const std::string& md = baseline().markdown;
   EXPECT_NE(md.find("# EXPERIMENTS"), std::string::npos);
   EXPECT_NE(md.find("balbench-report --scope quick"), std::string::npos);
-  EXPECT_NE(md.find("config " + config_hash(Scope::Quick)), std::string::npos);
+  EXPECT_NE(md.find("config " + config_hash(Scope::Quick, nullptr)),
+            std::string::npos);
   EXPECT_NE(md.find("## Table 1"), std::string::npos);
 }
 
@@ -109,10 +112,12 @@ TEST_F(RunRecordJobs, ProfilerAttachedIsByteIdentical) {
 }
 
 TEST(ConfigHash, StableAndScopeSensitive) {
-  EXPECT_EQ(config_hash(Scope::Quick), config_hash(Scope::Quick));
-  EXPECT_EQ(config_hash(Scope::Doc), config_hash(Scope::Doc));
-  EXPECT_NE(config_hash(Scope::Quick), config_hash(Scope::Doc));
-  EXPECT_EQ(config_hash(Scope::Doc).size(), 16u);  // 64-bit FNV-1a, hex
+  const std::string quick = config_hash(Scope::Quick, nullptr);
+  const std::string doc = config_hash(Scope::Doc, nullptr);
+  EXPECT_EQ(quick, config_hash(Scope::Quick, nullptr));
+  EXPECT_EQ(doc, config_hash(Scope::Doc, nullptr));
+  EXPECT_NE(quick, doc);
+  EXPECT_EQ(doc.size(), 16u);  // 64-bit FNV-1a, hex
 }
 
 }  // namespace

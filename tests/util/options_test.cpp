@@ -98,3 +98,49 @@ TEST(Options, FlagWithExplicitValue) {
   EXPECT_TRUE(parse(o, {"--flag=false"}));
   EXPECT_FALSE(flag);
 }
+
+// Every value must parse whole: a prefix is not a number, and a float
+// must be finite (nan would silently switch off a `x > threshold` gate).
+TEST(Options, MalformedNumbersThrowNamingTheOption) {
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "1e999", "0.1abc", "",
+                          "abc", "1.5.2"}) {
+    double x = 0.5;
+    bu::Options o("test");
+    o.add_double("threshold", &x, "a double");
+    try {
+      parse(o, {"--threshold", bad});
+      ADD_FAILURE() << "accepted --threshold '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--threshold"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_DOUBLE_EQ(x, 0.5) << bad;
+  }
+  for (const char* bad : {"12abc", "1.5", "", "0x10", "99999999999999999999"}) {
+    std::int64_t n = 4;
+    bu::Options o("test");
+    o.add_int("repeat", &n, "an int");
+    try {
+      parse(o, {"--repeat", bad});
+      ADD_FAILURE() << "accepted --repeat '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--repeat"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(n, 4) << bad;
+  }
+}
+
+TEST(Options, WholeNumbersStillParse) {
+  double x = 0.0;
+  std::int64_t n = 0;
+  bu::Options o("test");
+  o.add_double("x", &x, "a double");
+  o.add_int("n", &n, "an int");
+  EXPECT_TRUE(parse(o, {"--x", "1e-3", "--n=-7"}));
+  EXPECT_DOUBLE_EQ(x, 1e-3);
+  EXPECT_EQ(n, -7);
+  EXPECT_DOUBLE_EQ(bu::parse_double("0.10", "--t"), 0.10);
+  EXPECT_THROW(bu::parse_double("3x", "--handicap factor"),
+               std::invalid_argument);
+}

@@ -40,11 +40,12 @@
 //
 // Exit codes: 0 = clean; 3 = completed but drift detected (trend /
 // render); 1 = fatal error or check-doc mismatch; 2 = bad usage.
-// All file outputs go through util::atomic_write ("-" = stdout).
+// All file outputs go through util::write_output ("-" = stdout).
 #include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -59,20 +60,6 @@
 namespace {
 
 using namespace balbench;
-
-bool spill(const std::string& path, const std::string& text) {
-  if (path == "-") {
-    std::cout << text;
-    return static_cast<bool>(std::cout);
-  }
-  try {
-    util::atomic_write(path, text);
-  } catch (const std::exception& e) {
-    std::cerr << "balbench-history: " << e.what() << '\n';
-    return false;
-  }
-  return true;
-}
 
 /// The machine label entries default to when --host is not given.  CI
 /// pins --host explicitly so the committed store stays host-neutral.
@@ -192,7 +179,7 @@ int cmd_trend(int argc, const char* const* argv, bool splice) {
     const std::string doc = util::read_file(doc_path);
     const std::string next = history::splice_trend_section(doc, section.str());
     if (next != doc) {
-      if (!spill(doc_path, next)) return 1;
+      util::write_output(doc_path, next);
       std::cerr << "balbench-history: updated the PERF HISTORY section of "
                 << doc_path << '\n';
     } else {
@@ -282,7 +269,7 @@ int cmd_merge_wall_profiles(int argc, const char* const* argv) {
   }
   std::ostringstream out;
   history::write_merged_wall_profile(out, merged);
-  if (!spill(output, out.str())) return 1;
+  util::write_output(output, out.str());
   std::cerr << "balbench-history: merged " << inputs.size() << " file(s), "
             << merged.runs << " run(s) total\n";
   return 0;
@@ -336,6 +323,10 @@ int main(int argc, char** argv) {
     }
     std::cerr << "balbench-history: unknown subcommand '" << cmd << "'\n\n";
     usage(std::cerr);
+    return 2;
+  } catch (const std::invalid_argument& e) {
+    // util::Options: an unknown option or a malformed value.
+    std::cerr << "balbench-history: " << e.what() << '\n';
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "balbench-history: " << e.what() << '\n';

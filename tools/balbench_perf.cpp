@@ -2,9 +2,11 @@
 // sound regression gate (DESIGN.md Sec. 11).
 //
 // Runs a configurable suite of host-timed cells -- substrate
-// microbenchmarks, the quick-scope EXPERIMENTS sweep cells, and
-// fixed-duration calibration spins -- several times each and emits a
-// perf record ("balbench-perf-record/1" JSON): raw samples plus
+// microbenchmarks, the quick-scope EXPERIMENTS sweep cells (each one
+// row of report::sweep_spec() simulated by report::run_cells, the
+// report's own cell runner), and fixed-duration calibration spins --
+// several times each and emits a perf record
+// ("balbench-perf-record/1" JSON): raw samples plus
 // median, MAD and a bootstrap 95 % confidence interval of the median
 // per cell, stamped with the suite's config hash and the git revision.
 //
@@ -30,7 +32,8 @@
 //                     cells are run)
 //   --handicap ID=F   artificially slow every sample of cell ID by
 //                     factor F (busy-spin); exists so the gate itself
-//                     is testable end to end
+//                     is testable end to end.  An ID that names no
+//                     selected cell is bad usage
 //   --wall-profile F  wall-clock profile of the run (obs/prof.hpp)
 //   --checkpoint FILE crash-safe journal of completed cells (a
 //                     "perf-checkpoint" balbench-journal/1, atomically
@@ -69,9 +72,7 @@
 
 #include "core/beff/beff.hpp"
 #include "core/beff/patterns.hpp"
-#include "core/beffio/beffio.hpp"
 #include "core/beffio/pattern_table.hpp"
-#include "core/kernels/kernels.hpp"
 #include "core/report/checkpoint.hpp"
 #include "core/report/experiments.hpp"
 #include "core/scenario/scenario.hpp"
@@ -171,53 +172,72 @@ std::vector<Cell> micro_cells() {
   return v;
 }
 
-/// The quick-scope EXPERIMENTS sweep cells, one timed cell per
-/// configuration.  Enumerated from report::beff_specs/io_specs so this
-/// suite tracks the pipeline's real cell set automatically.
-std::vector<Cell> sweep_cells() {
+/// The pipeline's own cells, one per row of `spec`: ids
+/// "<prefix>beff.<machine>.np<N>", "<prefix>beffio.<figure>.<machine>.np<N>"
+/// (scenario rows carry no figure), "<prefix>kernels.<machine>.np<N>"
+/// and "<prefix>faultsweep.<machine>.np<N>.r<i>".  Each body copies its
+/// row into a one-row ExperimentsData and simulates it with
+/// report::run_cells, the code balbench-report runs -- scenario
+/// machines and fault plan included -- so a cell times exactly the
+/// work the report does for that row.  A kernel suite run is
+/// microseconds of host time, so a kernel cell runs its row
+/// kKernelRuns times to make a sample dominated by the work rather
+/// than the timer.
+std::vector<Cell> pipeline_cells(
+    const char* suite, const std::string& prefix,
+    const report::ExperimentsData& spec,
+    const std::shared_ptr<const scenario::Scenario>& sc) {
+  constexpr std::size_t kKernelRuns = 50;
   std::vector<Cell> v;
-  for (const auto& spec : report::beff_specs(report::Scope::Quick)) {
-    Cell c;
-    c.id = "sweep.beff." + spec.key + ".np" + std::to_string(spec.nprocs);
-    c.suite = "sweep";
-    const std::string key = spec.key;
-    const int nprocs = spec.nprocs;
-    const bool first = spec.first;
-    c.body = [key, nprocs, first] {
-      auto m = machines::machine_by_name(key);
-      parmsg::SimTransport t(m.make_topology(nprocs), m.costs);
-      beff::BeffOptions opt;
-      opt.memory_per_proc = m.memory_per_proc;
-      opt.measure_analysis = first;
-      opt.collect_metrics = true;
-      auto r = beff::run_beff(t, nprocs, opt);
-      g_sink = r.b_eff;
-    };
-    v.push_back(std::move(c));
+  // `fill` puts the cell's row into an empty ExperimentsData.
+  auto add = [&](const std::string& id, auto fill) {
+    report::ExperimentsData one;
+    fill(one);
+    v.push_back(Cell{prefix + id, suite, [one, sc] {
+                       report::ExperimentOptions options;
+                       options.scenario = sc.get();
+                       report::ExperimentsData data = one;
+                       report::run_cells(data, options);
+                     }});
+  };
+  auto np = [](int nprocs) { return ".np" + std::to_string(nprocs); };
+  for (const auto& row : spec.beff) {
+    add("beff." + row.key + np(row.nprocs), [&](auto& d) { d.beff = {row}; });
   }
-  for (const auto& spec : report::io_specs(report::Scope::Quick)) {
-    Cell c;
-    c.id = "sweep.beffio." + spec.figure + "." + spec.key + ".np" +
-           std::to_string(spec.nprocs);
-    c.suite = "sweep";
-    const std::string key = spec.key;
-    const int nprocs = spec.nprocs;
-    const double scheduled = spec.scheduled_seconds;
-    const std::int64_t cap = spec.mpart_cap;
-    c.body = [key, nprocs, scheduled, cap] {
-      auto m = machines::machine_by_name(key);
-      parmsg::SimTransport t(m.make_topology(nprocs), m.costs);
-      beffio::BeffIoOptions opt;
-      opt.scheduled_time = scheduled;
-      opt.memory_per_node = m.memory_per_proc;
-      opt.mpart_cap = cap;
-      opt.file_prefix = m.short_name;
-      opt.collect_metrics = true;
-      auto r = beffio::run_beffio(t, *m.io, nprocs, opt);
-      g_sink = r.b_eff_io;
-    };
-    v.push_back(std::move(c));
+  for (const auto& row : spec.io) {
+    const std::string figure = sc == nullptr ? row.figure + "." : "";
+    add("beffio." + figure + row.key + np(row.nprocs),
+        [&](auto& d) { d.io = {row}; });
   }
+  for (const auto& row : spec.kernels) {
+    add("kernels." + row.key + np(row.nprocs),
+        [&](auto& d) { d.kernels.assign(kKernelRuns, row); });
+  }
+  for (std::size_t i = 0; i < spec.fault_sweep.size(); ++i) {
+    const auto& row = spec.fault_sweep[i];
+    // Indexed ids: float-formatted rates in ids would couple the cell
+    // list (and thus the config hash) to printf rounding.
+    add("faultsweep." + row.key + np(row.nprocs) + ".r" + std::to_string(i),
+        [&](auto& d) { d.fault_sweep = {row}; });
+  }
+  return v;
+}
+
+/// The quick-scope sweep, the rows `balbench-report --scope quick` runs.
+report::ExperimentsData quick_spec() {
+  return report::sweep_spec(report::ExperimentOptions{});
+}
+
+/// The quick-scope b_eff and b_eff_io cells, then the synthetic
+/// machine-scale cells.
+std::vector<Cell> sweep_cells() {
+  report::ExperimentsData spec = quick_spec();
+  // Kernel rows are the kernels suite's.  The fault sweep re-runs the
+  // t3e/2 b_eff cell under link faults and was never a perf cell;
+  // adding it would change the committed baseline's cell list.
+  spec.kernels.clear();
+  spec.fault_sweep.clear();
+  std::vector<Cell> v = pipeline_cells("sweep", "sweep.", spec, nullptr);
   // Machine-scale cells: a T3E-512-class partition, the configuration
   // that dominates the doc-scope sweep's wall-clock.  These gate the
   // DES-core hot path (fiber construction, event queue, flow solver)
@@ -274,32 +294,11 @@ std::vector<Cell> sweep_cells() {
   return v;
 }
 
-/// Kernel-suite cells, enumerated from report::kernel_specs(Quick)
-/// like the sweep cells come from beff_specs/io_specs.  One analytic
-/// suite run is microseconds of host time, so each body loops until a
-/// sample is dominated by the work rather than the timer.
+/// The quick-scope kernel-suite cells.
 std::vector<Cell> kernel_cells() {
-  std::vector<Cell> v;
-  for (const auto& spec : report::kernel_specs(report::Scope::Quick)) {
-    Cell c;
-    c.id = "kernels." + spec.key + ".np" + std::to_string(spec.nprocs);
-    c.suite = "kernels";
-    const std::string key = spec.key;
-    const int nprocs = spec.nprocs;
-    c.body = [key, nprocs] {
-      auto m = machines::machine_by_name(key);
-      kernels::KernelOptions opt;
-      opt.collect_metrics = true;
-      double sink = 0.0;
-      for (int i = 0; i < 50; ++i) {
-        auto r = kernels::run_kernels(m, nprocs, opt);
-        sink += r.rmax_flops();
-      }
-      g_sink = sink;
-    };
-    v.push_back(std::move(c));
-  }
-  return v;
+  report::ExperimentsData spec;
+  spec.kernels = quick_spec().kernels;
+  return pipeline_cells("kernels", "", spec, nullptr);
 }
 
 /// Fixed-duration busy-spins.  Their true cost is known by
@@ -317,106 +316,13 @@ std::vector<Cell> calib_cells() {
 /// configuration: the opt-in fifth suite, named "scenario".  It exists
 /// only when the flag is given, so the default registry composition --
 /// and with it the perf config hash the committed BENCH_PERF.json
-/// baseline pins -- never changes.  Machine keys resolve
-/// scenario-first, exactly as in the report pipeline.
+/// baseline pins -- never changes.
 std::vector<Cell> scenario_cells(
     const std::shared_ptr<const scenario::Scenario>& sc) {
-  std::vector<Cell> v;
-  for (const auto& spec : sc->beff) {
-    Cell c;
-    c.id = "scenario.beff." + spec.machine + ".np" +
-           std::to_string(spec.nprocs);
-    c.suite = "scenario";
-    const std::string key = spec.machine;
-    const int nprocs = spec.nprocs;
-    const bool analysis = spec.analysis;
-    c.body = [sc, key, nprocs, analysis] {
-      const machines::MachineSpec m = sc->resolve_machine(key);
-      parmsg::SimTransport t(m.make_topology(nprocs), m.costs);
-      beff::BeffOptions opt;
-      opt.memory_per_proc = m.memory_per_proc;
-      opt.measure_analysis = analysis;
-      opt.collect_metrics = true;
-      auto r = beff::run_beff(t, nprocs, opt);
-      g_sink = r.b_eff;
-    };
-    v.push_back(std::move(c));
-  }
-  for (const auto& spec : sc->io) {
-    Cell c;
-    c.id = "scenario.beffio." + spec.machine + ".np" +
-           std::to_string(spec.nprocs);
-    c.suite = "scenario";
-    const std::string key = spec.machine;
-    const int nprocs = spec.nprocs;
-    const double scheduled = spec.scheduled_seconds;
-    const std::int64_t cap = spec.mpart_cap;
-    c.body = [sc, key, nprocs, scheduled, cap] {
-      const machines::MachineSpec m = sc->resolve_machine(key);
-      parmsg::SimTransport t(m.make_topology(nprocs), m.costs);
-      beffio::BeffIoOptions opt;
-      opt.scheduled_time = scheduled;
-      opt.memory_per_node = m.memory_per_proc;
-      opt.mpart_cap = cap;
-      opt.file_prefix = m.short_name;
-      opt.collect_metrics = true;
-      auto r = beffio::run_beffio(t, *m.io, nprocs, opt);
-      g_sink = r.b_eff_io;
-    };
-    v.push_back(std::move(c));
-  }
-  for (const auto& spec : sc->kernels) {
-    Cell c;
-    c.id = "scenario.kernels." + spec.machine + ".np" +
-           std::to_string(spec.nprocs);
-    c.suite = "scenario";
-    const std::string key = spec.machine;
-    const int nprocs = spec.nprocs;
-    c.body = [sc, key, nprocs] {
-      const machines::MachineSpec m = sc->resolve_machine(key);
-      kernels::KernelOptions opt;
-      opt.collect_metrics = true;
-      double sink = 0.0;
-      for (int i = 0; i < 50; ++i) {
-        auto r = kernels::run_kernels(m, nprocs, opt);
-        sink += r.rmax_flops();
-      }
-      g_sink = sink;
-    };
-    v.push_back(std::move(c));
-  }
-  if (sc->has_fault_sweep) {
-    const scenario::FaultSweep& fs = sc->fault_sweep;
-    for (std::size_t i = 0; i < fs.rates.size(); ++i) {
-      Cell c;
-      // Indexed ids: float-formatted rates in ids would couple the
-      // cell list (and thus the config hash) to printf rounding.
-      c.id = "scenario.faultsweep." + fs.machine + ".np" +
-             std::to_string(fs.nprocs) + ".r" + std::to_string(i);
-      c.suite = "scenario";
-      const std::string key = fs.machine;
-      const int nprocs = fs.nprocs;
-      robust::FaultPlan plan;
-      plan.seed = fs.seed;
-      plan.link_degrade_prob = fs.rates[i];
-      plan.degrade_factor = fs.degrade_factor;
-      plan.window_start_s = fs.window_start_s;
-      plan.window_end_s = fs.window_end_s;
-      c.body = [sc, key, nprocs, plan] {
-        const machines::MachineSpec m = sc->resolve_machine(key);
-        parmsg::SimTransport t(m.make_topology(nprocs), m.costs);
-        beff::BeffOptions opt;
-        opt.memory_per_proc = m.memory_per_proc;
-        opt.measure_analysis = false;
-        opt.collect_metrics = true;
-        opt.fault_plan = &plan;
-        auto r = beff::run_beff(t, nprocs, opt);
-        g_sink = r.b_eff;
-      };
-      v.push_back(std::move(c));
-    }
-  }
-  return v;
+  report::ExperimentOptions options;
+  options.scenario = sc.get();
+  return pipeline_cells("scenario", "scenario.", report::sweep_spec(options),
+                        sc);
 }
 
 /// The suite registry: one row per suite, in execution order.  Help
@@ -525,7 +431,10 @@ struct Handicap {
   double factor = 1.0;
 };
 
-bool parse_handicap(const std::string& arg, Handicap* out, std::string* error) {
+/// Parses "ID=FACTOR"; ID must name one of `cells`, so a typo cannot
+/// silently slow nothing.
+bool parse_handicap(const std::string& arg, const std::vector<Cell>& cells,
+                    Handicap* out, std::string* error) {
   const auto eq = arg.find('=');
   if (eq == std::string::npos || eq == 0) {
     *error = "--handicap wants ID=FACTOR, got '" + arg + "'";
@@ -533,12 +442,18 @@ bool parse_handicap(const std::string& arg, Handicap* out, std::string* error) {
   }
   out->id = arg.substr(0, eq);
   try {
-    out->factor = std::stod(arg.substr(eq + 1));
-  } catch (const std::exception&) {
-    out->factor = 0.0;
+    out->factor = util::parse_double(arg.substr(eq + 1), "--handicap factor");
+  } catch (const std::invalid_argument& e) {
+    *error = e.what();
+    return false;
   }
   if (out->factor < 1.0) {
     *error = "--handicap factor must be >= 1, got '" + arg + "'";
+    return false;
+  }
+  if (std::none_of(cells.begin(), cells.end(),
+                   [&](const Cell& c) { return c.id == out->id; })) {
+    *error = "--handicap names no selected cell '" + out->id + "'";
     return false;
   }
   return true;
@@ -715,20 +630,6 @@ int compare(const Baseline& base, const std::vector<CellResult>& cur,
   return regressions;
 }
 
-bool spill(const std::string& path, const std::string& text) {
-  if (path == "-") {
-    std::cout << text;
-    return static_cast<bool>(std::cout);
-  }
-  try {
-    util::atomic_write(path, text);
-  } catch (const std::exception& e) {
-    std::cerr << "balbench-perf: " << e.what() << '\n';
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -815,7 +716,7 @@ int main(int argc, char** argv) {
     }
     Handicap handicap;
     if (!handicap_arg.empty() &&
-        !parse_handicap(handicap_arg, &handicap, &error)) {
+        !parse_handicap(handicap_arg, cells, &handicap, &error)) {
       std::cerr << "balbench-perf: " << error << '\n';
       return 2;
     }
@@ -864,9 +765,10 @@ int main(int argc, char** argv) {
       obs::prof::attach(nullptr);
       std::ostringstream out;
       obs::prof::write_profile(out, *profiler);
-      if (!spill(wall_profile_path, out.str())) {
-        std::cerr << "balbench-perf: cannot write " << wall_profile_path
-                  << '\n';
+      try {
+        util::write_output(wall_profile_path, out.str());
+      } catch (const std::exception& e) {
+        std::cerr << "balbench-perf: " << e.what() << '\n';
       }
       obs::prof::write_summary(std::cerr, *profiler);
     }
@@ -876,10 +778,7 @@ int main(int argc, char** argv) {
     write_perf_record(record, results, suites, static_cast<int>(repeat),
                       static_cast<int>(warmup), cfg_hash,
                       report::git_revision());
-    if (!spill(out_path, record.str())) {
-      std::cerr << "balbench-perf: cannot write " << out_path << '\n';
-      return 1;
-    }
+    util::write_output(out_path, record.str());
     std::fprintf(stderr, "[perf] %zu cells x %lld samples -> %s\n",
                  results.size(), static_cast<long long>(repeat),
                  out_path.c_str());

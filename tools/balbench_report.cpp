@@ -79,7 +79,6 @@
 // "-" as FILE writes to stdout; real files are written atomically
 // (tmp + fsync + rename).  All sweep outputs are byte-identical for
 // every --jobs value (DESIGN.md Sec. 10.2).
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -109,23 +108,6 @@ namespace {
 
 using namespace balbench;
 
-/// Writes `text` to `path` ("-" = stdout; files are written via
-/// util::atomic_write so a crash never leaves a torn output).
-/// Returns false on I/O error.
-bool spill(const std::string& path, const std::string& text) {
-  if (path == "-") {
-    std::cout << text;
-    return static_cast<bool>(std::cout);
-  }
-  try {
-    util::atomic_write(path, text);
-  } catch (const std::exception& e) {
-    std::cerr << "balbench-report: " << e.what() << '\n';
-    return false;
-  }
-  return true;
-}
-
 int diff_traces(const std::string& path_a, const std::string& path_b,
                 double tolerance) {
   history::TraceDiffOptions opt;
@@ -138,14 +120,7 @@ int diff_traces(const std::string& path_a, const std::string& path_b,
 }
 
 int check_doc(const std::string& path, const std::string& rendered) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "balbench-report: cannot read " << path << '\n';
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string committed = buf.str();
+  const std::string committed = util::read_file(path);
   if (committed == rendered) {
     std::cerr << "balbench-report: " << path << " is up to date\n";
     return 0;
@@ -219,10 +194,7 @@ int write_trace(const std::string& path, const std::string& machine_name,
   trace_opt.wall_profiler = obs::prof::current();
   const std::size_t events =
       obs::write_chrome_trace(out, *tracer, &registry, trace_opt);
-  if (!spill(path, out.str())) {
-    std::cerr << "balbench-report: cannot write " << path << '\n';
-    return 1;
-  }
+  util::write_output(path, out.str());
   std::fprintf(stderr,
                "[trace] %zu span events, %zu sessions -> %s "
                "(open in chrome://tracing or https://ui.perfetto.dev)\n",
@@ -248,8 +220,10 @@ class ProfileSession {
     if (!path_.empty()) {
       std::ostringstream out;
       obs::prof::write_profile(out, *profiler_);
-      if (!spill(path_, out.str())) {
-        std::cerr << "balbench-report: cannot write " << path_ << '\n';
+      try {
+        util::write_output(path_, out.str());
+      } catch (const std::exception& e) {
+        std::cerr << "balbench-report: " << e.what() << '\n';
       }
     }
     obs::prof::write_summary(std::cerr, *profiler_);
@@ -445,19 +419,12 @@ int main(int argc, char** argv) {
     if (!record_path.empty()) {
       std::ostringstream out;
       report::write_run_record(out, data, hash, report::git_revision());
-      if (!spill(record_path, out.str())) {
-        std::cerr << "balbench-report: cannot write " << record_path << '\n';
-        return 1;
-      }
+      util::write_output(record_path, out.str());
     }
     if (!kernel_record_path.empty()) {
       std::ostringstream out;
       report::write_kernel_record(out, data, hash, report::git_revision());
-      if (!spill(kernel_record_path, out.str())) {
-        std::cerr << "balbench-report: cannot write " << kernel_record_path
-                  << '\n';
-        return 1;
-      }
+      util::write_output(kernel_record_path, out.str());
     }
     std::string rendered;
     if (!markdown_path.empty() || !check_path.empty()) {
@@ -473,10 +440,7 @@ int main(int argc, char** argv) {
       report::render_experiments_md(out, data, hash, trend_section);
       rendered = out.str();
     }
-    if (!markdown_path.empty() && !spill(markdown_path, rendered)) {
-      std::cerr << "balbench-report: cannot write " << markdown_path << '\n';
-      return 1;
-    }
+    if (!markdown_path.empty()) util::write_output(markdown_path, rendered);
     if (!check_path.empty()) return check_doc(check_path, rendered);
 
     // With faults on, a completed-but-imperfect sweep is exit 3 so CI

@@ -38,13 +38,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <thread>
 
 #include "core/serve/protocol.hpp"
 #include "core/serve/service.hpp"
+#include "util/atomic_write.hpp"
 #include "util/backoff.hpp"
 #include "util/options.hpp"
 
@@ -101,21 +100,6 @@ serve::ServeResponse round_trip(const std::string& socket_path,
   }
   ::close(fd);
   return serve::parse_response(line);
-}
-
-bool slurp(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-bool spill(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -231,10 +215,13 @@ int main(int argc, char** argv) {
       req.scope = scope;
       req.faults = faults;
       req.deadline_s = deadline_s;
-      if (!scenario_path.empty() &&
-          !slurp(scenario_path, &req.scenario)) {
-        std::cerr << "balbench-serve: cannot read " << scenario_path << '\n';
-        return 2;
+      if (!scenario_path.empty()) {
+        try {
+          req.scenario = util::read_file(scenario_path);
+        } catch (const std::runtime_error& e) {
+          std::cerr << "balbench-serve: " << e.what() << '\n';
+          return 2;
+        }
       }
     }
     const std::string line = serve::write_request(req);
@@ -270,14 +257,7 @@ int main(int argc, char** argv) {
         std::cout << name << ' ' << value << '\n';
       }
     } else if (!resp.record.empty()) {
-      if (!record_out.empty()) {
-        if (!spill(record_out, resp.record)) {
-          std::cerr << "balbench-serve: cannot write " << record_out << '\n';
-          return 1;
-        }
-      } else {
-        std::cout << resp.record;
-      }
+      util::write_output(record_out.empty() ? "-" : record_out, resp.record);
     }
     if (verbose || !record_out.empty()) {
       std::cerr << "balbench-serve: status "
