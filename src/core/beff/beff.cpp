@@ -247,17 +247,21 @@ struct CellOutput {
 
 using CellBody = std::function<void(parmsg::Comm&, CellOutput*)>;
 
-/// The full b_eff measurement space as a flat table of independent
-/// cells.  Construction builds every cell body and pre-sizes one
-/// result slot per cell; run_cell() executes one cell as its own
-/// transport session (any host thread, any order); finish() reduces
-/// the slots in index order.  Because each cell owns its engine and
-/// the reduction order is fixed, the result is byte-identical no
-/// matter how cells were scheduled.
-class CellSweep {
- public:
-  CellSweep(int nprocs, const BeffOptions& opt)
+void check_capacity(int nprocs, int max_processes) {
+  if (nprocs > max_processes) {
+    throw std::invalid_argument("run_beff: nprocs exceeds transport capacity");
+  }
+}
+
+}  // namespace
+
+/// CellSweep's state: every cell body, its label and its result slot.
+struct CellSweep::Impl {
+  Impl(int nprocs, const BeffOptions& opt)
       : nprocs_(nprocs), options_(opt) {
+    if (nprocs < 2) {
+      throw std::invalid_argument("run_beff: need at least 2 processes");
+    }
     result_.nprocs = nprocs;
     result_.lmax = opt.lmax_override > 0 ? opt.lmax_override
                                          : lmax_for_memory(opt.memory_per_proc);
@@ -325,15 +329,9 @@ class CellSweep {
     if (options_.fault_plan != nullptr) statuses_.resize(cells_.size());
   }
 
-  CellSweep(const CellSweep&) = delete;  // cell bodies capture `this`
+  Impl(const Impl&) = delete;  // cell bodies capture `this`
 
-  [[nodiscard]] std::size_t num_cells() const { return cells_.size(); }
-
-  /// Executes cell `i` as one fresh session of `transport`.  Safe to
-  /// call from concurrent threads as long as each thread uses its own
-  /// transport and no cell id is run twice.  With a fault plan active
-  /// the cell runs under the plan's retry policy (DESIGN.md Sec. 12.2)
-  /// and its outcome lands in statuses_[i].
+  /// With a fault plan active the outcome lands in statuses_[i].
   void run_cell(std::size_t i, parmsg::Transport& transport) {
     if (options_.fault_plan == nullptr) {
       run_cell_once(i, transport);
@@ -474,7 +472,6 @@ class CellSweep {
     return std::move(result_);
   }
 
- private:
   void add_analysis_cell(std::vector<const CommPattern*> phases) {
     std::string label;
     for (const CommPattern* p : phases) {
@@ -508,19 +505,22 @@ class CellSweep {
   std::vector<robust::CellStatus> statuses_;  // sized only with a fault plan
 };
 
-void validate_nprocs(int nprocs, int max_processes) {
-  if (nprocs < 2) throw std::invalid_argument("run_beff: need at least 2 processes");
-  if (nprocs > max_processes) {
-    throw std::invalid_argument("run_beff: nprocs exceeds transport capacity");
-  }
+CellSweep::CellSweep(int nprocs, const BeffOptions& options)
+    : impl_(std::make_unique<Impl>(nprocs, options)) {}
+CellSweep::~CellSweep() = default;
+std::size_t CellSweep::num_cells() const { return impl_->cells_.size(); }
+const std::string& CellSweep::label(std::size_t i) const {
+  return impl_->labels_[i];
 }
-
-}  // namespace
+void CellSweep::run_cell(std::size_t i, parmsg::Transport& transport) {
+  impl_->run_cell(i, transport);
+}
+BeffResult CellSweep::finish() { return impl_->finish(); }
 
 BeffResult run_beff(parmsg::Transport& transport, int nprocs,
                     const BeffOptions& options) {
-  validate_nprocs(nprocs, transport.max_processes());
   CellSweep sweep(nprocs, options);
+  check_capacity(nprocs, transport.max_processes());
   for (std::size_t i = 0; i < sweep.num_cells(); ++i) {
     sweep.run_cell(i, transport);
   }
@@ -529,19 +529,10 @@ BeffResult run_beff(parmsg::Transport& transport, int nprocs,
 
 BeffResult run_beff(const TransportFactory& make_transport, int nprocs,
                     const BeffOptions& options) {
-  const int jobs = util::resolve_jobs(options.jobs);
-  if (jobs <= 1) {
-    auto transport = make_transport();
-    return run_beff(*transport, nprocs, options);
-  }
-  auto probe = make_transport();
-  validate_nprocs(nprocs, probe->max_processes());
-  probe.reset();
   CellSweep sweep(nprocs, options);
-  util::parallel_for(jobs, sweep.num_cells(), [&](std::size_t i) {
-    auto transport = make_transport();
-    sweep.run_cell(i, *transport);
-  });
+  check_capacity(nprocs, make_transport()->max_processes());
+  util::parallel_for(util::resolve_jobs(options.jobs), sweep.num_cells(),
+                     [&](std::size_t i) { sweep.run_cell(i, *make_transport()); });
   return sweep.finish();
 }
 

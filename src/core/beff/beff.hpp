@@ -23,11 +23,11 @@
 // (the looplength adaptation chains through the sizes), plus one per
 // analysis pattern.  Every cell runs as its own transport session with
 // its own simt::Engine, so cells share no simulator state and may run
-// on concurrent host threads (BeffOptions::jobs with the factory
-// overload).  Results land in slots indexed by cell id and are reduced
-// in index order, which makes every reported number byte-identical for
-// every jobs value -- see DESIGN.md "Determinism under parallel
-// execution".
+// on concurrent host threads.  Results land in slots indexed by cell
+// id and are reduced in index order, which makes every reported number
+// byte-identical for every schedule -- see DESIGN.md "Determinism
+// under parallel execution".  CellSweep exposes the cells to
+// schedulers such as report::run_cells.
 #pragma once
 
 #include <array>
@@ -171,6 +171,29 @@ struct BeffResult {
   [[nodiscard]] double seconds_for_total_memory(std::int64_t mem_per_proc) const {
     return static_cast<double>(mem_per_proc) * nprocs / b_eff;
   }
+};
+
+/// The b_eff cells of one partition.  run_cell(i) runs cell i as a
+/// fresh session of a transport holding >= nprocs processes, under the
+/// fault plan's retry policy if one is set; distinct cells may run on
+/// concurrent threads, each on its own transport.  finish() reduces
+/// the slots in index order (paper Sec. 4 aggregation).
+class CellSweep {
+ public:
+  CellSweep(int nprocs, const BeffOptions& options);
+  ~CellSweep();
+  CellSweep(const CellSweep&) = delete;
+  CellSweep& operator=(const CellSweep&) = delete;
+
+  [[nodiscard]] std::size_t num_cells() const;
+  /// e.g. "random-512/Sendrecv" or "ping-pong".
+  [[nodiscard]] const std::string& label(std::size_t i) const;
+  void run_cell(std::size_t i, parmsg::Transport& transport);
+  BeffResult finish();
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Makes one independent transport instance per measurement cell.

@@ -591,35 +591,6 @@ void reset_chain_slots(BeffIoResult* result, int chain) {
   }
 }
 
-/// run_chain_once under the fault plan's retry policy (straight call
-/// when faults are off).  `status` receives the chain's outcome and
-/// may be nullptr only when options.fault_plan is nullptr.
-void run_chain(parmsg::SimTransport& transport,
-               const pfsim::IoSystemConfig& io_config, int nprocs,
-               const BeffIoOptions& options,
-               const std::vector<IoPattern>& table, int chain,
-               BeffIoResult* result, ChainOutput* out,
-               robust::CellStatus* status) {
-  if (options.fault_plan == nullptr) {
-    run_chain_once(transport, io_config, nprocs, options, table, chain, result,
-                   out);
-    return;
-  }
-  transport.set_fault_plan(options.fault_plan);
-  *status = robust::run_with_retry(
-      options.fault_plan->retry,
-      [&](int attempt) {
-        transport.set_fault_attempt(attempt);
-        run_chain_once(transport, io_config, nprocs, options, table, chain,
-                       result, out);
-      },
-      [&] {
-        *out = ChainOutput{};
-        reset_chain_slots(result, chain);
-      });
-  transport.set_fault_plan(nullptr);
-}
-
 /// Moves per-chain retry outcomes into the result (fault runs only, so
 /// fault-free results keep the exact pre-fault field contents).
 void attach_chain_status(BeffIoResult* result,
@@ -654,6 +625,7 @@ void finish_beffio(BeffIoResult* result, const std::vector<ChainOutput>& outs) {
 }
 
 BeffIoResult make_result_header(int nprocs, const BeffIoOptions& options) {
+  if (nprocs < 1) throw std::invalid_argument("run_beffio: bad process count");
   if (options.scheduled_time <= 0.0) {
     throw std::invalid_argument("run_beffio: scheduled_time must be > 0");
   }
@@ -671,73 +643,96 @@ BeffIoResult make_result_header(int nprocs, const BeffIoOptions& options) {
   return result;
 }
 
-void validate_nprocs(int nprocs, int max_processes) {
-  if (nprocs < 1 || nprocs > max_processes) {
+void check_capacity(int nprocs, int max_processes) {
+  if (nprocs > max_processes) {
     throw std::invalid_argument("run_beffio: bad process count");
   }
 }
 
 }  // namespace
 
+struct ChainSweep::Impl {
+  Impl(const pfsim::IoSystemConfig& io, int np, const BeffIoOptions& opt)
+      : io_config(io), nprocs(np), options(opt),
+        result(make_result_header(np, opt)), table(pattern_table(result.mpart)),
+        outs(opt.include_random_type ? kNumChains : kNumChains - 1) {
+    if (opt.fault_plan != nullptr) statuses.resize(outs.size());
+  }
+
+  pfsim::IoSystemConfig io_config;
+  int nprocs;
+  BeffIoOptions options;
+  BeffIoResult result;
+  std::vector<IoPattern> table;
+  std::vector<ChainOutput> outs;
+  std::vector<robust::CellStatus> statuses;  // sized only with a fault plan
+};
+
+ChainSweep::ChainSweep(const pfsim::IoSystemConfig& io_config, int nprocs,
+                       const BeffIoOptions& options)
+    : impl_(std::make_unique<Impl>(io_config, nprocs, options)) {}
+ChainSweep::~ChainSweep() = default;
+int ChainSweep::num_chains() const {
+  return static_cast<int>(impl_->outs.size());
+}
+const char* ChainSweep::label(int chain) { return chain_name(chain); }
+
+void ChainSweep::run_chain(int chain, parmsg::SimTransport& transport) {
+  Impl& s = *impl_;
+  ChainOutput* out = &s.outs[static_cast<std::size_t>(chain)];
+  auto once = [&] {
+    run_chain_once(transport, s.io_config, s.nprocs, s.options, s.table, chain,
+                   &s.result, out);
+  };
+  if (s.options.fault_plan == nullptr) {
+    once();
+    return;
+  }
+  transport.set_fault_plan(s.options.fault_plan);
+  s.statuses[static_cast<std::size_t>(chain)] = robust::run_with_retry(
+      s.options.fault_plan->retry,
+      [&](int attempt) {
+        transport.set_fault_attempt(attempt);
+        once();
+      },
+      [&] {
+        *out = ChainOutput{};
+        reset_chain_slots(&s.result, chain);
+      });
+  transport.set_fault_plan(nullptr);
+}
+
+BeffIoResult ChainSweep::finish() {
+  Impl& s = *impl_;
+  finish_beffio(&s.result, s.outs);
+  if (s.options.fault_plan != nullptr) {
+    attach_chain_status(&s.result, std::move(s.statuses), num_chains());
+  }
+  return std::move(s.result);
+}
+
 BeffIoResult run_beffio(parmsg::SimTransport& transport,
                         const pfsim::IoSystemConfig& io_config, int nprocs,
                         const BeffIoOptions& options) {
-  validate_nprocs(nprocs, transport.max_processes());
-  BeffIoResult result = make_result_header(nprocs, options);
-  const auto table = pattern_table(result.mpart);
-  const int nchains = options.include_random_type ? kNumChains : kNumChains - 1;
-  std::vector<ChainOutput> outs(static_cast<std::size_t>(nchains));
-  std::vector<robust::CellStatus> statuses;
-  if (options.fault_plan != nullptr) {
-    statuses.resize(static_cast<std::size_t>(nchains));
+  ChainSweep sweep(io_config, nprocs, options);
+  check_capacity(nprocs, transport.max_processes());
+  for (int chain = 0; chain < sweep.num_chains(); ++chain) {
+    sweep.run_chain(chain, transport);
   }
-  for (int chain = 0; chain < nchains; ++chain) {
-    run_chain(transport, io_config, nprocs, options, table, chain, &result,
-              &outs[static_cast<std::size_t>(chain)],
-              options.fault_plan != nullptr
-                  ? &statuses[static_cast<std::size_t>(chain)]
-                  : nullptr);
-  }
-  finish_beffio(&result, outs);
-  if (options.fault_plan != nullptr) {
-    attach_chain_status(&result, std::move(statuses), nchains);
-  }
-  return result;
+  return sweep.finish();
 }
 
 BeffIoResult run_beffio(const SimTransportFactory& make_transport,
                         const pfsim::IoSystemConfig& io_config, int nprocs,
                         const BeffIoOptions& options) {
-  const int jobs = util::resolve_jobs(options.jobs);
-  if (jobs <= 1) {
-    auto transport = make_transport();
-    return run_beffio(*transport, io_config, nprocs, options);
-  }
-  auto probe = make_transport();
-  validate_nprocs(nprocs, probe->max_processes());
-  probe.reset();
-  BeffIoResult result = make_result_header(nprocs, options);
-  const auto table = pattern_table(result.mpart);
-  const int nchains = options.include_random_type ? kNumChains : kNumChains - 1;
-  std::vector<ChainOutput> outs(static_cast<std::size_t>(nchains));
-  std::vector<robust::CellStatus> statuses;
-  if (options.fault_plan != nullptr) {
-    statuses.resize(static_cast<std::size_t>(nchains));
-  }
-  util::parallel_for(jobs, static_cast<std::size_t>(nchains),
+  ChainSweep sweep(io_config, nprocs, options);
+  check_capacity(nprocs, make_transport()->max_processes());
+  util::parallel_for(util::resolve_jobs(options.jobs),
+                     static_cast<std::size_t>(sweep.num_chains()),
                      [&](std::size_t chain) {
-                       auto transport = make_transport();
-                       run_chain(*transport, io_config, nprocs, options, table,
-                                 static_cast<int>(chain), &result, &outs[chain],
-                                 options.fault_plan != nullptr
-                                     ? &statuses[chain]
-                                     : nullptr);
+                       sweep.run_chain(static_cast<int>(chain), *make_transport());
                      });
-  finish_beffio(&result, outs);
-  if (options.fault_plan != nullptr) {
-    attach_chain_status(&result, std::move(statuses), nchains);
-  }
-  return result;
+  return sweep.finish();
 }
 
 std::string beffio_report(const BeffIoResult& r) {

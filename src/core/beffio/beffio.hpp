@@ -27,11 +27,11 @@
 // separate/segmented types (type-2 call counts and L_SEG feed types
 // 3/4 of the same method), chain 3 = the random extension.  Each
 // chain runs as its own transport session with its own engine and
-// file system, so chains may run on concurrent host threads
-// (BeffIoOptions::jobs with the factory overload); per-chain outputs
-// land in disjoint slots and are reduced in chain order, keeping
-// every reported number byte-identical for every jobs value -- see
-// DESIGN.md "Determinism under parallel execution".
+// file system, so chains may run on concurrent host threads; per-chain
+// outputs land in disjoint slots and are reduced in chain order,
+// keeping every reported number byte-identical for every schedule --
+// see DESIGN.md "Determinism under parallel execution".  ChainSweep
+// exposes the chains to schedulers such as report::run_cells.
 #pragma once
 
 #include <array>
@@ -174,6 +174,29 @@ struct BeffIoResult {
   [[nodiscard]] const AccessMethodResult& write() const { return access[0]; }
   [[nodiscard]] const AccessMethodResult& rewrite() const { return access[1]; }
   [[nodiscard]] const AccessMethodResult& read() const { return access[2]; }
+};
+
+/// The chains of one b_eff_io run.  run_chain(c) runs chain c as a
+/// fresh session of a transport holding >= nprocs processes, under the
+/// fault plan's retry policy if one is set; distinct chains may run on
+/// concurrent threads, each on its own transport.  finish() reduces in
+/// chain order (paper Sec. 5.1 aggregation).
+class ChainSweep {
+ public:
+  ChainSweep(const pfsim::IoSystemConfig& io_config, int nprocs,
+             const BeffIoOptions& options);
+  ~ChainSweep();
+  ChainSweep(const ChainSweep&) = delete;
+  ChainSweep& operator=(const ChainSweep&) = delete;
+
+  [[nodiscard]] int num_chains() const;  // 4 with include_random_type
+  [[nodiscard]] static const char* label(int chain);  // e.g. "scatter"
+  void run_chain(int chain, parmsg::SimTransport& transport);
+  BeffIoResult finish();
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Makes one independent transport instance per measurement chain.

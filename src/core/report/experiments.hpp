@@ -192,9 +192,8 @@ struct ExperimentOptions {
 /// balbench-perf walks the same rows to name and time its cells.
 ExperimentsData sweep_spec(const ExperimentOptions& options);
 
-/// Runs the whole sweep with options.jobs host worker threads (outer
-/// parallelism over configurations; each simulation itself is serial)
-/// and the robustness knobs (fault injection, crash-safe
+/// Runs the whole sweep with options.jobs host worker threads and the
+/// robustness knobs (fault injection, crash-safe
 /// checkpointing, resume): sweep_spec(options) run through
 /// run_cells().  Metrics collection is always on; every result is
 /// byte-identical for every jobs value.  options.verbose logs per-cell
@@ -207,13 +206,16 @@ ExperimentsData sweep_spec(const ExperimentOptions& options);
 ExperimentsData run_experiments(const ExperimentOptions& options);
 
 /// The one cell runner: simulates every b_eff, b_eff_io, kernel and
-/// fault-sweep cell of `data` in place on options.jobs host threads,
-/// each cell in its own simulator, results in their list slots --
-/// byte-identical for every jobs value.  The lists are taken as given,
-/// so a driver may run any subset or edit of the spec rows.  Honours
-/// options.verbose, fault_plan, checkpoint_path/resume/kill_after and
-/// the scenario's machines and fault plan; journal task keys are the
-/// list indices ("beff/i", "io/i", "faultsweep/i").
+/// fault-sweep row of `data` in place on options.jobs host threads,
+/// results in their list slots -- byte-identical for every jobs value.
+/// One task per b_eff cell, b_eff_io chain, kernel suite and
+/// fault-sweep cell, each in its own simulator; the worker that
+/// finishes a row's last task reduces and journals the row.  The lists
+/// are taken as given, so a driver may run any subset or edit of the
+/// spec rows.  Honours options.verbose (one start/finish pair per
+/// row), fault_plan, checkpoint_path/resume/kill_after and the
+/// scenario's machines and fault plan.  The journal stays per row,
+/// keyed by list index ("beff/i", "io/i", "faultsweep/i").
 void run_cells(ExperimentsData& data, const ExperimentOptions& options);
 
 /// FNV-1a (64-bit, hex) over the canonical description of the sweep
