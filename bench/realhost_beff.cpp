@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   std::int64_t jobs = 1;
   util::Options options(
       "realhost_beff: Table 1's b_eff methodology on this host's real "
-      "threads (no paper table; a live counterpart to table1_beff)");
+      "threads (no paper table; a live counterpart to paper_views --view table1)");
   options.add_int("procs", &procs, "thread ranks");
   options.add_int("lmax", &lmax, "maximum message size in bytes");
   options.add_int("looplength", &looplength, "starting looplength");

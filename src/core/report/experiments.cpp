@@ -57,8 +57,8 @@ std::vector<BeffRun> beff_specs(Scope scope) {
     add("sx5", "NEC SX-5/8B", 4, true, true, {5439, 1360, 8762, 8758, -1});
     return v;
   }
-  // Doc scope: the paper's Table 1 sweep (full fidelity; bench/
-  // table1_beff renders every row), paper reference values transcribed
+  // Doc scope: the paper's Table 1 sweep (full fidelity; paper_views
+  // --view table1 renders every row), paper reference values transcribed
   // from the paper's Table 1.
   add("t3e", "Cray T3E/900", 512, true, true, {19919, 39, 98, 193, 330});
   add("t3e", "Cray T3E/900", 256, false, false);  // Fig. 1 balance point
@@ -100,19 +100,19 @@ std::vector<IoRun> io_specs(Scope scope) {
     return v;
   }
   // Fig. 3: b_eff_io over process counts, T = 10 min (the T that the
-  // committed table shows; bench/fig3_beffio_scaling re-runs these
+  // committed table shows; paper_views --view fig3 re-runs these
   // cells at T = 10, 15 and 30 min).
   for (const auto& [key, display] :
        std::vector<std::pair<const char*, const char*>>{{"t3e", "T3E"},
                                                         {"sp", "SP"}}) {
     for (int p : {2, 4, 8, 16, 32, 64, 128}) add("fig3", key, display, p, 600.0);
   }
-  // Fig. 5: the official T >= 15 min schedule (bench/fig5_beffio_final).
+  // Fig. 5: the official T >= 15 min schedule (paper_views --view fig5).
   for (int p : {16, 32, 64, 128}) add("fig5", "sp", "SP", p, 900.0);
   for (int p : {8, 16, 32, 64, 128}) add("fig5", "t3e", "T3E", p, 900.0);
   for (int p : {8, 16, 24}) add("fig5", "sr8000", "SR 8000", p, 900.0);
   for (int p : {2, 4}) add("fig5", "sx5", "SX-5", p, 900.0, 2LL << 20);
-  // Fig. 4: per-pattern detail, T = 10 min (bench/fig4_beffio_detail).
+  // Fig. 4: per-pattern detail, T = 10 min (paper_views --view fig4).
   add("fig4", "sp", "SP", 64, 600.0);
   add("fig4", "t3e", "T3E", 64, 600.0);
   add("fig4", "sr8000", "SR 8000", 24, 600.0);
@@ -192,6 +192,25 @@ const std::vector<Fig1Point>& fig1_points() {
       {"sr2201", 16, "SR 2201"}, {"sv1", 15, "SV1"},
       {"sr8000", 24, "SR 8000"}, {"t3e", 256, "T3E"}};
   return points;
+}
+
+double balance_factor(const BeffRun& b) {
+  return b.r.b_eff / (b.rmax_gflops_per_proc * 1e9 * b.nprocs);
+}
+
+std::vector<const IoRun*> fig5_best_rows(const ExperimentsData& data) {
+  std::vector<const IoRun*> bests;
+  for (const auto& r : data.io) {
+    if (r.figure != "fig5") continue;
+    auto it = std::find_if(bests.begin(), bests.end(),
+                           [&](const IoRun* b) { return b->key == r.key; });
+    if (it == bests.end()) {
+      bests.push_back(&r);
+    } else if (r.r.b_eff_io > (*it)->r.b_eff_io) {
+      *it = &r;
+    }
+  }
+  return bests;
 }
 
 namespace {
@@ -991,7 +1010,7 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
         "build/tools/balbench-report --scope doc --markdown EXPERIMENTS.md  # this file\n"
         "build/tools/balbench-report --scope doc --record beffrun.json     # JSON run record\n"
         "build/tools/balbench-report --trace trace.json --machine t3e --procs 64\n"
-        "for b in table1_beff fig1_balance table2_patterns fig3_beffio_scaling fig4_beffio_detail fig5_beffio_final; do build/bench/$b; done  # ASCII tables/plots\n"
+        "build/bench/table2_patterns; build/bench/paper_views  # ASCII tables/plots\n"
         "```\n"
         "\n"
         "Comparison markers are rule-generated per cell: ✓ = within 10 % of\n"
@@ -1113,8 +1132,7 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
     for (const auto& p : fig1_points()) {
       const BeffRun* b = find_beff(data, p.key, p.nprocs);
       if (b == nullptr || b->rmax_gflops_per_proc <= 0.0) continue;
-      balances.push_back(
-          {p.label, b->r.b_eff / (b->rmax_gflops_per_proc * 1e9 * b->nprocs)});
+      balances.push_back({p.label, balance_factor(*b)});
     }
     if (!balances.empty()) {
       std::stable_sort(balances.begin(), balances.end(),
@@ -1211,7 +1229,7 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
             "  as files outgrow the cache) — the Sec. 5.4 observation "
             "that the\n"
             "  maximum tends to occur at T = 10 min "
-            "(`bench/fig3_beffio_scaling`\n"
+            "(`bench/paper_views --view fig3`\n"
             "  sweeps T ∈ {10, 15, 30} min). ✓\n"
             "\n";
     }
@@ -1229,7 +1247,7 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
             "T3E\n"
             "64, SR 8000 24, SX-5 4 with reduced M_PART); the per-pattern "
             "curves\n"
-            "are plotted by `bench/fig4_beffio_detail`:\n"
+            "are plotted by `bench/paper_views --view fig4`:\n"
             "\n";
       using beffio::AccessMethod;
       const auto& sp_write =
@@ -1292,39 +1310,25 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
 
   // ---- Figure 5 ---------------------------------------------------------
   {
-    struct Best {
-      std::string display;
-      double bw = 0.0;
-      int nprocs = 0;
-    };
-    std::vector<Best> bests;
-    for (const auto& r : data.io) {
-      if (r.figure != "fig5") continue;
-      auto it = std::find_if(bests.begin(), bests.end(), [&](const Best& b) {
-        return b.display == r.display;
-      });
-      if (it == bests.end()) {
-        bests.push_back({r.display, r.r.b_eff_io, r.nprocs});
-      } else if (r.r.b_eff_io > it->bw) {
-        it->bw = r.r.b_eff_io;
-        it->nprocs = r.nprocs;
-      }
-    }
+    std::vector<const IoRun*> bests = fig5_best_rows(data);
     if (!bests.empty()) {
       std::stable_sort(bests.begin(), bests.end(),
-                       [](const Best& a, const Best& b) { return a.bw > b.bw; });
+                       [](const IoRun* a, const IoRun* b) {
+                         return a->r.b_eff_io > b->r.b_eff_io;
+                       });
       os << "## Figure 5 — final comparison\n"
             "\n";
       section_stamp("Figure 5");
       std::string list;
       for (std::size_t i = 0; i < bests.size(); ++i) {
+        const double bw = bests[i]->r.b_eff_io;
         if (i > 0) {
           // "≈" when two systems are within 10 % of each other.
-          list += bests[i].bw >= 0.9 * bests[i - 1].bw ? " ≈ " : " > ";
+          list += bw >= 0.9 * bests[i - 1]->r.b_eff_io ? " ≈ " : " > ";
         }
-        list += bests[i].display + " " + mbps(bests[i].bw) +
+        list += bests[i]->display + " " + mbps(bw) +
                 (i == 0 ? " MB/s (at " : " (") +
-                std::to_string(bests[i].nprocs) + ")";
+                std::to_string(bests[i]->nprocs) + ")";
       }
       os << wrap("Measured best-partition b_eff_io at T = 15 min: " + list +
                      ".  The paper's figure likewise has the SP on top at "
@@ -1575,8 +1579,8 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
                    " µs vs. the paper's ~60 µs; a 1 kB I/O call "
                    "costs " + io_us + " µs (paper: 250 µs) — "
                    "reproducing the conclusion that the check is *not* 10× "
-                   "faster than the access (`bench/micro_core`, "
-                   "`BM_TerminationCheckVirtualCost`). ✓",
+                   "faster than the access (run record field "
+                   "`micro.termination_check_seconds`). ✓",
                "  ")
        << "\n";
     os << "* b_eff measurement time: seconds to ~1 simulated minute per "

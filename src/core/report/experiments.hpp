@@ -16,11 +16,10 @@
 //                                the config hash.
 //
 // run_experiments() is spec construction (sweep_spec) plus
-// run_cells(), the one cell runner: the bench/ table and figure
-// binaries take their rows from the same specs (beff_specs, io_specs,
-// fig1_points) and run them through it too, so they are views of these
-// cells, and balbench-perf times single rows of sweep_spec() through
-// it.
+// run_cells(), the one cell runner: bench/paper_views takes its rows
+// from the same specs (beff_specs, io_specs, fig1_points) and runs them
+// through it too, so its tables and plots are views of these cells,
+// and balbench-perf times single rows of sweep_spec() through it.
 //
 // Determinism contract: both outputs are pure functions of (scope,
 // code); the host-side `jobs` knob never changes a byte (asserted at
@@ -136,10 +135,10 @@ struct ExperimentsData {
 
 /// The sweep specification's b_eff (machine, partition) and b_eff_io
 /// (machine, T, partition) rows of `scope`, with empty results.
-/// Exposed so the bench/ table and figure binaries can enumerate,
-/// subset or label the exact cells the pipeline runs; the returned
-/// order is the pipeline's execution-slot order.  sweep_spec() below
-/// returns every row, kernel and fault-sweep rows included.
+/// Exposed so bench/paper_views can enumerate, subset or label the
+/// exact cells the pipeline runs; the returned order is the pipeline's
+/// execution-slot order.  sweep_spec() below returns every row, kernel
+/// and fault-sweep rows included.
 std::vector<BeffRun> beff_specs(Scope scope);
 std::vector<IoRun> io_specs(Scope scope);
 
@@ -152,9 +151,18 @@ struct Fig1Point {
 };
 
 /// Figure 1's membership, declared once: the EXPERIMENTS.md section
-/// and bench/fig1_balance both plot exactly the b_eff cells listed
-/// here that their sweep holds.
+/// and bench/paper_views' Figure 1 both plot exactly the b_eff cells
+/// listed here that their sweep holds.
 const std::vector<Fig1Point>& fig1_points();
+
+/// Figure 1's balance factor of a run b_eff row: b_eff over the
+/// partition's Linpack R_max, in bytes per flop.
+double balance_factor(const BeffRun& b);
+
+/// Figure 5's value per machine: for each machine of `data`'s "fig5"
+/// rows, in order of first appearance, its row with the highest
+/// b_eff_io (the earlier row on a tie).
+std::vector<const IoRun*> fig5_best_rows(const ExperimentsData& data);
 
 /// Knobs of one sweep invocation beyond the scope itself (robustness
 /// layer, DESIGN.md Sec. 12).

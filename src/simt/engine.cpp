@@ -1,6 +1,8 @@
 #include "simt/engine.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 namespace balbench::simt {
@@ -164,9 +166,24 @@ Process& Engine::spawn(std::function<void(Process&)> fn, std::size_t stack_size)
   return *p;
 }
 
+namespace {
+
+// Checked in every build, like Fiber::resume: an event in the past
+// would move virtual time backwards, and a NaN time compares false
+// both ways and breaks the heap order.  `!(t >= now)` catches both.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_past_event(const char* where,
+                                                             Time t, Time now) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "Engine::%s: event time t=%.17g is before now=%.17g",
+                where, t, now);
+  throw std::logic_error(buf);
+}
+
+}  // namespace
+
 std::uint64_t Engine::schedule_at(Time t, std::function<void()> fn) {
-  assert(t >= now_ && "event scheduled in the past");
-  return events_.push(std::max(t, now_), next_seq_++, std::move(fn));
+  if (!(t >= now_)) throw_past_event("schedule_at", t, now_);
+  return events_.push(t, next_seq_++, std::move(fn));
 }
 
 void Engine::cancel(std::uint64_t event_id) {
@@ -174,12 +191,12 @@ void Engine::cancel(std::uint64_t event_id) {
 }
 
 std::uint64_t Engine::reschedule_at(std::uint64_t event_id, Time t) {
-  assert(t >= now_ && "event rescheduled into the past");
+  if (!(t >= now_)) throw_past_event("reschedule_at", t, now_);
   // The fresh sequence number keeps same-time ordering exactly as if
   // the event had been cancelled and scheduled anew; it is consumed
   // only on success so the seq stream stays a pure function of the
   // simulated workload.
-  if (!events_.reschedule(event_id, std::max(t, now_), next_seq_)) return 0;
+  if (!events_.reschedule(event_id, t, next_seq_)) return 0;
   ++next_seq_;
   return event_id;
 }

@@ -157,7 +157,8 @@ class Engine {
   Process& spawn(std::function<void(Process&)> fn, std::size_t stack_size = 0);
 
   /// Schedule `fn` to run at absolute virtual time `t` (>= now).
-  /// Returns an id usable with cancel().
+  /// Returns an id usable with cancel().  Throws std::logic_error
+  /// naming `t` and now when `t` is in the past or NaN, in every build.
   std::uint64_t schedule_at(Time t, std::function<void()> fn);
   std::uint64_t schedule_after(Time dt, std::function<void()> fn) {
     return schedule_at(now_ + dt, std::move(fn));
@@ -171,7 +172,7 @@ class Engine {
   /// number, so same-time ordering is exactly as if the event had been
   /// cancelled and rescheduled.  Returns the id on success, or 0 (and
   /// leaves the queue untouched) if `event_id` is not pending.
-  /// O(log n).
+  /// O(log n).  A past or NaN `t` throws as in schedule_at().
   std::uint64_t reschedule_at(std::uint64_t event_id, Time t);
   std::uint64_t reschedule_after(std::uint64_t event_id, Time dt) {
     return reschedule_at(event_id, now_ + dt);

@@ -265,7 +265,13 @@ void Fiber::resume() {
 
 void Fiber::suspend() {
   Fiber* self = g_current_fiber;
-  assert(self != nullptr && "Fiber::suspend outside of a fiber");
+  // Checked in every build: outside a fiber there is nothing to switch
+  // out of, and `self` would be dereferenced as null.
+  if (self == nullptr) {
+    throw std::logic_error(
+        "Fiber::suspend: called outside of a fiber (only a running fiber may "
+        "suspend itself)");
+  }
   g_current_fiber = nullptr;
   asan_start_switch(&self->asan_fiber_fake_, self->asan_resumer_bottom_,
                     self->asan_resumer_size_);

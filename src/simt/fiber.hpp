@@ -49,7 +49,7 @@ class Fiber {
   void resume();
 
   /// Suspend the *currently running* fiber back to its resumer.
-  /// Must be called from inside the fiber.
+  /// Throws std::logic_error, in every build, outside of a fiber.
   static void suspend();
 
   /// True once fn has returned (or thrown).

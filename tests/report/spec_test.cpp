@@ -56,7 +56,7 @@ TEST(SweepSpec, EveryTable1RowIsOneDocCellWithAPaperReference) {
 }
 
 TEST(SweepSpec, BeffRowsAreGroupedByMachineWithTheFirstCarryingAnalysis) {
-  // bench/table1_beff labels a machine on its first row only, and the
+  // paper_views' Table 1 labels a machine on its first row only, and the
   // analysis cells (ping-pong column) run there.
   for (Scope scope : {Scope::Quick, Scope::Doc}) {
     SCOPED_TRACE(scope_name(scope));
@@ -93,8 +93,8 @@ TEST(SweepSpec, DocIoRowsCoverEveryMachineTheFiguresRender) {
 }
 
 TEST(SweepSpec, IoRowsRunOnTheirMachinesAndGroupByFigureAndMachine) {
-  // bench/fig5_beffio_final takes the best partition over each run of
-  // adjacent same-machine rows, and every figure needs its rows.
+  // paper_views' Figure 5 separates each run of adjacent same-machine
+  // rows, and every figure needs its rows.
   for (Scope scope : {Scope::Quick, Scope::Doc}) {
     SCOPED_TRACE(scope_name(scope));
     const auto specs = io_specs(scope);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace bs = balbench::simt;
@@ -122,4 +125,44 @@ TEST(Engine, SpuriousWakeOnRunnableProcessIsIgnored) {
   p.wake();
   e.run();
   EXPECT_EQ(runs, 2);
+}
+
+TEST(Engine, SchedulingInThePastThrows) {
+  bs::Engine e;
+  bool fired = false;
+  std::string schedule_error, reschedule_error;
+  const auto later = e.schedule_at(5.0, [&] { fired = true; });
+  e.schedule_at(2.0, [&] {
+    try {
+      e.schedule_at(1.0, [] {});
+    } catch (const std::logic_error& err) {
+      schedule_error = err.what();
+    }
+    try {
+      e.reschedule_at(later, 1.5);
+    } catch (const std::logic_error& err) {
+      reschedule_error = err.what();
+    }
+  });
+  e.run();
+  EXPECT_NE(schedule_error.find("schedule_at"), std::string::npos) << schedule_error;
+  EXPECT_NE(schedule_error.find("t=1 "), std::string::npos) << schedule_error;
+  EXPECT_NE(schedule_error.find("now=2"), std::string::npos) << schedule_error;
+  EXPECT_NE(reschedule_error.find("reschedule_at"), std::string::npos)
+      << reschedule_error;
+  EXPECT_NE(reschedule_error.find("t=1.5 "), std::string::npos) << reschedule_error;
+  // The refused reschedule left the event where it was.
+  EXPECT_TRUE(fired);
+  EXPECT_DOUBLE_EQ(e.now(), 5.0);
+}
+
+TEST(Engine, NanTimeThrows) {
+  bs::Engine e;
+  EXPECT_THROW(e.schedule_at(std::nan(""), [] {}), std::logic_error);
+  const auto id = e.schedule_at(1.0, [] {});
+  EXPECT_THROW(e.reschedule_at(id, std::nan("")), std::logic_error);
+  EXPECT_THROW(e.schedule_after(std::nan(""), [] {}), std::logic_error);
+  // Neither refused call reached the queue: only the 1.0 event fires.
+  e.run();
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
 }

@@ -172,6 +172,17 @@ TEST(Fiber, NestedResumeThrows) {
   EXPECT_TRUE(inner.finished());
 }
 
+TEST(Fiber, SuspendOutsideAFiberThrows) {
+  try {
+    bs::Fiber::suspend();
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("outside of a fiber"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(bs::Fiber::current(), nullptr);
+}
+
 TEST(Fiber, FloatingPointControlStateIsPerFiber) {
   ASSERT_EQ(std::fegetround(), FE_TONEAREST);
   const double nearest = one_third();

@@ -107,8 +107,8 @@ struct Cell {
   std::function<void()> body;
 };
 
-/// Substrate microbenchmarks, mirroring bench/micro_core.cpp but sized
-/// as one-shot cells (each body is one recorded sample).
+/// Substrate microbenchmarks, sized as one-shot cells (each body is
+/// one recorded sample).
 std::vector<Cell> micro_cells() {
   std::vector<Cell> v;
   auto add = [&](const char* name, std::function<void()> body) {
