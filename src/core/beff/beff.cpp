@@ -531,7 +531,7 @@ BeffResult run_beff(const TransportFactory& make_transport, int nprocs,
                     const BeffOptions& options) {
   CellSweep sweep(nprocs, options);
   check_capacity(nprocs, make_transport()->max_processes());
-  util::parallel_for(util::resolve_jobs(options.jobs), sweep.num_cells(),
+  util::parallel_for(options.jobs, sweep.num_cells(),
                      [&](std::size_t i) { sweep.run_cell(i, *make_transport()); });
   return sweep.finish();
 }

@@ -727,7 +727,7 @@ BeffIoResult run_beffio(const SimTransportFactory& make_transport,
                         const BeffIoOptions& options) {
   ChainSweep sweep(io_config, nprocs, options);
   check_capacity(nprocs, make_transport()->max_processes());
-  util::parallel_for(util::resolve_jobs(options.jobs),
+  util::parallel_for(options.jobs,
                      static_cast<std::size_t>(sweep.num_chains()),
                      [&](std::size_t chain) {
                        sweep.run_chain(static_cast<int>(chain), *make_transport());

@@ -22,10 +22,7 @@ WallProfileMerge parse_wall_profile(const obs::JsonValue& doc) {
   const obs::JsonValue& sched = doc.at("scheduler");
   m.batches = static_cast<std::uint64_t>(sched.at("batches").as_number());
   m.tasks = static_cast<std::uint64_t>(sched.at("tasks").as_number());
-  m.stolen_tasks =
-      static_cast<std::uint64_t>(sched.at("stolen_tasks").as_number());
   m.task_seconds = sched.at("task_seconds").as_number();
-  m.stolen_seconds = sched.at("stolen_seconds").as_number();
   m.wall_seconds = sched.at("wall_seconds").as_number();
   m.critical_path_seconds = sched.at("critical_path_seconds").as_number();
   m.idle_seconds = sched.at("idle_seconds").as_number();
@@ -55,9 +52,7 @@ void merge_wall_profiles(WallProfileMerge& acc, const WallProfileMerge& other) {
   acc.dropped_spans += other.dropped_spans;
   acc.batches += other.batches;
   acc.tasks += other.tasks;
-  acc.stolen_tasks += other.stolen_tasks;
   acc.task_seconds += other.task_seconds;
-  acc.stolen_seconds += other.stolen_seconds;
   acc.wall_seconds += other.wall_seconds;
   acc.critical_path_seconds += other.critical_path_seconds;
   acc.idle_seconds += other.idle_seconds;
@@ -79,9 +74,7 @@ void write_merged_wall_profile(std::ostream& os, const WallProfileMerge& m) {
   w.key("scheduler").begin_object();
   w.field("batches", m.batches);
   w.field("tasks", m.tasks);
-  w.field("stolen_tasks", m.stolen_tasks);
   w.field("task_seconds", m.task_seconds);
-  w.field("stolen_seconds", m.stolen_seconds);
   w.field("wall_seconds", m.wall_seconds);
   w.field("critical_path_seconds", m.critical_path_seconds);
   w.field("idle_seconds", m.idle_seconds);

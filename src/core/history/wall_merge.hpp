@@ -34,9 +34,7 @@ struct WallProfileMerge {
   // Scheduler telemetry sums across runs.
   std::uint64_t batches = 0;
   std::uint64_t tasks = 0;
-  std::uint64_t stolen_tasks = 0;
   double task_seconds = 0.0;
-  double stolen_seconds = 0.0;
   double wall_seconds = 0.0;
   double critical_path_seconds = 0.0;
   double idle_seconds = 0.0;
@@ -56,8 +54,9 @@ struct WallProfileMerge {
 /// Parses one "balbench-wall-profile/1" document -- either a raw
 /// profile written by obs::prof::write_profile (runs == 1;
 /// worker_seconds recovered from the per_batch array) or an already
-/// merged record (runs == its "merged_runs").  Throws
-/// std::runtime_error on schema violations.
+/// merged record (runs == its "merged_runs").  Keys it does not read
+/// are ignored, such as the `stolen_*` keys that profiles of earlier
+/// builds carry.  Throws std::runtime_error on schema violations.
 WallProfileMerge parse_wall_profile(const obs::JsonValue& doc);
 
 /// acc += other (all counters and category rollups summed).

@@ -15,9 +15,9 @@
 // recorded into a registry that feeds a run record must be a pure
 // function of the simulated configuration -- virtual-time durations,
 // simulated byte counts, simulated call counts.  Host-side quantities
-// (wall-clock seconds, work-stealing counts, thread ids) must never be
-// recorded here; they live in util::ThreadPool::stats() and are
-// reported out of band.  Under this invariant, per-cell snapshots
+// (wall-clock seconds, worker ids, thread ids) must never be recorded
+// here; the scheduler hands them to a util::PoolObserver such as
+// obs::prof::Profiler, which reports them out of band.  Under this invariant, per-cell snapshots
 // merged in cell-index order are byte-identical for every --jobs
 // value, like every other reported number.
 //

@@ -36,7 +36,6 @@ struct Profiler::ThreadLog {
     double start;
     double end;
     std::uint64_t batch;  // 0 for scope spans
-    bool stolen;
   };
 
   explicit ThreadLog(std::size_t capacity) : entries(capacity) {}
@@ -87,7 +86,7 @@ Profiler::ThreadLog* Profiler::log_for_this_thread() {
 void Profiler::record(const char* category, std::string label,
                       double start_seconds, double end_seconds) {
   log_for_this_thread()->push(
-      {std::move(label), category, start_seconds, end_seconds, 0, false});
+      {std::move(label), category, start_seconds, end_seconds, 0});
 }
 
 void Profiler::on_batch_begin(std::uint64_t batch, std::size_t n, int workers,
@@ -112,10 +111,10 @@ void Profiler::on_batch_end(std::uint64_t batch, double end_seconds) {
 }
 
 void Profiler::on_task(std::uint64_t batch, std::size_t index, int worker,
-                       bool stolen, double start_seconds, double end_seconds) {
+                       double start_seconds, double end_seconds) {
   (void)worker;  // the log index already identifies the host thread
   log_for_this_thread()->push({"#" + std::to_string(index), kTaskCategory,
-                               start_seconds, end_seconds, batch, stolen});
+                               start_seconds, end_seconds, batch});
 }
 
 std::vector<Span> Profiler::spans() const {
@@ -151,10 +150,6 @@ SchedulerTelemetry Profiler::scheduler() const {
           if (it->batch != e.batch) continue;
           it->task_seconds += dur;
           it->max_task_seconds = std::max(it->max_task_seconds, dur);
-          if (e.stolen) {
-            ++it->stolen_tasks;
-            it->stolen_seconds += dur;
-          }
           break;
         }
       }
@@ -165,9 +160,7 @@ SchedulerTelemetry Profiler::scheduler() const {
                 [](const BatchTelemetry& b) { return b.wall_seconds <= 0.0; });
   for (const auto& b : t.batches) {
     t.tasks += b.tasks;
-    t.stolen_tasks += b.stolen_tasks;
     t.task_seconds += b.task_seconds;
-    t.stolen_seconds += b.stolen_seconds;
     t.wall_seconds += b.wall_seconds;
     t.critical_path_seconds += b.max_task_seconds;
     t.idle_seconds +=
@@ -229,9 +222,7 @@ void write_profile(std::ostream& os, const Profiler& profiler) {
   w.key("scheduler").begin_object();
   w.field("batches", static_cast<std::uint64_t>(sched.batches.size()));
   w.field("tasks", sched.tasks);
-  w.field("stolen_tasks", sched.stolen_tasks);
   w.field("task_seconds", sched.task_seconds);
-  w.field("stolen_seconds", sched.stolen_seconds);
   w.field("wall_seconds", sched.wall_seconds);
   w.field("critical_path_seconds", sched.critical_path_seconds);
   w.field("idle_seconds", sched.idle_seconds);
@@ -246,7 +237,6 @@ void write_profile(std::ostream& os, const Profiler& profiler) {
     w.field("wall_seconds", b.wall_seconds);
     w.field("task_seconds", b.task_seconds);
     w.field("max_task_seconds", b.max_task_seconds);
-    w.field("stolen_tasks", b.stolen_tasks);
     w.end_object();
   }
   w.end_array();
@@ -287,11 +277,9 @@ void write_summary(std::ostream& os, const Profiler& profiler) {
   const auto sched = profiler.scheduler();
   char line[256];
   std::snprintf(line, sizeof line,
-                "[prof] %zu batches, %llu tasks (%llu stolen): task %.3fs "
-                "over wall %.3fs\n",
+                "[prof] %zu batches, %llu tasks: task %.3fs over wall %.3fs\n",
                 sched.batches.size(),
                 static_cast<unsigned long long>(sched.tasks),
-                static_cast<unsigned long long>(sched.stolen_tasks),
                 sched.task_seconds, sched.wall_seconds);
   os << line;
   std::snprintf(line, sizeof line,

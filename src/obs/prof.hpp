@@ -20,18 +20,17 @@
 // fills up new spans are dropped and counted, never silently lost.
 //
 // Scheduler telemetry: Profiler implements util::PoolObserver, so
-// attaching it instruments every ThreadPool batch -- per-task wall
-// time and steal flags, per-batch wall windows -- from which it
-// derives the numbers that tell whether --jobs actually helps:
+// attaching it instruments every util::parallel_for batch -- per-task
+// wall time, per-batch wall windows -- from which it derives the
+// numbers that tell whether --jobs actually helps:
 // critical-path estimate (sum over batches of the longest task),
 // parallel efficiency (task-seconds / workers x wall), idle time
 // (workers x wall - task-seconds).
 //
 // Lifetime: detach() before destroying the profiler, and destroy it
-// only after every ThreadPool that ran while it was attached is gone
-// (the free util::parallel_for joins its transient pool before
-// returning, so the tool-level pattern "attach, run, detach, export"
-// is always safe).
+// only after every parallel_for that ran while it was attached has
+// returned (parallel_for joins its threads before returning, so the
+// tool-level pattern "attach, run, detach, export" is always safe).
 #pragma once
 
 #include <atomic>
@@ -57,7 +56,7 @@ struct Span {
   double dur = 0.0;
 };
 
-/// Telemetry of one ThreadPool parallel_for batch.
+/// Telemetry of one util::parallel_for batch.
 struct BatchTelemetry {
   std::uint64_t batch = 0;
   std::size_t tasks = 0;
@@ -65,25 +64,21 @@ struct BatchTelemetry {
   double wall_seconds = 0.0;       // batch begin -> end
   double task_seconds = 0.0;       // sum of task durations
   double max_task_seconds = 0.0;   // longest single task
-  std::uint64_t stolen_tasks = 0;
-  double stolen_seconds = 0.0;
 };
 
 /// Scheduler telemetry aggregated over every observed batch.
 struct SchedulerTelemetry {
   std::vector<BatchTelemetry> batches;
   std::uint64_t tasks = 0;
-  std::uint64_t stolen_tasks = 0;
   double task_seconds = 0.0;
-  double stolen_seconds = 0.0;
   double wall_seconds = 0.0;  // sum of batch walls
   /// Lower bound on achievable wall time at infinite workers: the
   /// longest task of each batch chains through the batch barrier, so
   /// the estimate is the sum over batches of the longest task.
   double critical_path_seconds = 0.0;
   /// Worker-seconds spent not executing tasks: sum over batches of
-  /// workers x wall - task-seconds (wake-up latency, queue scanning,
-  /// and tail idleness while stragglers finish).
+  /// workers x wall - task-seconds (thread start-up and tail idleness
+  /// while stragglers finish).
   double idle_seconds = 0.0;
   /// task-seconds / sum(workers x wall); 1.0 = every worker busy the
   /// whole time, 1/workers = the sweep ran effectively serially.
@@ -113,7 +108,7 @@ class Profiler : public util::PoolObserver {
   void on_batch_begin(std::uint64_t batch, std::size_t n, int workers,
                       double start_seconds) override;
   void on_batch_end(std::uint64_t batch, double end_seconds) override;
-  void on_task(std::uint64_t batch, std::size_t index, int worker, bool stolen,
+  void on_task(std::uint64_t batch, std::size_t index, int worker,
                double start_seconds, double end_seconds) override;
 
   /// Every span recorded so far, sorted by (thread, start, dur, label)
@@ -135,9 +130,10 @@ class Profiler : public util::PoolObserver {
   std::vector<BatchTelemetry> batches_;  // wall window filled at batch end
 };
 
-/// Attaches `p` as the process-wide profiler and as the ThreadPool
-/// observer (nullptr detaches both).  Instrumentation sites read the
-/// pointer with one relaxed atomic load -- zero cost while detached.
+/// Attaches `p` as the process-wide profiler and as the scheduler's
+/// util::PoolObserver (nullptr detaches both).  Instrumentation sites
+/// read the pointer with one relaxed atomic load -- zero cost while
+/// detached.
 void attach(Profiler* p);
 [[nodiscard]] Profiler* current();
 

@@ -1,8 +1,7 @@
 #include "util/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <mutex>
@@ -14,6 +13,9 @@ namespace balbench::util {
 
 namespace {
 std::atomic<PoolObserver*> g_pool_observer{nullptr};
+// One counter for the whole process, so observers can key telemetry by
+// batch id across any number of parallel_for calls.
+std::atomic<std::uint64_t> g_batches{0};
 }  // namespace
 
 void set_pool_observer(PoolObserver* observer) {
@@ -35,268 +37,59 @@ int resolve_jobs(std::int64_t requested) {
   return static_cast<int>(requested);
 }
 
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
+void parallel_for(int jobs, std::size_t n,
+                  const std::function<void(std::size_t)>& body) {
+  if (n == 0) return;
+  const int workers = static_cast<int>(
+      std::min(static_cast<std::size_t>(resolve_jobs(jobs)), n));
+  PoolObserver* const obs = pool_observer();
+  const std::uint64_t batch =
+      g_batches.fetch_add(1, std::memory_order_relaxed) + 1;
 
-struct ThreadPool::Impl {
-  struct Shard {
-    std::mutex mu;
-    std::deque<std::size_t> q;
-  };
-
-  explicit Impl(int workers) : shards(static_cast<std::size_t>(workers)) {}
-
-  // Batch state, valid while a parallel_for is in flight.
-  const std::function<void(std::size_t)>* body = nullptr;
-  PoolObserver* observer = nullptr;  // re-read from the global per batch
-  std::uint64_t batch_id = 0;
-  std::atomic<std::size_t> remaining{0};
-  std::atomic<std::uint64_t> steals{0};
-  std::atomic<std::uint64_t> executed{0};
-  std::atomic<std::uint64_t> batches{0};
-
-  // First-by-index exception of the current batch.
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mu;  // guards error_index and error
   std::size_t error_index = std::numeric_limits<std::size_t>::max();
   std::exception_ptr error;
 
-  // Worker handshake: epoch bumps once per batch; workers wait for it.
-  std::mutex mu;
-  std::condition_variable cv_work;
-  std::condition_variable cv_done;
-  std::uint64_t epoch = 0;
-  bool stop = false;
-
-  std::vector<Shard> shards;
-  std::vector<std::thread> threads;
-
-  bool try_pop_own(int me, std::size_t* out) {
-    Shard& s = shards[static_cast<std::size_t>(me)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.q.empty()) return false;
-    *out = s.q.front();
-    s.q.pop_front();
-    return true;
-  }
-
-  bool try_steal(int me, std::size_t* out) {
-    const int w = static_cast<int>(shards.size());
-    for (int d = 1; d < w; ++d) {
-      Shard& s = shards[static_cast<std::size_t>((me + d) % w)];
-      std::lock_guard<std::mutex> lock(s.mu);
-      if (s.q.empty()) continue;
-      *out = s.q.back();  // steal from the cold end
-      s.q.pop_back();
-      steals.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-
-  void record_error(std::size_t index) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (index < error_index) {
-      error_index = index;
-      error = std::current_exception();
-    }
-  }
-
-  /// Runs body(index), consulting the observer's on_task_failure hook
-  /// on every throw; the hook may demand an in-place re-run.  A
-  /// declined (or hookless) failure is recorded for the lowest-index
-  /// rethrow and the worker moves on -- a task exception never tears
-  /// down the pool.
-  void run_body_with_retry(std::size_t index, int me, PoolObserver* obs) {
-    for (int attempt = 1;; ++attempt) {
+  // Claims are in index order, so the lowest failing index is always
+  // among the claimed ones: every index below a claimed one was
+  // claimed earlier and runs to the end.
+  auto work = [&](int worker) {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      const double t0 = obs != nullptr ? wall_now() : 0.0;
       try {
-        (*body)(index);
-        return;
-      } catch (const std::exception& e) {
-        if (obs != nullptr &&
-            obs->on_task_failure(batch_id, index, me, attempt, e.what())) {
-          continue;
-        }
-        record_error(index);
-        return;
+        body(i);
       } catch (...) {
-        if (obs != nullptr && obs->on_task_failure(batch_id, index, me, attempt,
-                                                   "unknown exception")) {
-          continue;
-        }
-        record_error(index);
-        return;
-      }
-    }
-  }
-
-  void execute(std::size_t index, int me, bool stolen) {
-    executed.fetch_add(1, std::memory_order_relaxed);
-    // Telemetry is emitted before the remaining-count decrement so the
-    // on_task callback always happens-before parallel_for returns.
-    PoolObserver* obs = observer;
-    const double t0 = obs != nullptr ? wall_now() : 0.0;
-    run_body_with_retry(index, me, obs);
-    if (obs != nullptr) obs->on_task(batch_id, index, me, stolen, t0, wall_now());
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mu);
-      cv_done.notify_all();
-    }
-  }
-
-  void drain(int me) {
-    std::size_t index;
-    for (;;) {
-      if (try_pop_own(me, &index)) {
-        execute(index, me, /*stolen=*/false);
-      } else if (try_steal(me, &index)) {
-        execute(index, me, /*stolen=*/true);
-      } else {
-        return;
-      }
-    }
-  }
-
-  void worker(int me) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv_work.wait(lock, [&] { return stop || epoch != seen; });
-        if (stop) return;
-        seen = epoch;
-      }
-      drain(me);
-    }
-  }
-};
-
-ThreadPool::ThreadPool(int workers)
-    : impl_(new Impl(workers < 1 ? 1 : workers)),
-      workers_(workers < 1 ? 1 : workers) {
-  // Worker 0 is the calling thread; only spawn helpers beyond it.
-  for (int w = 1; w < workers_; ++w) {
-    impl_->threads.emplace_back([this, w] { impl_->worker(w); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->stop = true;
-  }
-  impl_->cv_work.notify_all();
-  for (auto& t : impl_->threads) t.join();
-  delete impl_;
-}
-
-std::uint64_t ThreadPool::steals() const {
-  return impl_->steals.load(std::memory_order_relaxed);
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats s;
-  s.tasks_executed = impl_->executed.load(std::memory_order_relaxed);
-  s.steals = impl_->steals.load(std::memory_order_relaxed);
-  s.batches = impl_->batches.load(std::memory_order_relaxed);
-  return s;
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  const std::uint64_t batch =
-      impl_->batches.fetch_add(1, std::memory_order_relaxed) + 1;
-  PoolObserver* obs = pool_observer();
-  if (workers_ == 1 || n == 1) {
-    impl_->executed.fetch_add(n, std::memory_order_relaxed);
-    if (obs == nullptr) {
-      for (std::size_t i = 0; i < n; ++i) body(i);
-      return;
-    }
-    obs->on_batch_begin(batch, n, 1, wall_now());
-    for (std::size_t i = 0; i < n; ++i) {
-      const double t0 = wall_now();
-      // Same failure hook as the threaded path; a declined retry
-      // propagates immediately (serial order makes the first failure
-      // the lowest index by construction).
-      for (int attempt = 1;; ++attempt) {
-        try {
-          body(i);
-          break;
-        } catch (const std::exception& e) {
-          if (!obs->on_task_failure(batch, i, 0, attempt, e.what())) throw;
-        } catch (...) {
-          if (!obs->on_task_failure(batch, i, 0, attempt, "unknown exception")) {
-            throw;
-          }
+        failed.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
         }
       }
-      obs->on_task(batch, i, 0, false, t0, wall_now());
+      if (obs != nullptr) obs->on_task(batch, i, worker, t0, wall_now());
     }
-    obs->on_batch_end(batch, wall_now());
-    return;
+  };
+
+  if (obs != nullptr) obs->on_batch_begin(batch, n, workers, wall_now());
+  std::vector<std::thread> helpers;
+  helpers.reserve(static_cast<std::size_t>(workers - 1));
+  try {
+    for (int w = 1; w < workers; ++w) helpers.emplace_back(work, w);
+  } catch (...) {
+    // A helper could not start: stop claiming, let the started helpers
+    // finish what they hold, and report the failure to the caller.
+    failed.store(true, std::memory_order_relaxed);
+    for (auto& t : helpers) t.join();
+    throw;
   }
-
-  // Publish the batch state *before* seeding the shards: a worker that
-  // wakes late for the previous epoch may pop a freshly seeded index
-  // right away, and the shard mutex it takes to do so must already
-  // order these writes before its read (the seeding loop below is the
-  // release point).  This also keeps `remaining` from being
-  // decremented below zero by such an early pop.
-  impl_->body = &body;
-  impl_->observer = obs;
-  impl_->batch_id = batch;
-  impl_->error_index = std::numeric_limits<std::size_t>::max();
-  impl_->error = nullptr;
-  impl_->remaining.store(n, std::memory_order_release);
-  if (obs != nullptr) obs->on_batch_begin(batch, n, workers_, wall_now());
-
-  // Seed each shard with a contiguous block of indices.
-  const auto w = static_cast<std::size_t>(workers_);
-  const std::size_t block = (n + w - 1) / w;
-  for (std::size_t s = 0; s < w; ++s) {
-    const std::size_t lo = s * block;
-    const std::size_t hi = std::min(n, lo + block);
-    std::lock_guard<std::mutex> lock(impl_->shards[s].mu);
-    for (std::size_t i = lo; i < hi; ++i) impl_->shards[s].q.push_back(i);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    ++impl_->epoch;
-  }
-  impl_->cv_work.notify_all();
-
-  // The calling thread works shard 0, then helps drain stragglers.
-  impl_->drain(0);
-
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  impl_->cv_done.wait(lock, [&] {
-    return impl_->remaining.load(std::memory_order_acquire) == 0;
-  });
-  lock.unlock();
+  work(0);
+  for (auto& t : helpers) t.join();
   if (obs != nullptr) obs->on_batch_end(batch, wall_now());
-  impl_->body = nullptr;
-  impl_->observer = nullptr;
-  if (impl_->error) {
-    auto err = impl_->error;
-    impl_->error = nullptr;
-    std::rethrow_exception(err);
-  }
-}
-
-void parallel_for(int jobs, std::size_t n,
-                  const std::function<void(std::size_t)>& body) {
-  if ((jobs <= 1 || n <= 1) && pool_observer() == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  // With an observer attached even the serial case goes through a pool
-  // of one so that --jobs 1 sweeps still produce batch/task telemetry
-  // (the one-worker pool runs inline on the caller; Sec. 9 still holds).
-  ThreadPool pool(static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(jobs < 1 ? 1 : jobs), n == 0 ? 1 : n)));
-  pool.parallel_for(n, body);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace balbench::util

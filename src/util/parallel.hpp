@@ -1,4 +1,4 @@
-// Work-stealing parallel sweep scheduler.
+// Parallel sweep scheduler: one in-order loop over independent cells.
 //
 // The benchmark suite is a large space of *independent simulation
 // cells* (pattern x size x method for b_eff, pattern-type chains for
@@ -13,18 +13,19 @@
 //   2. results are collected into pre-sized slots indexed by cell id
 //      and reduced in index order afterwards (ordered reduction).
 //
-// ThreadPool implements classic work stealing: each worker owns a
-// deque seeded with a contiguous block of cell indices; it pops work
-// from the front of its own deque and, when empty, steals from the
-// *back* of a victim's deque.  Blocks keep neighbouring (similar-cost)
-// cells on one worker; stealing rebalances the inevitably uneven tail
-// (a 512-process T3E cell costs orders of magnitude more than a
-// 2-process SX-5 cell).
+// parallel_for runs the calling thread plus min(resolve_jobs(jobs), n)
+// - 1 helper threads, joined before it returns.  Each of them claims
+// the next index with one fetch_add on a shared counter, so tasks
+// *start* in index order and a free worker always takes the lowest
+// unclaimed index.  A caller that lists its most expensive tasks first
+// thereby gets a largest-first greedy list schedule without any queue
+// of its own (DESIGN.md Sec. 9 shows report::run_cells' list).
 //
-// Exceptions: every cell runs to completion regardless of failures
-// elsewhere; the exception of the *lowest-indexed* failing cell is
-// rethrown from parallel_for, so error reporting is as deterministic
-// as the results.
+// Failure contract, the same for every jobs value: once a task throws,
+// no further index is claimed; tasks already claimed run to the end;
+// the exception of the lowest failing index is rethrown.  Claims are
+// in index order, so every index below the first failure has run and
+// the rethrown index is deterministic.
 #pragma once
 
 #include <cstdint>
@@ -35,23 +36,21 @@ namespace balbench::util {
 
 /// Host-side scheduler telemetry sink (wall-clock observability,
 /// DESIGN.md Sec. 11).  Everything delivered here is host-side --
-/// wall-clock seconds from util::wall_now(), worker ids, steal flags
-/// -- and per the determinism invariant of Sec. 10.2 none of it may
-/// ever flow into a run record or any byte-compared output; observers
-/// report to stderr or to wall-profile files only.  obs::prof::Profiler
-/// is the canonical implementation.
+/// wall-clock seconds from util::wall_now() and worker ids -- and per
+/// the determinism invariant of Sec. 10.2 none of it may ever flow
+/// into a run record or any byte-compared output; observers report to
+/// stderr or to wall-profile files only.  obs::prof::Profiler is the
+/// canonical implementation.
 ///
 /// Threading: on_batch_begin/on_batch_end fire on the thread calling
-/// parallel_for; on_task/on_drain fire concurrently from worker
-/// threads.  Implementations must be thread-safe.  An attached
-/// observer must outlive every ThreadPool that ran while it was
-/// attached (the pool destructor joins its workers, so destroying the
-/// pool first is always safe; the transient pools of the free
-/// parallel_for are joined before it returns).
+/// parallel_for; on_task fires concurrently from every worker thread.
+/// Implementations must be thread-safe.  An attached observer must
+/// outlive every parallel_for that ran while it was attached.
 class PoolObserver {
  public:
   virtual ~PoolObserver() = default;
-  /// A parallel_for batch of `n` tasks is starting on `workers` workers.
+  /// Batch `batch` (process-unique, counting from 1) of `n` tasks is
+  /// starting on `workers` workers.
   virtual void on_batch_begin(std::uint64_t batch, std::size_t n, int workers,
                               double start_seconds) {
     (void)batch, (void)n, (void)workers, (void)start_seconds;
@@ -59,37 +58,20 @@ class PoolObserver {
   virtual void on_batch_end(std::uint64_t batch, double end_seconds) {
     (void)batch, (void)end_seconds;
   }
-  /// body(index) ran on `worker` from start to end; `stolen` means it
-  /// executed outside the shard it was seeded into.  Emitted strictly
-  /// before the task is counted as complete, so every on_task call
-  /// happens-before the owning parallel_for returns -- idle and
-  /// queue-wait time are therefore derivable as
-  /// workers x batch wall - sum(task durations) without any further
-  /// callback racing batch completion.
+  /// body(index) ran on `worker` from start to end, whether or not it
+  /// threw.  Every on_task call happens-before the owning parallel_for
+  /// returns, so idle time is derivable as workers x batch wall -
+  /// sum(task durations).
   virtual void on_task(std::uint64_t batch, std::size_t index, int worker,
-                       bool stolen, double start_seconds, double end_seconds) {
-    (void)batch, (void)index, (void)worker, (void)stolen;
+                       double start_seconds, double end_seconds) {
+    (void)batch, (void)index, (void)worker;
     (void)start_seconds, (void)end_seconds;
-  }
-  /// body(index) threw on `worker`; `attempt` counts from 1 and `what`
-  /// carries the exception message.  Return true to re-run the task in
-  /// place on the same worker (the pool itself never tears down on a
-  /// task exception either way); return false to let the batch record
-  /// the failure and continue draining.  The default declines the
-  /// retry, preserving the lowest-index-rethrow contract.  Fires
-  /// concurrently from worker threads like on_task.
-  virtual bool on_task_failure(std::uint64_t batch, std::size_t index,
-                               int worker, int attempt, const char* what) {
-    (void)batch, (void)index, (void)worker, (void)attempt, (void)what;
-    return false;
   }
 };
 
 /// Attaches the process-wide scheduler observer (nullptr detaches).
-/// Pools re-read the pointer at every parallel_for, so attaching
-/// before a sweep instruments even long-lived pools.  Detached is the
-/// default and costs one relaxed atomic load per batch -- task bodies
-/// pay nothing.
+/// parallel_for reads the pointer once per batch; detached is the
+/// default and task bodies then pay nothing.
 void set_pool_observer(PoolObserver* observer);
 [[nodiscard]] PoolObserver* pool_observer();
 
@@ -97,50 +79,14 @@ void set_pool_observer(PoolObserver* observer);
 int hardware_jobs();
 
 /// Resolve a user-supplied --jobs value: <= 0 means "use the hardware
-/// concurrency", anything else is taken literally.
+/// concurrency", values above 1024 are capped, anything else is taken
+/// literally.
 int resolve_jobs(std::int64_t requested);
 
-class ThreadPool {
- public:
-  /// Creates `workers` worker threads (clamped to >= 1).  A pool of
-  /// one worker executes everything inline on the calling thread --
-  /// `--jobs 1` is exactly the serial program.
-  explicit ThreadPool(int workers);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Runs body(0) .. body(n-1), distributing indices over the workers
-  /// with work stealing.  Blocks until all n calls completed.  If any
-  /// call throws, the exception of the lowest failing index is
-  /// rethrown after the batch drained.  Reentrant calls (parallel_for
-  /// from inside a body) are not supported.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  [[nodiscard]] int workers() const { return workers_; }
-  /// Indices executed by a thread other than the one whose deque they
-  /// were seeded into (diagnostic; 0 in serial pools).
-  [[nodiscard]] std::uint64_t steals() const;
-
-  /// Host-side execution statistics.  These describe how the *host*
-  /// scheduled the work (they vary with --jobs, machine load and luck),
-  /// so per the determinism invariant of DESIGN.md Sec. 10.2 they must
-  /// never flow into an obs::Registry that feeds a run record --
-  /// balbench-report prints them to stderr only.
-  struct Stats {
-    std::uint64_t tasks_executed = 0;  // body() invocations completed
-    std::uint64_t steals = 0;          // cross-worker migrations
-    std::uint64_t batches = 0;         // parallel_for calls served
-  };
-  [[nodiscard]] Stats stats() const;
-
- private:
-  struct Impl;
-  Impl* impl_;
-  int workers_;
-};
-
-/// One-shot convenience: run body(0..n-1) on `jobs` threads.
+/// Runs body(0) .. body(n-1) on resolve_jobs(jobs) workers (never more
+/// than n; one worker runs everything inline on the caller, so
+/// `--jobs 1` is exactly the serial program).  Blocks until every
+/// claimed task finished; see the failure contract above.
 void parallel_for(int jobs, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
@@ -152,17 +98,6 @@ std::vector<T> parallel_map(int jobs, std::size_t n, Fn&& fn) {
   std::vector<T> out(n);
   parallel_for(jobs, n, [&](std::size_t i) { out[i] = fn(i); });
   return out;
-}
-
-/// Deterministic ordered reduction over slot-indexed results: combines
-/// slots strictly in index order, so the result is byte-identical for
-/// every worker count (floating-point addition is not associative --
-/// reduction order must never depend on completion order).
-template <typename T, typename R, typename Fn>
-R ordered_reduce(const std::vector<T>& slots, R init, Fn&& combine) {
-  R acc = std::move(init);
-  for (const T& v : slots) acc = combine(std::move(acc), v);
-  return acc;
 }
 
 }  // namespace balbench::util

@@ -14,21 +14,26 @@ namespace {
 
 /// A minimal raw balbench-wall-profile/1 document.  All values are
 /// binary-exact (sums of powers of two) so the associativity assertion
-/// below can demand byte-identical serializations.
-bo::JsonValue make_profile(double base, std::uint64_t tasks) {
+/// below can demand byte-identical serializations.  `old_build` adds
+/// the `stolen_*` keys that profiles of the work-stealing scheduler
+/// carried; they must still parse and merge.
+bo::JsonValue make_profile(double base, std::uint64_t tasks,
+                           bool old_build = false) {
+  const char* stolen = old_build ? ",\"stolen_tasks\":0" : "";
   std::ostringstream os;
   os << "{\"schema\":\"balbench-wall-profile/1\",\"clock\":\"host\","
         "\"dropped_spans\":0,"
         "\"scheduler\":{\"batches\":1,\"tasks\":"
-     << tasks << ",\"stolen_tasks\":0,\"task_seconds\":" << base * 2
-     << ",\"stolen_seconds\":0,\"wall_seconds\":" << base
+     << tasks << stolen << ",\"task_seconds\":" << base * 2
+     << (old_build ? ",\"stolen_seconds\":0" : "")
+     << ",\"wall_seconds\":" << base
      << ",\"critical_path_seconds\":" << base * 0.5
      << ",\"idle_seconds\":0,"
         "\"parallel_efficiency\":1.0,\"speedup\":2.0,"
         "\"per_batch\":[{\"batch\":0,\"tasks\":"
      << tasks << ",\"workers\":2,\"wall_seconds\":" << base
      << ",\"task_seconds\":" << base * 2 << ",\"max_task_seconds\":" << base
-     << ",\"stolen_tasks\":0}],"
+     << stolen << "}],"
         "\"overlap_groups\":0},"
         "\"categories\":{\"compute\":{\"count\":"
      << tasks << ",\"seconds\":" << base * 2
@@ -67,7 +72,8 @@ TEST(WallMerge, RejectsWrongSchema) {
 
 TEST(WallMerge, SumsCountersAndCategories) {
   bh::WallProfileMerge acc = bh::parse_wall_profile(make_profile(0.5, 4));
-  bh::merge_wall_profiles(acc, bh::parse_wall_profile(make_profile(0.25, 2)));
+  bh::merge_wall_profiles(
+      acc, bh::parse_wall_profile(make_profile(0.25, 2, /*old_build=*/true)));
   EXPECT_EQ(acc.runs, 2u);
   EXPECT_EQ(acc.tasks, 6u);
   EXPECT_DOUBLE_EQ(acc.task_seconds, 1.5);

@@ -1,5 +1,5 @@
 // Tests for the wall-clock profiler (obs/prof.hpp): zero-cost detach,
-// scope spans, scheduler telemetry via the ThreadPool observer hook,
+// scope spans, scheduler telemetry via the parallel_for observer hook,
 // the wall-profile JSON, and the Chrome trace "wall" pid.
 #include "obs/prof.hpp"
 
@@ -60,13 +60,12 @@ TEST(Prof, ScopeCapturedAtConstructionIgnoresLateAttach) {
   EXPECT_TRUE(p.spans().empty());
 }
 
-TEST(Prof, SchedulerTelemetryFromThreadPool) {
+TEST(Prof, SchedulerTelemetryFromParallelFor) {
   prof::Profiler p;
   const std::size_t n = 200;
   {
     Attach guard(&p);
-    bu::ThreadPool pool(4);
-    pool.parallel_for(n, [](std::size_t) { bu::wall_spin(0.0002); });
+    bu::parallel_for(4, n, [](std::size_t) { bu::wall_spin(0.0002); });
   }
   const auto t = p.scheduler();
   ASSERT_EQ(t.batches.size(), 1u);
@@ -85,12 +84,34 @@ TEST(Prof, SchedulerTelemetryFromThreadPool) {
   EXPECT_EQ(p.spans().size(), n);
 }
 
+TEST(Prof, EveryBatchKeepsItsOwnTasks) {
+  // Two batches in one process: batch ids must not collide, or every
+  // task lands in the last batch and the first reads zero task time.
+  prof::Profiler p;
+  {
+    Attach guard(&p);
+    for (int batch = 0; batch < 2; ++batch) {
+      bu::parallel_for(2, 4, [](std::size_t) { bu::wall_spin(0.0005); });
+    }
+  }
+  const auto t = p.scheduler();
+  ASSERT_EQ(t.batches.size(), 2u);
+  EXPECT_NE(t.batches[0].batch, t.batches[1].batch);
+  double sum_of_maxima = 0.0;
+  for (const auto& b : t.batches) {
+    EXPECT_EQ(b.tasks, 4u);
+    EXPECT_GT(b.task_seconds, 0.0) << "batch " << b.batch;
+    sum_of_maxima += b.max_task_seconds;
+  }
+  EXPECT_DOUBLE_EQ(t.critical_path_seconds, sum_of_maxima);
+  EXPECT_GE(t.critical_path_seconds, 2 * 0.0005 * 0.9);
+}
+
 TEST(Prof, SpansSortedByThreadThenStart) {
   prof::Profiler p;
   {
     Attach guard(&p);
-    bu::ThreadPool pool(4);
-    pool.parallel_for(64, [](std::size_t) { bu::wall_spin(0.0001); });
+    bu::parallel_for(4, 64, [](std::size_t) { bu::wall_spin(0.0001); });
   }
   const auto spans = p.spans();
   for (std::size_t i = 1; i < spans.size(); ++i) {
@@ -120,8 +141,7 @@ TEST(Prof, WriteProfileIsValidJsonWithSchema) {
       prof::Scope s("cell", "alpha");
       bu::wall_spin(0.0002);
     }
-    bu::ThreadPool pool(2);
-    pool.parallel_for(10, [](std::size_t) {});
+    bu::parallel_for(2, 10, [](std::size_t) {});
   }
   std::ostringstream os;
   prof::write_profile(os, p);
@@ -138,8 +158,7 @@ TEST(Prof, WriteSummaryMentionsTasksAndSpeedup) {
   prof::Profiler p;
   {
     Attach guard(&p);
-    bu::ThreadPool pool(2);
-    pool.parallel_for(8, [](std::size_t) { bu::wall_spin(0.0001); });
+    bu::parallel_for(2, 8, [](std::size_t) { bu::wall_spin(0.0001); });
   }
   std::ostringstream os;
   prof::write_summary(os, p);

@@ -1,11 +1,9 @@
 // Unit tests for the crash-safety and containment primitives behind
 // DESIGN.md Sec. 12: util::atomic_write (tmp+fsync+rename), the
-// obs::parse_json nesting-depth limit, the PoolObserver
-// on_task_failure retry hook, and the simt::Engine virtual-time
-// deadline / cooperative abort.
+// obs::parse_json nesting-depth limit, and the simt::Engine
+// virtual-time deadline / cooperative abort.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -14,7 +12,6 @@
 #include "obs/json.hpp"
 #include "simt/engine.hpp"
 #include "util/atomic_write.hpp"
-#include "util/parallel.hpp"
 
 namespace bu = balbench::util;
 namespace bo = balbench::obs;
@@ -100,85 +97,6 @@ TEST(JsonDepthLimit, AppliesToObjectsToo) {
   s += "0";
   for (int i = 0; i < 257; ++i) s += '}';
   EXPECT_THROW((void)bo::parse_json(s), std::runtime_error);
-}
-
-// ---------------------------------------------------------------------------
-// PoolObserver::on_task_failure
-
-namespace {
-
-/// Grants each failing index a fixed number of in-place retries.
-class RetryGranter : public bu::PoolObserver {
- public:
-  explicit RetryGranter(int budget) : budget_(budget) {}
-  bool on_task_failure(std::uint64_t, std::size_t, int, int attempt,
-                       const char*) override {
-    failures_.fetch_add(1, std::memory_order_relaxed);
-    return attempt <= budget_;
-  }
-  [[nodiscard]] int failures() const {
-    return failures_.load(std::memory_order_relaxed);
-  }
-
- private:
-  int budget_;
-  std::atomic<int> failures_{0};
-};
-
-}  // namespace
-
-TEST(PoolFailureHook, GrantedRetryRecoversTheTask) {
-  RetryGranter granter(2);
-  bu::set_pool_observer(&granter);
-  std::atomic<int> completed{0};
-  std::atomic<int> flaky_attempts{0};
-  // Index 3 fails twice and succeeds on the third in-place attempt;
-  // every other index runs clean.  The batch must complete without
-  // throwing and without tearing down any worker.
-  bu::parallel_for(4, 16, [&](std::size_t i) {
-    if (i == 3 && flaky_attempts.fetch_add(1) < 2) {
-      throw std::runtime_error("transient cell failure");
-    }
-    completed.fetch_add(1, std::memory_order_relaxed);
-  });
-  bu::set_pool_observer(nullptr);
-  EXPECT_EQ(completed.load(), 16);
-  EXPECT_EQ(granter.failures(), 2);
-}
-
-TEST(PoolFailureHook, DeclinedRetryRethrowsLowestIndex) {
-  RetryGranter granter(0);  // observes but declines every retry
-  bu::set_pool_observer(&granter);
-  std::atomic<int> completed{0};
-  try {
-    bu::parallel_for(2, 8, [&](std::size_t i) {
-      if (i == 2 || i == 5) throw std::runtime_error("cell " + std::to_string(i));
-      completed.fetch_add(1, std::memory_order_relaxed);
-    });
-    bu::set_pool_observer(nullptr);
-    FAIL() << "declined failures did not rethrow";
-  } catch (const std::runtime_error& e) {
-    bu::set_pool_observer(nullptr);
-    // Deterministic error reporting: the lowest failing index wins.
-    EXPECT_STREQ(e.what(), "cell 2");
-  }
-  // The batch drained: every non-failing task still completed.
-  EXPECT_EQ(completed.load(), 6);
-  EXPECT_EQ(granter.failures(), 2);
-}
-
-TEST(PoolFailureHook, PoolSurvivesFailuresAcrossBatches) {
-  bu::ThreadPool pool(3);
-  RetryGranter granter(0);
-  bu::set_pool_observer(&granter);
-  EXPECT_THROW(
-      pool.parallel_for(4, [](std::size_t) { throw std::runtime_error("x"); }),
-      std::runtime_error);
-  bu::set_pool_observer(nullptr);
-  // Same pool, next batch: workers were never torn down.
-  std::atomic<int> done{0};
-  pool.parallel_for(12, [&](std::size_t) { done.fetch_add(1); });
-  EXPECT_EQ(done.load(), 12);
 }
 
 // ---------------------------------------------------------------------------

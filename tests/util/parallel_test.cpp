@@ -1,14 +1,16 @@
-// Tests for the work-stealing sweep scheduler (util/parallel.hpp):
+// Tests for the in-order sweep scheduler (util/parallel.hpp):
 // coverage, slot-indexed collection, ordered reduction determinism,
-// and exception propagation.
+// the failure contract, and the observer telemetry.
 #include "util/parallel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -52,16 +54,6 @@ TEST(Parallel, SerialPoolRunsInlineOnCaller) {
   EXPECT_TRUE(all_inline);
 }
 
-TEST(Parallel, PoolIsReusableAcrossBatches) {
-  bu::ThreadPool pool(3);
-  EXPECT_EQ(pool.workers(), 3);
-  for (int batch = 0; batch < 4; ++batch) {
-    std::atomic<std::uint64_t> sum{0};
-    pool.parallel_for(100, [&](std::size_t i) { sum.fetch_add(i + 1); });
-    EXPECT_EQ(sum.load(), 5050u) << "batch " << batch;
-  }
-}
-
 TEST(Parallel, ParallelMapFillsSlotsByIndex) {
   const auto squares = bu::parallel_map<std::int64_t>(
       4, 50, [](std::size_t i) { return static_cast<std::int64_t>(i * i); });
@@ -86,9 +78,8 @@ TEST(Parallel, OrderedReduceIsByteIdenticalForAnyJobs) {
   double expect = 0.0;
   for (double v : serial) expect += v;
   for (int jobs : {2, 4, 8}) {
-    const auto slots = fill(jobs);
-    const double sum =
-        bu::ordered_reduce(slots, 0.0, [](double a, double v) { return a + v; });
+    double sum = 0.0;
+    for (double v : fill(jobs)) sum += v;
     EXPECT_EQ(sum, expect) << "jobs=" << jobs;  // bitwise, not NEAR
   }
 }
@@ -109,40 +100,58 @@ TEST(Parallel, ExceptionFromLowestIndexWins) {
 }
 
 TEST(Parallel, LaterCellsStillRunAfterThrow) {
-  // An exception aborts the sweep result, but already-queued work may
-  // still run; what matters is that the pool drains and stays usable.
-  bu::ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(
-                   32, [](std::size_t i) {
-                     if (i == 0) throw std::logic_error("boom");
-                   }),
+  // A failed batch leaves nothing behind: the next parallel_for runs
+  // every index.
+  EXPECT_THROW(bu::parallel_for(4, 32,
+                                [](std::size_t i) {
+                                  if (i == 0) throw std::logic_error("boom");
+                                }),
                std::logic_error);
   std::atomic<int> ok{0};
-  pool.parallel_for(32, [&](std::size_t) { ok.fetch_add(1); });
+  bu::parallel_for(4, 32, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 32);
 }
 
-TEST(Parallel, StealsCounterStaysZeroWhenSerial) {
-  bu::ThreadPool pool(1);
-  pool.parallel_for(10, [](std::size_t) {});
-  EXPECT_EQ(pool.steals(), 0u);
+TEST(Parallel, FailureStopsClaimsAndRethrowsLowestIndex) {
+  // Indices 20 and 45 throw.  Claims are in index order, so every
+  // index below 20 was claimed first and ran exactly once; index 20
+  // is always rethrown, never 45.  Serially nothing after 20 runs.
+  const std::size_t n = 64;
+  for (int jobs : {1, 2, 4}) {
+    std::vector<std::atomic<int>> runs(n);
+    try {
+      bu::parallel_for(jobs, n, [&](std::size_t i) {
+        runs[i].fetch_add(1);
+        if (i == 20 || i == 45) {
+          throw std::runtime_error("cell " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected throw (jobs=" << jobs << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "cell 20") << "jobs=" << jobs;
+    }
+    for (std::size_t i = 0; i <= 20; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "jobs=" << jobs << " index=" << i;
+    }
+    for (std::size_t i = 21; i < n; ++i) {
+      EXPECT_LE(runs[i].load(), jobs == 1 ? 0 : 1)
+          << "jobs=" << jobs << " index=" << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Steal-path contention (run under the `tsan` preset: these shapes are
-// designed to maximize deque contention, which is exactly where a
-// missing fence in the steal path would surface as a data race).
+// Contention shapes (run under the `tsan` preset: many workers racing
+// on the shared claim counter, idle helpers, and uneven task cost).
 // ---------------------------------------------------------------------------
 
-TEST(ParallelContention, ManyTinyCellsUnderHeavyStealing) {
-  // ~20k near-empty cells across 8 workers: each worker drains its own
-  // block almost instantly and then lives on steals, hammering every
-  // victim deque's back end concurrently.
+TEST(ParallelContention, ManyTinyCellsUnderHeavyContention) {
+  // ~20k near-empty cells across 8 workers: every claim races the
+  // other seven on the shared counter.
   const std::size_t n = 20000;
   std::vector<std::int8_t> hit(n, 0);
   std::atomic<std::uint64_t> sum{0};
-  bu::ThreadPool pool(8);
-  pool.parallel_for(n, [&](std::size_t i) {
+  bu::parallel_for(8, n, [&](std::size_t i) {
     hit[i] = 1;
     sum.fetch_add(i, std::memory_order_relaxed);
   });
@@ -151,24 +160,22 @@ TEST(ParallelContention, ManyTinyCellsUnderHeavyStealing) {
 }
 
 TEST(ParallelContention, JobsFarExceedCells) {
-  // 16 workers fighting over 3 cells: most workers wake, find nothing
-  // to pop or steal, and must park again without corrupting the epoch
-  // handshake.  Repeat to catch a racy wake-up path.
-  bu::ThreadPool pool(16);
+  // 16 jobs for 3 cells: the worker count is capped at the cell count
+  // and helpers that find the counter exhausted exit at once.  Repeat
+  // to catch a racy start-up or join path.
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> ran{0};
-    pool.parallel_for(3, [&](std::size_t) { ran.fetch_add(1); });
+    bu::parallel_for(16, 3, [&](std::size_t) { ran.fetch_add(1); });
     ASSERT_EQ(ran.load(), 3) << "round " << round;
   }
 }
 
 TEST(ParallelContention, CellsFarExceedJobsWithUnevenCost) {
-  // 2 workers, 4096 cells with a few heavyweight outliers: the worker
-  // stuck on an outlier forces the other to steal nearly everything.
+  // 2 workers, 4096 cells with a few heavyweight outliers: while one
+  // worker is stuck on an outlier the other claims nearly everything.
   const std::size_t n = 4096;
   std::vector<double> out(n, 0.0);
-  bu::ThreadPool pool(2);
-  pool.parallel_for(n, [&](std::size_t i) {
+  bu::parallel_for(2, n, [&](std::size_t i) {
     double acc = 0.0;
     const int spin = (i % 1000 == 0) ? 20000 : 1;
     for (int k = 0; k < spin; ++k) acc += std::sqrt(static_cast<double>(k + i));
@@ -180,8 +187,8 @@ TEST(ParallelContention, CellsFarExceedJobsWithUnevenCost) {
 namespace {
 
 /// Counts observer callbacks; the assertions below pin the contract
-/// that obs::prof::Profiler relies on (every task reported exactly
-/// once, before parallel_for returns).
+/// that obs::prof::Profiler relies on (every claimed task reported
+/// exactly once, before parallel_for returns).
 class CountingObserver final : public bu::PoolObserver {
  public:
   void on_batch_begin(std::uint64_t, std::size_t n, int workers,
@@ -191,15 +198,14 @@ class CountingObserver final : public bu::PoolObserver {
     last_workers = workers;
   }
   void on_batch_end(std::uint64_t, double) override { ends.fetch_add(1); }
-  void on_task(std::uint64_t, std::size_t index, int worker, bool stolen,
-               double start, double end) override {
+  void on_task(std::uint64_t, std::size_t index, int worker, double start,
+               double end) override {
     tasks.fetch_add(1);
-    if (stolen) stolen_tasks.fetch_add(1);
     index_sum.fetch_add(index);
     if (worker < 0 || start > end) bad.fetch_add(1);
   }
   std::atomic<int> begins{0}, ends{0};
-  std::atomic<std::uint64_t> tasks{0}, stolen_tasks{0}, index_sum{0}, bad{0};
+  std::atomic<std::uint64_t> tasks{0}, index_sum{0}, bad{0};
   std::size_t last_n = 0;
   int last_workers = 0;
 };
@@ -210,8 +216,7 @@ TEST(ParallelObserver, EveryTaskReportedExactlyOnce) {
   CountingObserver obs;
   bu::set_pool_observer(&obs);
   const std::size_t n = 5000;
-  bu::ThreadPool pool(4);
-  pool.parallel_for(n, [](std::size_t) {});
+  bu::parallel_for(4, n, [](std::size_t) {});
   bu::set_pool_observer(nullptr);
   EXPECT_EQ(obs.begins.load(), 1);
   EXPECT_EQ(obs.ends.load(), 1);
@@ -232,7 +237,38 @@ TEST(ParallelObserver, FreeFunctionRoutesSerialWorkThroughObserver) {
   EXPECT_EQ(obs.begins.load(), 1);
   EXPECT_EQ(obs.ends.load(), 1);
   EXPECT_EQ(obs.tasks.load(), 17u);
-  EXPECT_EQ(obs.stolen_tasks.load(), 0u);
+}
+
+TEST(ParallelObserver, NonPositiveJobsUseEveryHardwareThread) {
+  // `--jobs 0` means all hardware threads, and so does any negative
+  // value; neither may fall back to one worker.
+  const std::size_t n = 8;
+  const int want =
+      static_cast<int>(std::min<std::size_t>(bu::hardware_jobs(), n));
+  for (int jobs : {0, -3}) {
+    CountingObserver obs;
+    bu::set_pool_observer(&obs);
+    bu::parallel_for(jobs, n, [](std::size_t) {});
+    bu::set_pool_observer(nullptr);
+    EXPECT_EQ(obs.last_workers, want) << "jobs=" << jobs;
+    EXPECT_EQ(obs.tasks.load(), n) << "jobs=" << jobs;
+  }
+}
+
+TEST(ParallelObserver, TaskThatThrewIsStillReported) {
+  // Serially, index 5 throws and nothing after it is claimed: exactly
+  // indices 0..5 are reported, the failing one included.
+  CountingObserver obs;
+  bu::set_pool_observer(&obs);
+  EXPECT_THROW(bu::parallel_for(1, 16,
+                                [](std::size_t i) {
+                                  if (i == 5) throw std::runtime_error("x");
+                                }),
+               std::runtime_error);
+  bu::set_pool_observer(nullptr);
+  EXPECT_EQ(obs.tasks.load(), 6u);
+  EXPECT_EQ(obs.index_sum.load(), 15u);
+  EXPECT_EQ(obs.ends.load(), 1);
 }
 
 TEST(ParallelObserver, DetachedByDefaultAndAfterReset) {

@@ -102,7 +102,6 @@
 #include "simt/trace.hpp"
 #include "util/atomic_write.hpp"
 #include "util/options.hpp"
-#include "util/parallel.hpp"
 
 namespace {
 
@@ -204,8 +203,8 @@ int write_trace(const std::string& path, const std::string& machine_name,
 
 /// Owns the optional wall-clock profiler for the whole invocation:
 /// attach on construction, then detach + export on destruction, which
-/// runs after every transient ThreadPool is gone (the profiler must
-/// outlive them, see obs/prof.hpp).  Export failures only warn --
+/// runs after every parallel_for has returned and joined its threads
+/// (the profiler must outlive them, see obs/prof.hpp).  Export failures only warn --
 /// profiles are observe-only and must never change the exit code.
 class ProfileSession {
  public:
@@ -399,7 +398,7 @@ int main(int argc, char** argv) {
     scenario::Scenario scen;
     report::ExperimentOptions run_opt;
     run_opt.scope = scope;
-    run_opt.jobs = util::resolve_jobs(jobs);
+    run_opt.jobs = static_cast<int>(jobs);
     run_opt.verbose = verbose;
     if (!faults_arg.empty()) {
       plan = robust::FaultPlan::parse(faults_arg);
