@@ -98,6 +98,11 @@ void FlowNetwork::add_active(ActiveFlow flow) {
   f.last_update = engine_.now();
   f.completion_event = 0;
   ++active_count_;
+  // The fill reads a flow's path and seq from here on; the path buffer
+  // moves with the ActiveFlow (nothrow move), so the pointers stay valid.
+  if (flow_fill_.size() < slots_.size()) flow_fill_.resize(slots_.size());
+  flow_fill_[slot] = FlowFill{{f.path.data(), f.path.data() + f.path.size()}, f.seq, 0, 0};
+  reindex_from_ = std::min(reindex_from_, arrival_order_.size());
   arrival_order_.push_back(ArrivalEntry{slot, f.seq});
   schedule_resolve();
 }
@@ -164,6 +169,12 @@ std::uint64_t FlowNetwork::update_share_tree() {
     }
   }
   return recomputed;
+}
+
+void FlowNetwork::update_share(LinkId link, LinkFill& s) {
+  s.share = s.residual / s.flows;
+  share_tree_[static_cast<std::size_t>(link)] = leaf_share(s.share);
+  mark_leaf_dirty(link);
 }
 
 void FlowNetwork::append_flow(LinkFlows& lf, ArrivalEntry e) {
@@ -249,6 +260,7 @@ void FlowNetwork::fill_rates() {
   std::uint32_t resume = std::exchange(resume_round_, kNever);
   if (link_fill_.size() != links.size() || !fill_clean_) {
     // The first fill, or one after a stall: start over, index included.
+    for (const ArrivalEntry& e : arrival_order_) flow_fill_[e.slot].round = 0;
     link_fill_.assign(links.size(), LinkFill{});
     link_flows_.assign(links.size(), LinkFlows{});
     index_pool_.clear();
@@ -258,6 +270,8 @@ void FlowNetwork::fill_rates() {
     freeze_log_.clear();
     round_begin_.assign(1, 0);
     round_share_.clear();
+    undo_log_.clear();
+    undo_begin_.assign(1, 0);
     build_share_tree(links.size());
   }
   fill_clean_ = false;
@@ -290,61 +304,64 @@ void FlowNetwork::fill_rates() {
   // so every earlier round freezes the same flows at the same share.
   resume = std::min(resume, static_cast<std::uint32_t>(round_share_.size() + 1));
 
-  // Reset the links with active flows, dropping those whose last flow
-  // left (departures compacted their lists to nothing).  A link keeps
-  // its first-queued round only where the replayed rounds set it.
-  std::size_t kept = 0;
-  for (LinkId l : indexed_links_) {
-    LinkFlows& lf = link_flows_[static_cast<std::size_t>(l)];
-    if (lf.live == 0) {
-      pool_unused_ += lf.capacity;
-      lf = LinkFlows{};
-      continue;
-    }
-    indexed_links_[kept++] = l;
-    LinkFill& s = link_fill_[static_cast<std::size_t>(l)];
-    s.residual = links[static_cast<std::size_t>(l)].bandwidth;
-    s.flows = lf.live;
-    s.queued_round = 0;
-    if (s.first_queued >= resume) s.first_queued = kNever;
-  }
-  indexed_links_.resize(kept);
-
-  // Replay rounds 1 .. resume - 1: the logged freezes, in order, give
-  // every residual the same max(0, r - m) sequence as the search did.
-  rates_scratch_.assign(n, 0.0);
-  for (std::uint32_t k = 1; k < resume; ++k) {
-    const double m = round_share_[k - 1];
-    for (std::uint32_t j = round_begin_[k - 1]; j < round_begin_[k]; ++j) {
-      FlowFill& ff = flow_fill_[freeze_log_[j]];
-      rates_scratch_[ff.index] = m;
-      ff.round = kFrozen;
-      visits += static_cast<std::uint64_t>(ff.path.end - ff.path.begin);
-      for (const LinkId* p = ff.path.begin; p != ff.path.end; ++p) {
-        LinkFill& s = link_fill_[static_cast<std::size_t>(*p)];
-        s.residual = std::max(0.0, s.residual - m);
-        --s.flows;
+  if (resume == 1) {
+    // Reset the links with active flows, dropping those whose last flow
+    // left (departures compacted their lists to nothing).
+    std::size_t kept = 0;
+    for (LinkId l : indexed_links_) {
+      LinkFlows& lf = link_flows_[static_cast<std::size_t>(l)];
+      LinkFill& s = link_fill_[static_cast<std::size_t>(l)];
+      if (lf.live == 0) {
+        pool_unused_ += lf.capacity;
+        lf = LinkFlows{};
+        s.flows = 0;  // departures counted it below zero
+        continue;
       }
+      indexed_links_[kept++] = l;
+      s.residual = links[static_cast<std::size_t>(l)].bandwidth;
+      s.flows = lf.live;
+      s.queued_round = 0;
+      s.first_queued = kNever;
+      update_share(l, s);
     }
+    indexed_links_.resize(kept);
+    visits += 2 * kept;
+  } else {
+    // Roll rounds >= resume back, newest entry first: every link they
+    // touched gets the residual it had before its first freeze there,
+    // and a flow back for each freeze (departures took theirs off, so
+    // the departed flows cancel out).  A link they did not touch has no
+    // unfixed flows and kept its +inf leaf.  The last write to a leaf
+    // is made at the link's oldest entry, from the restored state.
+    const std::uint32_t from = undo_begin_[resume - 1];
+    for (std::size_t j = undo_log_.size(); j-- > from;) {
+      const UndoEntry u = undo_log_[j];
+      LinkFill& s = link_fill_[static_cast<std::size_t>(u.link)];
+      s.residual = u.residual;
+      ++s.flows;
+      s.queued_round = 0;
+      if (s.first_queued >= resume) s.first_queued = kNever;
+      update_share(u.link, s);
+    }
+    visits += undo_log_.size() - from;
+  }
+  // The flows frozen in the rounds to search are unfixed again; those
+  // frozen below `resume` keep their committed rates.
+  for (std::size_t j = round_begin_[resume - 1]; j < freeze_log_.size(); ++j) {
+    flow_fill_[freeze_log_[j]].round = 0;
   }
   std::size_t unfixed = n - round_begin_[resume - 1];
   fill_rounds_ += resume - 1;
   freeze_log_.resize(round_begin_[resume - 1]);
   round_begin_.resize(resume);
   round_share_.resize(resume - 1);
+  undo_log_.resize(undo_begin_[resume - 1]);
+  undo_begin_.resize(resume);
+  visits += update_share_tree();
 
-  // The touched links' leaves, from the state the replay left.  A link
-  // whose flows all froze there keeps the +inf leaf the last fill left.
-  for (LinkId l : indexed_links_) {
-    LinkFill& s = link_fill_[static_cast<std::size_t>(l)];
-    if (s.flows == 0) continue;
-    s.share = s.residual / s.flows;
-    share_tree_[static_cast<std::size_t>(l)] = leaf_share(s.share);
-    mark_leaf_dirty(l);
-  }
-  visits += 2 * indexed_links_.size() + update_share_tree();
-
+  rates_scratch_.resize(n);
   candidates_.assign((n + 63) / 64, 0);
+  searched_.assign(candidates_.size(), 0);
   const auto top = static_cast<std::uint32_t>(share_level_.size() - 1);
   for (std::uint32_t round = resume; unfixed > 0; ++round) {
     ++fill_rounds_;
@@ -425,7 +442,8 @@ void FlowNetwork::fill_rates() {
         // visits candidates in arrival order.
         const auto fi = static_cast<std::uint32_t>(
             w * 64 + static_cast<std::size_t>(std::countr_zero(candidates_[w])));
-        candidates_[w] &= candidates_[w] - 1;
+        const std::uint64_t bit = candidates_[w] & (~candidates_[w] + 1);
+        candidates_[w] ^= bit;
         const FlowSlot slot = arrival_order_[fi].slot;
         FlowFill& ff = flow_fill_[slot];
         const FlowPath path = ff.path;
@@ -437,17 +455,17 @@ void FlowNetwork::fill_rates() {
         });
         if (!bottleneck) continue;
         rates_scratch_[fi] = min_share;
+        searched_[w] |= bit;
         ff.round = kFrozen;
         freeze_log_.push_back(slot);
         ++frozen;
         visits += static_cast<std::uint64_t>(path.end - path.begin);
         for (const LinkId* p = path.begin; p != path.end; ++p) {
           LinkFill& s = link_fill_[static_cast<std::size_t>(*p)];
+          undo_log_.push_back(UndoEntry{*p, s.residual});
           s.residual = std::max(0.0, s.residual - min_share);
           --s.flows;
-          s.share = s.residual / s.flows;
-          share_tree_[static_cast<std::size_t>(*p)] = leaf_share(s.share);
-          mark_leaf_dirty(*p);
+          update_share(*p, s);
           if (s.share <= threshold && s.flows > 0 && s.queued_round != round) {
             // Flows queued for this link from here on stay queued, so
             // one scan per link and round suffices.
@@ -461,6 +479,7 @@ void FlowNetwork::fill_rates() {
     }
     unfixed -= frozen;
     round_begin_.push_back(static_cast<std::uint32_t>(freeze_log_.size()));
+    undo_begin_.push_back(static_cast<std::uint32_t>(undo_log_.size()));
     round_share_.push_back(min_share);
     visits += update_share_tree();
   }
@@ -468,9 +487,13 @@ void FlowNetwork::fill_rates() {
   fill_clean_ = true;
 #ifndef NDEBUG
   check_index();
+  // Flows frozen below `resume` were not searched: their committed rate
+  // is the one the search gave them in an earlier fill.
   std::vector<FlowRate> fill(n);
   for (std::size_t i = 0; i < n; ++i) {
-    fill[i] = FlowRate{slots_[arrival_order_[i].slot].path, rates_scratch_[i]};
+    const ActiveFlow& f = slots_[arrival_order_[i].slot];
+    const bool searched = (searched_[i / 64] >> (i % 64) & 1) != 0;
+    fill[i] = FlowRate{f.path, searched ? rates_scratch_[i] : f.rate};
   }
   if (const std::string err = check_max_min(links, fill); !err.empty()) {
     throw std::logic_error("FlowNetwork: fill is not max-min fair: " + err);
@@ -487,19 +510,18 @@ void FlowNetwork::resolve() {
   // Compact stale entries (departed flows; a recycled slot is
   // recognised by its seq) out of the arrival-ordered list, which then
   // holds exactly the active flows in commit order -- no per-resolve
-  // sort.
-  // Each active flow's fill record is refreshed on the way.
-  if (flow_fill_.size() < slots_.size()) flow_fill_.resize(slots_.size());
-  std::size_t live = 0;
-  for (const ArrivalEntry& e : arrival_order_) {
-    const ActiveFlow& f = slots_[e.slot];
-    if (!f.in_use || f.seq != e.seq) continue;
-    flow_fill_[e.slot] =
-        FlowFill{{f.path.data(), f.path.data() + f.path.size()}, e.seq,
-                 static_cast<std::uint32_t>(live), 0};
+  // sort.  Entries before the first departed or arrived flow keep
+  // their place and arrival index.
+  std::size_t live = std::min(reindex_from_, arrival_order_.size());
+  for (std::size_t i = live; i < arrival_order_.size(); ++i) {
+    const ArrivalEntry e = arrival_order_[i];
+    FlowFill& ff = flow_fill_[e.slot];
+    if (ff.seq != e.seq) continue;
+    ff.index = static_cast<std::uint32_t>(live);
     arrival_order_[live++] = e;
   }
   arrival_order_.resize(live);
+  reindex_from_ = kNoReindex;
   if (live != active_count_) {
     throw std::logic_error("FlowNetwork: arrival list out of sync (" +
                            std::to_string(live) + " live entries, " +
@@ -508,35 +530,40 @@ void FlowNetwork::resolve() {
 
   fill_rates();
 
-  // Commit, in arrival order: materialize progress under the *old*
-  // rate up to now, install the new rate, and move the flow's
-  // completion event to the new finish time (O(log n) each on the
-  // engine's indexed queue).
-  for (std::size_t i = 0; i < live; ++i) {
-    const FlowSlot slot = arrival_order_[i].slot;
-    ActiveFlow& f = slots_[slot];
-    const double rate = rates_scratch_[i];
-    if (rate <= 0.0) {
-      throw std::logic_error("FlowNetwork: flow allocated zero rate (link with "
-                             "zero capacity on its path?)");
-    }
-    if (rate == f.rate && f.completion_event != 0) {
-      // Bitwise-identical rate: the flow's byte trajectory -- and the
-      // completion event computed from it -- is still exact.  Skipping
-      // the materialize+reschedule here is what keeps a resolve cheap:
-      // a change usually re-derives the same rate for most flows.
-      continue;
-    }
-    f.remaining = remaining_at(f, now);
-    f.last_update = now;
-    f.rate = rate;
-    const double dt = f.remaining / f.rate;
-    if (f.completion_event != 0) {
-      f.completion_event = engine_.reschedule_after(f.completion_event, dt);
-      assert(f.completion_event != 0 && "pending completion event vanished");
-    } else {
-      f.completion_event = engine_.schedule_after(
-          dt, [this, slot] { on_flow_complete(slot); });
+  // Commit the flows the fill searched, in arrival order: materialize
+  // progress under the *old* rate up to now, install the new rate, and
+  // move the flow's completion event to the new finish time (O(log n)
+  // each on the engine's indexed queue).  A flow frozen in a rolled-back
+  // round is not visited: its rate is bit-identical to its committed one.
+  for (std::size_t w = 0; w < searched_.size(); ++w) {
+    for (std::uint64_t bits = searched_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t i = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      const FlowSlot slot = arrival_order_[i].slot;
+      ActiveFlow& f = slots_[slot];
+      const double rate = rates_scratch_[i];
+      if (rate <= 0.0) {
+        throw std::logic_error("FlowNetwork: flow allocated zero rate (link with "
+                               "zero capacity on its path?)");
+      }
+      if (rate == f.rate && f.completion_event != 0) {
+        // Bitwise-identical rate: the flow's byte trajectory -- and the
+        // completion event computed from it -- is still exact.  Skipping
+        // the materialize+reschedule here is what keeps a resolve cheap:
+        // a change usually re-derives the same rate for most flows.
+        continue;
+      }
+      ++rate_changes_;
+      f.remaining = remaining_at(f, now);
+      f.last_update = now;
+      f.rate = rate;
+      const double dt = f.remaining / f.rate;
+      if (f.completion_event != 0) {
+        f.completion_event = engine_.reschedule_after(f.completion_event, dt);
+        assert(f.completion_event != 0 && "pending completion event vanished");
+      } else {
+        f.completion_event = engine_.schedule_after(
+            dt, [this, slot] { on_flow_complete(slot); });
+      }
     }
   }
 }
@@ -556,14 +583,18 @@ void FlowNetwork::on_flow_complete(FlowSlot slot) {
   f.completion_event = 0;
   assert(remaining_at(f, engine_.now()) < kDoneEpsilonBytes &&
          "completion event fired with bytes left");
-  // Unindex: the flow's list entries become tombstones, and the next
-  // fill may resume below the first round that queued any of its links.
-  flow_fill_[slot].seq = 0;
+  // Unindex: the flow's list entries become tombstones, its links count
+  // one flow fewer (the rollback adds it back with its freeze), and the
+  // next fill may resume below the first round that queued any of them.
+  FlowFill& ff = flow_fill_[slot];
+  ff.seq = 0;
+  reindex_from_ = std::min<std::size_t>(reindex_from_, ff.index);
   std::uint64_t visits = f.path.size();
   for (LinkId l : f.path) {
     const auto li = static_cast<std::size_t>(l);
     LinkFlows& lf = link_flows_[li];
     --lf.live;
+    --link_fill_[li].flows;
     resume_round_ = std::min(resume_round_, link_fill_[li].first_queued);
     if (2 * static_cast<std::uint32_t>(lf.live) <= lf.size) {
       visits += compact_link(lf);

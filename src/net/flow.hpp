@@ -23,22 +23,25 @@
 //   shares lets each round visit only the links and flows it freezes;
 // * after departures only, the fill resumes at the first round that
 //   queued one of the departed flows' links: every earlier round froze
-//   the same flows at the same share, so it is replayed from the
-//   previous fill's log (its per-link subtractions, in order) instead
-//   of searched.  An arrival, the first fill and a fill after a stall
-//   resume at round 1 -- the same routine.
+//   the same flows at the same share, so the fill rolls the rounds from
+//   there back -- restoring each touched link's logged residual,
+//   newest entry first -- and searches only those.  An arrival, the
+//   first fill and a fill after a stall reset the touched links and
+//   search from round 1.
 //
 // Candidates are tested in arrival order against the state earlier
 // freezes of the same round left behind, which reproduces the
 // scan-everything fill bit for bit (same rates, same rounds;
-// docs/SIMULATOR.md "Re-solve" has both arguments).  What keeps a
-// resolve cheap beyond that is committing only the flows whose rate
-// actually moved; the model keeps the phenomena the paper relies on
-// (shared torus links, NIC duplex limits, SMP bus saturation).
+// docs/SIMULATOR.md "Re-solve" has the arguments).  What keeps a
+// resolve cheap beyond that is committing only the flows the fill
+// searched, and of those only the ones whose rate actually moved; the
+// model keeps the phenomena the paper relies on (shared torus links,
+// NIC duplex limits, SMP bus saturation).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "net/max_min.hpp"
@@ -75,9 +78,14 @@ class FlowNetwork {
   /// (min-tree nodes built, inspected or recomputed; bottleneck tests)
   /// plus one per link-flow incidence visited (link->flow index
   /// maintenance on arrival and departure, list scans, freeze updates
-  /// and their replay).  Deterministic, so "more work" and "slower
-  /// work" can be told apart.
+  /// and their undo).  Deterministic, so "more work" and "slower work"
+  /// can be told apart.
   [[nodiscard]] std::uint64_t fill_visits() const { return fill_visits_; }
+
+  /// Flows whose committed rate moved, summed over all resolves (an
+  /// arrival's first rate included).  A pure function of the flow
+  /// history, like resolves().
+  [[nodiscard]] std::uint64_t rate_changes() const { return rate_changes_; }
 
   /// The active flows in arrival order with their committed rates
   /// (diagnostics: check_max_min's input).  Right after a resolve these
@@ -103,6 +111,8 @@ class FlowNetwork {
     std::function<void(simt::Time)> done;
     bool in_use = false;
   };
+  // FlowFill::path points into ActiveFlow::path across slots_ growth.
+  static_assert(std::is_nothrow_move_constructible_v<ActiveFlow>);
 
   void add_active(ActiveFlow flow);
   void on_flow_complete(FlowSlot slot);
@@ -114,8 +124,9 @@ class FlowNetwork {
   /// events of the flows whose rate moved.
   void resolve();
   /// Progressive filling over arrival_order_ (compacted: every entry
-  /// live); rates_scratch_[i] receives the max-min rate of entry i.
-  /// Pure: commits nothing.
+  /// live).  Entry i was searched if bit i of searched_ is set, and then
+  /// rates_scratch_[i] is its max-min rate; every other entry keeps its
+  /// committed rate.  Commits nothing.
   void fill_rates();
 
   [[nodiscard]] double remaining_at(const ActiveFlow& f, simt::Time now) const {
@@ -134,26 +145,31 @@ class FlowNetwork {
   /// Active flows in arrival order: seq is monotonic, so appending on
   /// arrival keeps this sorted -- resolve() reads commit order straight
   /// off it instead of sorting per resolve.  Entries of departed flows
-  /// go stale in place (detected by seq mismatch / !in_use) and are
-  /// compacted away during the next resolve's walk.
+  /// go stale in place (their seq no longer matches the slot's
+  /// flow_fill_ seq) and are compacted away during the next resolve's
+  /// walk, which starts at reindex_from_: the lowest arrival index that
+  /// departed or arrived.
   struct ArrivalEntry {
     FlowSlot slot;
     std::uint64_t seq;
   };
   std::vector<ArrivalEntry> arrival_order_;
+  static constexpr std::size_t kNoReindex = static_cast<std::size_t>(-1);
+  std::size_t reindex_from_ = kNoReindex;
 
   bool resolve_pending_ = false;
   std::uint64_t resolves_ = 0;
 
   std::uint64_t fill_rounds_ = 0;
   std::uint64_t fill_visits_ = 0;
+  std::uint64_t rate_changes_ = 0;
 
   // Fill state, reused across fills (no allocation in steady state)
   // and allocated by the first one.  Between fills every link has
-  // flows == 0, every min-tree node is +inf and no dirty bit is set; a
-  // fill that ends early (a stall throws) leaves fill_clean_ false, and
-  // the next fill starts over, index included.  Flows are numbered by
-  // arrival index within a fill.
+  // flows == 0 less the flows that departed since, every min-tree node
+  // is +inf and no dirty bit is set; a fill that ends early (a stall
+  // throws) leaves fill_clean_ false, and the next fill starts over,
+  // index included.  Flows are numbered by arrival index within a fill.
   static constexpr std::uint32_t kFrozen = 0xFFFFFFFFu;
   static constexpr std::uint32_t kNever = 0xFFFFFFFFu;  // round: not queued
   static constexpr std::uint32_t kFanout = 8;  // min-tree node width (min_of_node)
@@ -168,12 +184,18 @@ class FlowNetwork {
     const LinkId* begin;
     const LinkId* end;
   };
-  /// Per flow slot, refreshed by every resolve for the active flows.
+  /// Per flow slot: path and seq are set on arrival, index by the
+  /// resolve that compacts past the flow, round by the fills.
   struct FlowFill {
     FlowPath path{nullptr, nullptr};
     std::uint64_t seq = 0;    // the indexed flow in this slot; 0 = none
     std::uint32_t index = 0;  // arrival index in this fill
     std::uint32_t round = 0;  // round queued; kFrozen once fixed
+  };
+  /// A link's residual before one freeze updated it.
+  struct UndoEntry {
+    LinkId link;
+    double residual;
   };
   /// One link's flows: a run of index_pool_ in arrival order, departed
   /// flows left as tombstones (their seq no longer matches the slot's).
@@ -192,6 +214,8 @@ class FlowNetwork {
   }
   /// Recompute the inner nodes above dirty leaves; returns how many.
   std::uint64_t update_share_tree();
+  /// A link's share from its residual and flows, into its leaf.
+  void update_share(LinkId link, LinkFill& s);
   [[nodiscard]] const ArrivalEntry* link_begin(const LinkFlows& lf) const {
     return index_pool_.data() + lf.begin;
   }
@@ -223,10 +247,13 @@ class FlowNetwork {
   std::uint32_t resume_round_ = kNever;
   // The last fill's log: round k (from 1) froze the slots
   // freeze_log_[round_begin_[k - 1], round_begin_[k]) in that order,
-  // at round_share_[k - 1].
+  // at round_share_[k - 1], and those freezes updated the links of
+  // undo_log_[undo_begin_[k - 1], undo_begin_[k]), in that order.
   std::vector<FlowSlot> freeze_log_;
   std::vector<std::uint32_t> round_begin_;
   std::vector<double> round_share_;
+  std::vector<UndoEntry> undo_log_;
+  std::vector<std::uint32_t> undo_begin_;
   // Min-tree over link shares (leaf l is link l), leaves first, then
   // each coarser level; level t starts at share_level_[t] and the root
   // is the last node.
@@ -238,6 +265,7 @@ class FlowNetwork {
   std::vector<std::uint32_t> tree_dirty_level_;
   std::vector<std::uint64_t> seed_stack_;   // (level << 32 | node) to inspect
   std::vector<std::uint64_t> candidates_;   // bitset over arrival indices
+  std::vector<std::uint64_t> searched_;     // bitset: frozen by this fill's search
   std::vector<double> rates_scratch_;
 };
 

@@ -118,6 +118,7 @@ void FileSystem::report_fabric_totals() {
   registry_->counter("pfsim.fabric_flow_resolves").add(flows_->resolves());
   registry_->counter("pfsim.fabric_fill_rounds").add(flows_->fill_rounds());
   registry_->counter("pfsim.fabric_fill_visits").add(flows_->fill_visits());
+  registry_->counter("pfsim.fabric_rate_changes").add(flows_->rate_changes());
 }
 
 void FileSystem::note_backlog() {

@@ -121,8 +121,9 @@ class FileSystem {
 
   /// Adds the I/O fabric's flow-solver totals to the attached registry
   /// (no-op when none is): `pfsim.fabric_flow_resolves`,
-  /// `pfsim.fabric_fill_rounds` and `pfsim.fabric_fill_visits`, the
-  /// fabric's counterparts of the transport's `net.flow_*` counters.
+  /// `pfsim.fabric_fill_rounds`, `pfsim.fabric_fill_visits` and
+  /// `pfsim.fabric_rate_changes`, the fabric's counterparts of the
+  /// transport's `net.flow_*` counters.
   /// Call once, at session end.
   void report_fabric_totals();
 

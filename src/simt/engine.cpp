@@ -1,5 +1,6 @@
 #include "simt/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <stdexcept>
@@ -10,6 +11,12 @@ namespace balbench::simt {
 // ---------------------------------------------------------------------------
 // EventQueue
 // ---------------------------------------------------------------------------
+
+namespace {
+// Heap arity: a 4-ary heap halves the levels a sift walks, and a node's
+// four children share one or two cache lines of 24-byte keys.
+constexpr std::size_t kArity = 4;
+}  // namespace
 
 std::uint32_t EventQueue::find(std::uint64_t id) const {
   const auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
@@ -23,41 +30,39 @@ std::uint32_t EventQueue::find(std::uint64_t id) const {
 void EventQueue::release_slot(std::uint32_t slot) {
   slots_[slot].pos = kInvalidPos;
   ++slots_[slot].generation;  // invalidates every outstanding id
+  fns_[slot] = nullptr;
   free_slots_.push_back(slot);
 }
 
-void EventQueue::move_to(std::size_t dst, std::size_t src) {
-  heap_[dst] = std::move(heap_[src]);
-  slots_[heap_[dst].slot].pos = static_cast<std::uint32_t>(dst);
-}
-
-void EventQueue::sift_up(std::size_t i) {
-  Event ev = std::move(heap_[i]);
+void EventQueue::sift_up(std::size_t i, Key key) {
   while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    const Event& p = heap_[parent];
-    if (p.time < ev.time || (p.time == ev.time && p.seq < ev.seq)) break;
-    move_to(i, parent);
+    const std::size_t parent = (i - 1) / kArity;
+    if (!before(key, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    slots_[heap_[i].slot].pos = static_cast<std::uint32_t>(i);
     i = parent;
   }
-  heap_[i] = std::move(ev);
-  slots_[heap_[i].slot].pos = static_cast<std::uint32_t>(i);
+  heap_[i] = key;
+  slots_[key.slot].pos = static_cast<std::uint32_t>(i);
 }
 
-void EventQueue::sift_down(std::size_t i) {
+void EventQueue::sift_down(std::size_t i, Key key) {
   const std::size_t n = heap_.size();
-  Event ev = std::move(heap_[i]);
   for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && before(child + 1, child)) ++child;
-    const Event& c = heap_[child];
-    if (ev.time < c.time || (ev.time == c.time && ev.seq < c.seq)) break;
-    move_to(i, child);
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    const std::size_t last = std::min(first + kArity, n);
+    std::size_t child = first;
+    for (std::size_t c = first + 1; c < last; ++c) {
+      if (before(heap_[c], heap_[child])) child = c;
+    }
+    if (!before(heap_[child], key)) break;
+    heap_[i] = heap_[child];
+    slots_[heap_[i].slot].pos = static_cast<std::uint32_t>(i);
     i = child;
   }
-  heap_[i] = std::move(ev);
-  slots_[heap_[i].slot].pos = static_cast<std::uint32_t>(i);
+  heap_[i] = key;
+  slots_[key.slot].pos = static_cast<std::uint32_t>(i);
 }
 
 std::uint64_t EventQueue::push(Time time, std::uint64_t seq,
@@ -69,45 +74,42 @@ std::uint64_t EventQueue::push(Time time, std::uint64_t seq,
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back(Slot{});
+    fns_.emplace_back();
   }
-  heap_.push_back(Event{time, seq, slot, std::move(fn)});
-  sift_up(heap_.size() - 1);
+  fns_[slot] = std::move(fn);
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Key{time, seq, slot});
   return (static_cast<std::uint64_t>(slots_[slot].generation) << 32) |
          static_cast<std::uint64_t>(slot);
 }
 
 EventQueue::Event EventQueue::pop() {
-  assert(!heap_.empty());
-  Event ev = std::move(heap_.front());
-  release_slot(ev.slot);
-  if (heap_.size() > 1) {
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    sift_down(0);
-  } else {
-    heap_.pop_back();
-  }
+  if (heap_.empty()) throw std::logic_error("EventQueue::pop: the queue is empty");
+  const Key front = heap_.front();
+  Event ev{front.time, std::move(fns_[front.slot])};
+  release_slot(front.slot);
+  remove_at(0);
   return ev;
 }
 
 void EventQueue::remove_at(std::size_t i) {
-  release_slot(heap_[i].slot);
-  const std::size_t last = heap_.size() - 1;
-  if (i == last) {
-    heap_.pop_back();
-    return;
-  }
-  heap_[i] = std::move(heap_[last]);
+  const Key removed = heap_[i];
+  const Key last = heap_.back();
   heap_.pop_back();
-  // The element filling the hole may need to travel either direction.
-  const std::uint32_t moved = heap_[i].slot;
-  sift_down(i);
-  sift_up(slots_[moved].pos);
+  if (i == heap_.size()) return;
+  // The key filling the hole travels up only if it orders before the
+  // one it replaces, and down otherwise.
+  if (before(last, removed)) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
+  }
 }
 
 bool EventQueue::cancel(std::uint64_t id) {
   const std::uint32_t pos = find(id);
   if (pos == kInvalidPos) return false;
+  release_slot(heap_[pos].slot);
   remove_at(pos);
   return true;
 }
@@ -115,11 +117,13 @@ bool EventQueue::cancel(std::uint64_t id) {
 bool EventQueue::reschedule(std::uint64_t id, Time time, std::uint64_t new_seq) {
   const std::uint32_t pos = find(id);
   if (pos == kInvalidPos) return false;
-  heap_[pos].time = time;
-  heap_[pos].seq = new_seq;
-  const std::uint32_t slot = heap_[pos].slot;
-  sift_down(pos);
-  sift_up(slots_[slot].pos);
+  const Key old = heap_[pos];
+  const Key key{time, new_seq, old.slot};
+  if (before(key, old)) {
+    sift_up(pos, key);
+  } else {
+    sift_down(pos, key);
+  }
   return true;
 }
 

@@ -70,24 +70,24 @@ class Process {
 /// recycled integers tagged with a generation counter, so the position
 /// index is a flat vector (no hashing on the heap's hot sift path) and
 /// a stale id -- its event already fired or cancelled -- is recognised
-/// and ignored.
+/// and ignored.  The heap moves only 24-byte (time, seq, slot) keys;
+/// callbacks stay put in a table indexed by handle slot.
 class EventQueue {
  public:
+  /// A popped event.
   struct Event {
     Time time = 0.0;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;  // owning handle slot (internal)
     std::function<void()> fn;
   };
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  /// Earliest pending event: smallest (time, seq).
-  [[nodiscard]] const Event& top() const { return heap_.front(); }
 
   /// Returns a non-zero id for cancel()/reschedule().  `seq` is the
   /// caller-provided tie-break and must be unique among pending events.
   std::uint64_t push(Time time, std::uint64_t seq, std::function<void()> fn);
+  /// Removes and returns the earliest pending event: smallest (time,
+  /// seq).  Throws std::logic_error on an empty queue, in every build.
   Event pop();
   /// Removes the event with this id.  Returns false (and does nothing)
   /// if it is not pending -- already fired, cancelled, or never
@@ -100,6 +100,11 @@ class EventQueue {
   bool reschedule(std::uint64_t id, Time time, std::uint64_t new_seq);
 
  private:
+  struct Key {
+    Time time;
+    std::uint64_t seq;
+    std::uint32_t slot;  // owning handle slot
+  };
   /// Handle table entry; `pos` is kInvalidPos while the slot is free.
   struct Slot {
     std::uint32_t pos = 0;
@@ -107,21 +112,23 @@ class EventQueue {
   };
   static constexpr std::uint32_t kInvalidPos = 0xFFFFFFFFu;
 
-  [[nodiscard]] bool before(std::size_t a, std::size_t b) const {
-    if (heap_[a].time != heap_[b].time) return heap_[a].time < heap_[b].time;
-    return heap_[a].seq < heap_[b].seq;
+  /// (time, seq) is a strict total order (seqs are unique, times never
+  /// NaN), so the pop order does not depend on the heap's shape.
+  [[nodiscard]] static bool before(const Key& a, const Key& b) {
+    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
   }
   /// Heap position of the event with this id, or kInvalidPos.
   [[nodiscard]] std::uint32_t find(std::uint64_t id) const;
   void release_slot(std::uint32_t slot);
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  void move_to(std::size_t dst, std::size_t src);
+  /// Moves `key` from the hole at position i up or down to its place.
+  void sift_up(std::size_t i, Key key);
+  void sift_down(std::size_t i, Key key);
   /// Removes heap position i, restoring the heap property.
   void remove_at(std::size_t i);
 
-  std::vector<Event> heap_;
+  std::vector<Key> heap_;
   std::vector<Slot> slots_;
+  std::vector<std::function<void()>> fns_;  // by slot
   std::vector<std::uint32_t> free_slots_;
 };
 

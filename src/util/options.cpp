@@ -1,9 +1,12 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parallel.hpp"
 
 namespace balbench::util {
 
@@ -76,10 +79,11 @@ void Options::add_string(const std::string& name, std::string* target,
 }
 
 void Options::add_jobs(std::int64_t* target, const std::string& what) {
-  add_int("jobs", target,
-          "worker threads for " + what +
-              "; output is byte-identical for every value"
-              " (0 = all hardware threads, 1 = serial)");
+  add("jobs", Spec{Spec::Kind::Jobs, target,
+                   "worker threads for " + what +
+                       "; output is byte-identical for every value"
+                       " (0 = all hardware threads, 1 = serial)",
+                   std::to_string(*target)});
 }
 
 void Options::add_positionals(std::vector<std::string>* target,
@@ -136,6 +140,11 @@ bool Options::parse(int argc, const char* const* argv) {
       case Spec::Kind::Int:
         *static_cast<std::int64_t*>(spec.target) = parse_int(value, "--" + arg);
         break;
+      case Spec::Kind::Jobs:
+        // Tools narrow the value to int; clamped first, it cannot wrap.
+        *static_cast<std::int64_t*>(spec.target) =
+            std::clamp<std::int64_t>(parse_int(value, "--" + arg), 0, kMaxJobs);
+        break;
       case Spec::Kind::Double:
         *static_cast<double*>(spec.target) = parse_double(value, "--" + arg);
         break;
@@ -162,7 +171,8 @@ std::string Options::help() const {
     oss << "  --" << name;
     switch (s.kind) {
       case Spec::Kind::Flag: break;
-      case Spec::Kind::Int: oss << " <int>"; break;
+      case Spec::Kind::Int:
+      case Spec::Kind::Jobs: oss << " <int>"; break;
       case Spec::Kind::Double: oss << " <float>"; break;
       case Spec::Kind::String: oss << " <str>"; break;
     }

@@ -34,7 +34,9 @@ class Options {
   /// parallel sweep scheduler (util/parallel.hpp).  `what` names the
   /// sweep being parallelized (shown in --help).  The scheduler's
   /// ordered reduction guarantees byte-identical output for every N;
-  /// 0 means "all hardware threads", 1 restores serial execution.
+  /// 0 means "all hardware threads", 1 restores serial execution.  The
+  /// parsed value is clamped into [0, kMaxJobs] (util/parallel.hpp), so
+  /// it fits an int and a negative one still means every thread.
   void add_jobs(std::int64_t* target, const std::string& what);
 
   /// Accepts positional (non "--") arguments, collected into `target`
@@ -54,7 +56,7 @@ class Options {
 
  private:
   struct Spec {
-    enum class Kind { Flag, Int, Double, String } kind;
+    enum class Kind { Flag, Int, Jobs, Double, String } kind;
     void* target;
     std::string help;
     std::string default_repr;

@@ -33,7 +33,7 @@ int hardware_jobs() {
 
 int resolve_jobs(std::int64_t requested) {
   if (requested <= 0) return hardware_jobs();
-  if (requested > 1024) return 1024;  // refuse absurd thread counts
+  if (requested > kMaxJobs) return kMaxJobs;
   return static_cast<int>(requested);
 }
 

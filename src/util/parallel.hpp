@@ -78,9 +78,12 @@ void set_pool_observer(PoolObserver* observer);
 /// Number of hardware threads, at least 1.
 int hardware_jobs();
 
+/// Most workers resolve_jobs() grants: absurd thread counts are refused.
+inline constexpr int kMaxJobs = 1024;
+
 /// Resolve a user-supplied --jobs value: <= 0 means "use the hardware
-/// concurrency", values above 1024 are capped, anything else is taken
-/// literally.
+/// concurrency", values above kMaxJobs are capped, anything else is
+/// taken literally.
 int resolve_jobs(std::int64_t requested);
 
 /// Runs body(0) .. body(n-1) on resolve_jobs(jobs) workers (never more

@@ -554,3 +554,114 @@ TEST(FlowResume, DepartureEmptiesALink) {
   };
   EXPECT_EQ(completion_digest(topo, flows), 0xdde1f20ca2e34242ULL);
 }
+
+// Rollback pins.  A departures-only fill rolls the previous fill's
+// rounds from the resume round on back and searches only those
+// (docs/SIMULATOR.md "Re-solve").  Digests were recorded from the fill
+// that replayed the rounds below the resume round instead.
+
+namespace {
+
+// Four rounds on exact binary shares: link 0 (1024) freezes A and B at
+// 512; link 1 (3072) freezes C, D and E at 1024; link 2 (4096), left
+// with 3072 by E, freezes F and G at 1536; link 3 (8192), left with
+// 6656 by G, gives the rest to the flows that cross only it.
+RouteTable four_round_links() {
+  RouteTable topo({1024.0, 3072.0, 4096.0, 8192.0}, 12);
+  topo.add(1, 0, {0});     // A
+  topo.add(2, 0, {0});     // B
+  topo.add(3, 0, {1});     // C
+  topo.add(4, 0, {1});     // D
+  topo.add(5, 0, {1, 2});  // E
+  topo.add(6, 0, {2});     // F
+  topo.add(7, 0, {2, 3});  // G
+  topo.add(8, 0, {3});     // H
+  topo.add(9, 0, {3});     // H2
+  return topo;
+}
+
+}  // namespace
+
+TEST(FlowResume, TwoDeparturesOnlyFillsInARow) {
+  // H (6656 B/s) leaves at t = 1: the fill resumes at round 4, its last,
+  // and has nothing left to search.  G (1536 B/s) leaves at t = 2: link
+  // 3 no longer counts as queued, so the fill resumes at round 3 and
+  // gives F all of link 2's 3072.  Then the others leave one by one.
+  const RouteTable topo = four_round_links();
+  const std::vector<TimedFlow> flows = {
+      {1, 0, 4096.0, 0.0},  {2, 0, 5120.0, 0.0},  {3, 0, 8192.0, 0.0},
+      {4, 0, 9216.0, 0.0},  {5, 0, 10240.0, 0.0}, {6, 0, 16384.0, 0.0},
+      {7, 0, 3072.0, 0.0},  {8, 0, 6656.0, 0.0},
+  };
+  EXPECT_EQ(completion_digest(topo, flows), 0xfb05d739bc1d5e0eULL);
+}
+
+TEST(FlowResume, DepartureResumesAtTheLastRound) {
+  // H and H2 share link 3's 6656 at 3328 in round 4, the last.  H
+  // leaves at t = 1 and the fill rolls round 4 back and searches it
+  // again, with H2 alone.
+  const RouteTable topo = four_round_links();
+  const std::vector<TimedFlow> flows = {
+      {1, 0, 65536.0, 0.0}, {2, 0, 65536.0, 0.0}, {3, 0, 65536.0, 0.0},
+      {4, 0, 65536.0, 0.0}, {5, 0, 65536.0, 0.0}, {6, 0, 65536.0, 0.0},
+      {7, 0, 65536.0, 0.0}, {8, 0, 3328.0, 0.0},  {9, 0, 65536.0, 0.0},
+  };
+  EXPECT_EQ(completion_digest(topo, flows), 0xd78a92b09d0457cbULL);
+}
+
+TEST(FlowResume, EveryFlowOfASearchedLinkDeparts) {
+  // Round 1 freezes A, B and X on link 0 (1536) at 512; round 2 freezes
+  // P and Q, alone on link 2 (2048), at 1024, and Y, left with 1536 on
+  // link 1 by X, in round 3.  P and Q leave together at t = 1: the
+  // fill rolls rounds 2 and 3 back, link 2 keeps no flow, and Y is
+  // searched again.  At t = 2 R arrives on link 2 and link 0.
+  RouteTable topo({1536.0, 2048.0, 2048.0}, 8);
+  topo.add(1, 0, {0});     // A
+  topo.add(2, 0, {0});     // B
+  topo.add(3, 0, {0, 1});  // X
+  topo.add(4, 0, {2});     // P
+  topo.add(5, 0, {2});     // Q
+  topo.add(6, 0, {1});     // Y
+  topo.add(7, 0, {2, 0});  // R
+  const std::vector<TimedFlow> flows = {
+      {1, 0, 8192.0, 0.0}, {2, 0, 9216.0, 0.0}, {3, 0, 10240.0, 0.0},
+      {4, 0, 1024.0, 0.0}, {5, 0, 1024.0, 0.0}, {6, 0, 16384.0, 0.0},
+      {7, 0, 4096.0, 2.0},
+  };
+  EXPECT_EQ(completion_digest(topo, flows), 0x18b89c0de67179a2ULL);
+}
+
+TEST(FlowResume, RolledBackRoundQueuesALinkInMidRoundAgain) {
+  // The values of LinkFallingUnderTheThresholdMidRound...: link C's two
+  // flows freeze in round 1; link A (g alone, share m) and link D (W
+  // and W2 over 2m) are round 2's minimum, and link B's share r / c
+  // rounds to at or under the threshold once g (crossing A and B)
+  // freezes, which queues B's later flows in mid-round.  W leaves
+  // first and the fill rolls rounds 2 and up back: the search of round
+  // 2 queues B's later flows in mid-round again.
+  const double m = 0x1.8786454bcc99bp+24;
+  const double r = 0x1.000496b40fc55p+39;
+  const int c = 21427;
+  RouteTable topo({m, r, m / 2, 2 * m}, 5);
+  topo.add(1, 0, {2});     // X, Y
+  topo.add(2, 0, {3});     // W, W2
+  topo.add(3, 0, {0, 1});  // g
+  topo.add(4, 0, {1});     // the probe and B's other flows
+
+  bs::Engine eng;
+  bn::FlowNetwork net(topo, eng);
+  std::vector<double> done(2, -1.0);
+  net.start_flow(1, 0, 1e12, [](bs::Time) {});
+  net.start_flow(1, 0, 1e12, [](bs::Time) {});
+  net.start_flow(2, 0, 100.0, [&done](bs::Time t) { done[0] = t; });  // W
+  net.start_flow(2, 0, 1e12, [](bs::Time) {});
+  net.start_flow(3, 0, 1e12, [](bs::Time) {});  // g
+  net.start_flow(4, 0, 2000.0, [&done](bs::Time t) {
+    done[1] = t;
+    throw std::runtime_error("probe landed");  // stop: the rest is slow
+  });
+  for (int i = 2; i < c; ++i) net.start_flow(4, 0, 1e12, [](bs::Time) {});
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  ASSERT_LT(done[0], done[1]);
+  EXPECT_EQ(time_digest(done), 0xfbc3cfaf149193f9ULL);
+}

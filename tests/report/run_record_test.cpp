@@ -63,7 +63,8 @@ TEST_F(RunRecordJobs, RecordContainsSchemaAndMetrics) {
        {"parmsg.msgs_sent", "parmsg.bytes_sent", "parmsg.wait_seconds",
         "simt.events_fired", "net.flow_fill_rounds", "pario.bytes_written",
         "pfsim.requests", "pfsim.fabric_flow_resolves",
-        "pfsim.fabric_fill_rounds", "pfsim.fabric_fill_visits"}) {
+        "pfsim.fabric_fill_rounds", "pfsim.fabric_fill_visits",
+        "net.flow_rate_changes", "pfsim.fabric_rate_changes"}) {
     EXPECT_NE(record.find(metric), std::string::npos) << metric;
   }
   // Host-side quantities must never leak into a run record.

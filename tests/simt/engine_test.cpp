@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace bs = balbench::simt;
 
@@ -165,4 +170,76 @@ TEST(Engine, NanTimeThrows) {
   // Neither refused call reached the queue: only the 1.0 event fires.
   e.run();
   EXPECT_DOUBLE_EQ(e.now(), 1.0);
+}
+
+TEST(EventQueue, PopOnEmptyThrows) {
+  bs::EventQueue q;
+  EXPECT_THROW(q.pop(), std::logic_error);
+  q.push(1.0, 1, [] {});
+  q.pop();
+  EXPECT_THROW(q.pop(), std::logic_error);
+}
+
+// Seeded push/cancel/reschedule/pop against a sorted std::map keyed
+// by (time, seq): few distinct times, so most comparisons fall to the
+// seq tie-break, and cancels and reschedules of ids that fired or were
+// cancelled.
+TEST(EventQueue, MatchesSortedReference) {
+  using Key = std::pair<double, std::uint64_t>;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    balbench::util::Xoshiro256 rng(seed);
+    bs::EventQueue q;
+    std::map<Key, std::size_t> ref;           // pending key -> event number
+    std::map<std::uint64_t, Key> pending;     // id -> its current key
+    std::vector<std::uint64_t> ids;           // by event number
+    std::uint64_t next_seq = 1;
+    std::size_t fired = 0;  // event number the last popped callback set
+    const auto pop_and_check = [&](int step) {
+      const auto want = ref.begin();
+      bs::EventQueue::Event ev = q.pop();
+      ev.fn();
+      ASSERT_EQ(ev.time, want->first.first) << "step " << step;
+      ASSERT_EQ(fired, want->second) << "step " << step;
+      pending.erase(ids[want->second]);
+      ref.erase(want);
+    };
+    for (int step = 0; step < 20000; ++step) {
+      const std::uint64_t op = rng.below(8);
+      const double t = static_cast<double>(rng.below(6));
+      if (op < 3 || ref.empty()) {
+        const std::size_t k = ids.size();
+        const Key key{t, next_seq++};
+        const std::uint64_t id = q.push(key.first, key.second, [&fired, k] { fired = k; });
+        ASSERT_NE(id, 0u);
+        ASSERT_TRUE(pending.emplace(id, key).second);
+        ref.emplace(key, k);
+        ids.push_back(id);
+      } else if (op < 5) {
+        const std::uint64_t id = ids[rng.below(ids.size())];
+        const auto it = pending.find(id);
+        ASSERT_EQ(q.cancel(id), it != pending.end()) << "step " << step;
+        if (it != pending.end()) {
+          ref.erase(it->second);
+          pending.erase(it);
+        }
+      } else if (op < 7) {
+        const std::uint64_t id = ids[rng.below(ids.size())];
+        const auto it = pending.find(id);
+        const Key key{t, next_seq++};
+        ASSERT_EQ(q.reschedule(id, key.first, key.second), it != pending.end())
+            << "step " << step;
+        if (it != pending.end()) {
+          auto node = ref.extract(it->second);
+          node.key() = key;
+          ref.insert(std::move(node));
+          it->second = key;
+        }
+      } else {
+        pop_and_check(step);
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    while (!ref.empty()) pop_and_check(-1);
+    EXPECT_TRUE(q.empty());
+  }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 namespace bu = balbench::util;
 
 namespace {
@@ -143,4 +146,21 @@ TEST(Options, WholeNumbersStillParse) {
   EXPECT_DOUBLE_EQ(bu::parse_double("0.10", "--t"), 0.10);
   EXPECT_THROW(bu::parse_double("3x", "--handicap factor"),
                std::invalid_argument);
+}
+
+TEST(Options, JobsBeyondIntRangeAreClamped) {
+  // Tools narrow --jobs to int: unclamped, 2^32 + 1 would wrap to 1
+  // worker and 2^31 to a negative "every hardware thread".
+  const std::pair<const char*, std::int64_t> cases[] = {
+      {"4294967297", 1024}, {"2147483648", 1024}, {"-2147483649", 0},
+      {"1025", 1024},       {"-1", 0},            {"0", 0},
+      {"3", 3},
+  };
+  for (const auto& [text, want] : cases) {
+    std::int64_t jobs = 1;
+    bu::Options o("test");
+    o.add_jobs(&jobs, "a sweep");
+    EXPECT_TRUE(parse(o, {"--jobs", text}));
+    EXPECT_EQ(jobs, want) << text;
+  }
 }
