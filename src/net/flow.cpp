@@ -141,15 +141,18 @@ void FlowNetwork::build_share_tree(std::size_t links) {
     words += static_cast<std::uint32_t>((next - share_level_[t] + 63) / 64);
   }
   tree_dirty_level_.push_back(words);
-  tree_dirty_.assign(words, 0);
+  tree_dirty_.assign(words + 1, 0);  // + the root's parent bit
 }
 
 std::uint64_t FlowNetwork::update_share_tree() {
   // Every inner node above a leaf that changed, once, level by level;
-  // a node whose minimum holds does not dirty its parent.
+  // a node whose minimum holds does not dirty its parent.  The parent's
+  // bit is set from the comparison rather than behind a branch, which
+  // mispredicts often; the root sets a spare word's.
   std::uint64_t recomputed = 0;
   const std::size_t top = share_level_.size() - 1;
   for (std::size_t t = 1; t <= top; ++t) {
+    std::uint64_t* const parents = &tree_dirty_[tree_dirty_level_[t + 1]];
     for (std::uint32_t w = tree_dirty_level_[t]; w < tree_dirty_level_[t + 1]; ++w) {
       for (std::uint64_t bits = std::exchange(tree_dirty_[w], 0); bits != 0;
            bits &= bits - 1) {
@@ -158,17 +161,54 @@ std::uint64_t FlowNetwork::update_share_tree() {
         const double m = min_of_node(&share_tree_[share_level_[t - 1] + j * kFanout]);
         ++recomputed;
         double& node = share_tree_[share_level_[t] + j];
-        if (m == node) continue;
+        const std::uint32_t parent = j / kFanout;
+        parents[parent / 64] |= std::uint64_t{m != node} << (parent % 64);
         node = m;
-        if (t < top) {
-          const std::uint32_t parent = j / kFanout;
-          tree_dirty_[tree_dirty_level_[t + 1] + parent / 64] |= std::uint64_t{1}
-                                                                << (parent % 64);
-        }
       }
     }
   }
   return recomputed;
+}
+
+std::uint32_t FlowNetwork::probe_arrivals(std::uint32_t limit, std::uint64_t& visits) {
+  // Replay each probed link's share through the last fill's rounds: it
+  // starts at the link's bandwidth over its flows, and each freeze of
+  // one of its flows (an undo entry) takes min_share off the logged
+  // residual and one flow off the count, exactly as the search did.  A
+  // departed flow still counts, which only lowers the share.  Between
+  // its entries a link's share holds, so the lowest one is recomputed
+  // only after a round that changed one.
+  if (probe_.empty()) return limit;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double lowest = kInf;
+  bool stale = true;
+  for (std::uint32_t round = 1; round < limit; ++round) {
+    const double min_share = round_share_[round - 1];
+    const double threshold = min_share + min_share * 1e-12;
+    if (stale) {
+      lowest = kInf;
+      for (const LinkProbe& p : probe_) lowest = std::min(lowest, p.residual / p.flows);
+      visits += probe_.size();
+      stale = false;
+    }
+    if (lowest <= threshold) return round;
+    const std::uint32_t end = undo_begin_[round];
+    visits += end - undo_begin_[round - 1];
+    for (std::uint32_t j = undo_begin_[round - 1]; j < end; ++j) {
+      const UndoEntry u = undo_log_[j];
+      const std::uint32_t pi = link_fill_[static_cast<std::size_t>(u.link)].probe;
+      if (pi == kNever) continue;
+      // The link's share after this freeze, as the search would find it
+      // with the arrivals on the link: at or under the threshold, the
+      // round would queue the link's later flows, the new ones too.
+      LinkProbe& p = probe_[pi];
+      p.residual = std::max(0.0, u.residual - min_share);
+      --p.flows;
+      if (p.residual / p.flows <= threshold) return round;
+      stale = true;
+    }
+  }
+  return limit;
 }
 
 void FlowNetwork::update_share(LinkId link, LinkFill& s) {
@@ -182,22 +222,19 @@ void FlowNetwork::append_flow(LinkFlows& lf, ArrivalEntry e) {
     const std::uint32_t capacity = std::max<std::uint32_t>(4, 2 * lf.capacity);
     if (index_pool_.size() + capacity > index_pool_.capacity() && pool_unused_ > 0 &&
         4 * pool_unused_ >= index_pool_.size()) {
-      // Repack instead of reallocating: slide the listed links' runs
-      // (every run in use; a link leaves the list only with an empty
-      // one) down over the moved-out runs, in pool order.
-      repack_order_ = indexed_links_;
-      std::sort(repack_order_.begin(), repack_order_.end(), [this](LinkId a, LinkId b) {
-        return link_flows_[static_cast<std::size_t>(a)].begin <
-               link_flows_[static_cast<std::size_t>(b)].begin;
-      });
-      std::uint32_t end = 0;
-      for (LinkId l : repack_order_) {
+      // Repack instead of growing: copy the listed links' runs (every
+      // run in use; a link leaves the list only with an empty one) into
+      // a buffer of the same capacity, in list order, leaving out the
+      // moved-out runs.
+      std::vector<ArrivalEntry> packed;
+      packed.reserve(index_pool_.capacity());
+      for (LinkId l : indexed_links_) {
         LinkFlows& run = link_flows_[static_cast<std::size_t>(l)];
-        std::copy_n(index_pool_.begin() + run.begin, run.capacity, index_pool_.begin() + end);
-        run.begin = end;
-        end += run.capacity;
+        const auto first = index_pool_.begin() + run.begin;
+        run.begin = static_cast<std::uint32_t>(packed.size());
+        packed.insert(packed.end(), first, first + run.capacity);
       }
-      index_pool_.resize(end);
+      index_pool_.swap(packed);
       pool_unused_ = 0;
     }
     const auto begin = static_cast<std::uint32_t>(index_pool_.size());
@@ -277,34 +314,53 @@ void FlowNetwork::fill_rates() {
   fill_clean_ = false;
 
   // Index the flows that arrived since the last fill (the tail of the
-  // arrival-ordered list); any arrival means a fill from round 1.
+  // arrival-ordered list), count them on their links, and list those
+  // links for the probe with the last fill's flow count: a departure
+  // took its flow off the count but not off the log.
   std::size_t first_new = n;
   while (first_new > 0 && arrival_order_[first_new - 1].seq > indexed_seq_) --first_new;
-  if (first_new < n) {
-    resume = 1;
-    indexed_seq_ = arrival_order_[n - 1].seq;
-  }
+  if (first_new < n) indexed_seq_ = arrival_order_[n - 1].seq;
+  probe_.clear();
   for (std::size_t i = first_new; i < n; ++i) {
     const ArrivalEntry e = arrival_order_[i];
     const FlowPath path = flow_fill_[e.slot].path;
     visits += static_cast<std::uint64_t>(path.end - path.begin);
     for (const LinkId* p = path.begin; p != path.end; ++p) {
-      LinkFlows& lf = link_flows_[static_cast<std::size_t>(*p)];
+      const auto li = static_cast<std::size_t>(*p);
+      LinkFlows& lf = link_flows_[li];
+      LinkFill& s = link_fill_[li];
       if (!lf.listed) {
+        // No flow since the last reset, which may have dropped the link
+        // with a departed flow's freeze still on it.
         lf.listed = true;
         indexed_links_.push_back(*p);
+        s = LinkFill{};
+        s.residual = links[li].bandwidth;
+      }
+      if (s.probe == kNever) {
+        s.probe = static_cast<std::uint32_t>(probe_.size());
+        probe_.push_back(LinkProbe{*p, lf.live - s.flows, links[li].bandwidth});
       }
       append_flow(lf, e);
       ++lf.live;
+      ++s.flows;
+      ++probe_[s.probe].flows;
     }
   }
-  // After departures only, `resume` is the lowest round that queued one
-  // of their links in the last fill.  Before it those links were never
-  // at or under the threshold; losing flows only raises their shares,
-  // so every earlier round freezes the same flows at the same share.
+  // `resume` is the lowest round that queued one of the departed flows'
+  // links in the last fill.  Before it those links were never at or
+  // under the threshold; losing flows only raises their shares, so
+  // every earlier round freezes the same flows at the same share.  The
+  // arrivals' links, which gain flows, must stay above the thresholds
+  // of those rounds at every point.
   resume = std::min(resume, static_cast<std::uint32_t>(round_share_.size() + 1));
+  resume = probe_arrivals(resume, visits);
+  for (const LinkProbe& p : probe_) {
+    link_fill_[static_cast<std::size_t>(p.link)].probe = kNever;
+  }
 
   if (resume == 1) {
+    ++fill_resets_;
     // Reset the links with active flows, dropping those whose last flow
     // left (departures compacted their lists to nothing).
     std::size_t kept = 0;
@@ -343,7 +399,11 @@ void FlowNetwork::fill_rates() {
       if (s.first_queued >= resume) s.first_queued = kNever;
       update_share(u.link, s);
     }
-    visits += undo_log_.size() - from;
+    // The arrivals' links gained flows the rollback did not give them.
+    for (const LinkProbe& p : probe_) {
+      update_share(p.link, link_fill_[static_cast<std::size_t>(p.link)]);
+    }
+    visits += undo_log_.size() - from + probe_.size();
   }
   // The flows frozen in the rounds to search are unfixed again; those
   // frozen below `resume` keep their committed rates.
@@ -357,7 +417,6 @@ void FlowNetwork::fill_rates() {
   round_share_.resize(resume - 1);
   undo_log_.resize(undo_begin_[resume - 1]);
   undo_begin_.resize(resume);
-  visits += update_share_tree();
 
   rates_scratch_.resize(n);
   candidates_.assign((n + 63) / 64, 0);
@@ -365,6 +424,10 @@ void FlowNetwork::fill_rates() {
   const auto top = static_cast<std::uint32_t>(share_level_.size() - 1);
   for (std::uint32_t round = resume; unfixed > 0; ++round) {
     ++fill_rounds_;
+    // Repair the tree above the leaves changed since the last round --
+    // or since the last fill: a fill's last round leaves only +inf
+    // leaves behind and no repair.
+    visits += update_share_tree();
     // Most constrained link: smallest residual fair share, the root.
     const double min_share =
         std::min(std::numeric_limits<double>::max(), share_tree_.back());
@@ -404,6 +467,10 @@ void FlowNetwork::fill_rates() {
       const LinkFlows& lf = link_flows_[static_cast<std::size_t>(l)];
       const ArrivalEntry* const first = link_begin(lf);
       const ArrivalEntry* const last = first + lf.size;
+      if (after_seq == 0) {  // a seed: every unfixed flow
+        queue_flows(first, last);
+        return;
+      }
       queue_flows(std::upper_bound(first, last, after_seq,
                                    [](std::uint64_t seq, const ArrivalEntry& e) {
                                      return seq < e.seq;
@@ -481,7 +548,6 @@ void FlowNetwork::fill_rates() {
     round_begin_.push_back(static_cast<std::uint32_t>(freeze_log_.size()));
     undo_begin_.push_back(static_cast<std::uint32_t>(undo_log_.size()));
     round_share_.push_back(min_share);
-    visits += update_share_tree();
   }
   fill_visits_ += visits;
   fill_clean_ = true;

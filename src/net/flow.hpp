@@ -21,13 +21,16 @@
 //   once tombstones reach half its length;
 // * an 8-ary min-tree over the touched links' exact residual fair
 //   shares lets each round visit only the links and flows it freezes;
-// * after departures only, the fill resumes at the first round that
-//   queued one of the departed flows' links: every earlier round froze
-//   the same flows at the same share, so the fill rolls the rounds from
-//   there back -- restoring each touched link's logged residual,
-//   newest entry first -- and searches only those.  An arrival, the
-//   first fill and a fill after a stall reset the touched links and
-//   search from round 1.
+// * the fill resumes at the first round the change can alter: for
+//   departures, the first round that queued one of the departed flows'
+//   links; for arrivals, the first round in which one of the new flows'
+//   links, counting them, would have come to or under the threshold --
+//   at the round's start or after any freeze in it, replayed from the
+//   last fill's log.  Every earlier round froze the same flows at the
+//   same share, so the fill rolls the rounds from there back --
+//   restoring each touched link's logged residual, newest entry first
+//   -- and searches only those.  The first fill, a fill after a stall
+//   and a resume at round 1 reset the touched links instead.
 //
 // Candidates are tested in arrival order against the state earlier
 // freezes of the same round left behind, which reproduces the
@@ -81,6 +84,11 @@ class FlowNetwork {
   /// and their undo).  Deterministic, so "more work" and "slower work"
   /// can be told apart.
   [[nodiscard]] std::uint64_t fill_visits() const { return fill_visits_; }
+
+  /// Fills that started over from round 1: the first, one after a
+  /// stall, and one whose arrivals or departures reach back to round 1.
+  /// A pure function of the flow history, like fill_rounds().
+  [[nodiscard]] std::uint64_t fill_resets() const { return fill_resets_; }
 
   /// Flows whose committed rate moved, summed over all resolves (an
   /// arrival's first rate included).  A pure function of the flow
@@ -162,14 +170,17 @@ class FlowNetwork {
 
   std::uint64_t fill_rounds_ = 0;
   std::uint64_t fill_visits_ = 0;
+  std::uint64_t fill_resets_ = 0;
   std::uint64_t rate_changes_ = 0;
 
   // Fill state, reused across fills (no allocation in steady state)
   // and allocated by the first one.  Between fills every link has
-  // flows == 0 less the flows that departed since, every min-tree node
-  // is +inf and no dirty bit is set; a fill that ends early (a stall
-  // throws) leaves fill_clean_ false, and the next fill starts over,
-  // index included.  Flows are numbered by arrival index within a fill.
+  // flows == 0 less the flows that departed since and every min-tree
+  // leaf is +inf; the inner nodes above the last round's leaves are
+  // repaired by the next fill, whose dirty bits they keep.  A fill that
+  // ends early (a stall throws) leaves fill_clean_ false, and the next
+  // fill starts over, index included.  Flows are numbered by arrival
+  // index within a fill.
   static constexpr std::uint32_t kFrozen = 0xFFFFFFFFu;
   static constexpr std::uint32_t kNever = 0xFFFFFFFFu;  // round: not queued
   static constexpr std::uint32_t kFanout = 8;  // min-tree node width (min_of_node)
@@ -179,6 +190,13 @@ class FlowNetwork {
     int flows = 0;                   // unfixed flows crossing the link
     std::uint32_t queued_round = 0;  // round its flows were last queued
     std::uint32_t first_queued = kNever;  // round first queued, last fill
+    std::uint32_t probe = kNever;    // index in probe_ while probed
+  };
+  /// A link of arrived flows, replayed through the last fill's log.
+  struct LinkProbe {
+    LinkId link;
+    int flows;        // the last fill's flows not yet frozen, plus arrivals
+    double residual;  // as in the last fill
   };
   struct FlowPath {
     const LinkId* begin;
@@ -214,6 +232,9 @@ class FlowNetwork {
   }
   /// Recompute the inner nodes above dirty leaves; returns how many.
   std::uint64_t update_share_tree();
+  /// The first round below `limit` of the last fill in which a link of
+  /// probe_ comes to or under the round's threshold, else `limit`.
+  std::uint32_t probe_arrivals(std::uint32_t limit, std::uint64_t& visits);
   /// A link's share from its residual and flows, into its leaf.
   void update_share(LinkId link, LinkFill& s);
   [[nodiscard]] const ArrivalEntry* link_begin(const LinkFlows& lf) const {
@@ -240,7 +261,6 @@ class FlowNetwork {
   std::vector<ArrivalEntry> index_pool_;
   std::size_t pool_unused_ = 0;         // entries of runs moved away
   std::vector<LinkId> indexed_links_;   // the links with a run
-  std::vector<LinkId> repack_order_;    // indexed_links_ by run, scratch
   std::uint64_t indexed_seq_ = 0;       // newest flow in the index
   // Lowest first-queued round over the links of flows that departed
   // since the last fill: where the next fill resumes.
@@ -259,13 +279,15 @@ class FlowNetwork {
   // is the last node.
   std::vector<double> share_tree_;
   std::vector<std::uint32_t> share_level_;
-  // Inner nodes to recompute after a round, one bit each: level t >= 1
-  // owns words [tree_dirty_level_[t], tree_dirty_level_[t + 1]).
+  // Inner nodes to recompute before a round, one bit each: level t >= 1
+  // owns words [tree_dirty_level_[t], tree_dirty_level_[t + 1]), and a
+  // last spare word takes the root's parent bit.
   std::vector<std::uint64_t> tree_dirty_;
   std::vector<std::uint32_t> tree_dirty_level_;
   std::vector<std::uint64_t> seed_stack_;   // (level << 32 | node) to inspect
   std::vector<std::uint64_t> candidates_;   // bitset over arrival indices
   std::vector<std::uint64_t> searched_;     // bitset: frozen by this fill's search
+  std::vector<LinkProbe> probe_;            // the links of this fill's arrivals
   std::vector<double> rates_scratch_;
 };
 

@@ -454,6 +454,7 @@ void SimTransport::run_with_setup(int nprocs,
     metrics_->counter("net.flow_resolves").add(run.flows.resolves());
     metrics_->counter("net.flow_fill_rounds").add(run.flows.fill_rounds());
     metrics_->counter("net.flow_fill_visits").add(run.flows.fill_visits());
+    metrics_->counter("net.flow_fill_resets").add(run.flows.fill_resets());
     metrics_->counter("net.flow_rate_changes").add(run.flows.rate_changes());
     // Capacity high-waters (merge across cells: max).  Both derive
     // from the simulated configuration, never from the stack pool's

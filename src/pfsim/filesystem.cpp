@@ -118,6 +118,7 @@ void FileSystem::report_fabric_totals() {
   registry_->counter("pfsim.fabric_flow_resolves").add(flows_->resolves());
   registry_->counter("pfsim.fabric_fill_rounds").add(flows_->fill_rounds());
   registry_->counter("pfsim.fabric_fill_visits").add(flows_->fill_visits());
+  registry_->counter("pfsim.fabric_fill_resets").add(flows_->fill_resets());
   registry_->counter("pfsim.fabric_rate_changes").add(flows_->rate_changes());
 }
 
@@ -163,20 +164,30 @@ std::int64_t FileSystem::file_size(FileId file) const {
   return files_[idx]->size;
 }
 
-void FileSystem::split_by_server(std::int64_t offset, std::int64_t bytes,
-                                 std::vector<std::int64_t>& per_server) const {
-  per_server.assign(static_cast<std::size_t>(config_.num_servers), 0);
-  const std::int64_t su = config_.stripe_unit;
-  std::int64_t pos = offset;
-  std::int64_t left = bytes;
-  while (left > 0) {
-    const std::int64_t stripe = pos / su;
-    const auto server = static_cast<std::size_t>(stripe % config_.num_servers);
-    const std::int64_t in_stripe = su - pos % su;
-    const std::int64_t take = std::min(left, in_stripe);
-    per_server[server] += take;
-    pos += take;
-    left -= take;
+void split_by_server(std::int64_t offset, std::int64_t bytes, std::int64_t stripe_unit,
+                     int servers, std::vector<std::int64_t>& per_server) {
+  per_server.assign(static_cast<std::size_t>(servers), 0);
+  if (bytes <= 0) return;
+  const auto server_of = [&](std::int64_t stripe) {
+    return static_cast<std::size_t>(stripe % servers);
+  };
+  const std::int64_t first = offset / stripe_unit;
+  const std::int64_t last = (offset + bytes - 1) / stripe_unit;
+  if (first == last) {
+    per_server[server_of(first)] = bytes;
+    return;
+  }
+  // The head's partial stripe, the tail's, and the whole stripes
+  // between them: every server gets `cycles` of those, and the `extra`
+  // servers from the one after the head's get one more.
+  per_server[server_of(first)] += (first + 1) * stripe_unit - offset;
+  per_server[server_of(last)] += offset + bytes - last * stripe_unit;
+  const std::int64_t whole = last - first - 1;
+  const std::int64_t cycles = whole / servers;
+  const std::int64_t extra = whole % servers;
+  for (std::int64_t i = 0; i < servers; ++i) {
+    per_server[server_of(first + 1 + i)] +=
+        (cycles + (i < extra ? 1 : 0)) * stripe_unit;
   }
 }
 
@@ -305,8 +316,9 @@ void FileSystem::submit(const Request& req, std::function<void()> done) {
         ->add(static_cast<std::uint64_t>(req.bytes));
   }
 
-  std::vector<std::int64_t> per_server;
-  split_by_server(req.offset, req.bytes, per_server);
+  split_by_server(req.offset, req.bytes, config_.stripe_unit, config_.num_servers,
+                  per_server_);
+  const std::vector<std::int64_t>& per_server = per_server_;
 
   const std::int64_t chunk = std::max<std::int64_t>(1, req.bytes / req.chunks);
   const bool bypass = config_.cache_bypass_threshold > 0 &&

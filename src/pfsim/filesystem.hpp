@@ -52,6 +52,14 @@ class SessionInjector;
 
 namespace balbench::pfsim {
 
+/// Striped split of [offset, offset + bytes) over `servers` servers
+/// with `stripe_unit`-byte stripes, stripe k on server k % servers:
+/// per_server[s] is set to the bytes server s holds.  O(servers), in
+/// closed form (the head's partial stripe, whole stripe cycles, the
+/// tail), whatever the range's length.
+void split_by_server(std::int64_t offset, std::int64_t bytes, std::int64_t stripe_unit,
+                     int servers, std::vector<std::int64_t>& per_server);
+
 using FileId = int;
 
 class FileSystem {
@@ -121,9 +129,9 @@ class FileSystem {
 
   /// Adds the I/O fabric's flow-solver totals to the attached registry
   /// (no-op when none is): `pfsim.fabric_flow_resolves`,
-  /// `pfsim.fabric_fill_rounds`, `pfsim.fabric_fill_visits` and
-  /// `pfsim.fabric_rate_changes`, the fabric's counterparts of the
-  /// transport's `net.flow_*` counters.
+  /// `pfsim.fabric_fill_rounds`, `pfsim.fabric_fill_visits`,
+  /// `pfsim.fabric_fill_resets` and `pfsim.fabric_rate_changes`, the
+  /// fabric's counterparts of the transport's `net.flow_*` counters.
   /// Call once, at session end.
   void report_fabric_totals();
 
@@ -142,9 +150,6 @@ class FileSystem {
   struct FileState;
   struct ServerState;
 
-  /// Striped split of [offset, offset+bytes) over the servers.
-  void split_by_server(std::int64_t offset, std::int64_t bytes,
-                       std::vector<std::int64_t>& per_server) const;
   /// Disk service time for a server-side portion of a request.
   /// `contiguous`: the request continues its client's stream in the
   /// file (seek costs amortize to one per coalescing unit).
@@ -163,6 +168,7 @@ class FileSystem {
 
   std::vector<std::unique_ptr<FileState>> files_;
   std::vector<ServerState> servers_;
+  std::vector<std::int64_t> per_server_;  // submit's split, scratch
   std::int64_t global_clock_ = 0;  // cumulative traffic bytes (cache aging)
   Stats stats_;
   robust::SessionInjector* injector_ = nullptr;

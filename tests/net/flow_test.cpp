@@ -85,11 +85,18 @@ class RouteTable : public bn::Topology {
   std::vector<Route> routes_;
 };
 
-/// Drive `flows` through a fresh FlowNetwork on `topo` and return an
-/// FNV-1a digest over the IEEE-754 bits of every flow's completion
-/// time, in `flows` order.
-std::uint64_t completion_digest(const bn::Topology& topo,
-                                const std::vector<TimedFlow>& flows) {
+/// What a run of a flow workload pins: an FNV-1a digest over the
+/// IEEE-754 bits of every flow's completion time, in workload order,
+/// and the solver's history-determined counters.
+struct FlowRun {
+  std::uint64_t digest = 0;
+  std::uint64_t fill_rounds = 0;
+  std::uint64_t rate_changes = 0;
+  std::uint64_t fill_resets = 0;
+};
+
+/// Drive `flows` through a fresh FlowNetwork on `topo`.
+FlowRun run_flows(const bn::Topology& topo, const std::vector<TimedFlow>& flows) {
   bs::Engine eng;
   bn::FlowNetwork net(topo, eng);
   std::vector<double> done(flows.size(), -1.0);
@@ -102,7 +109,14 @@ std::uint64_t completion_digest(const bn::Topology& topo,
   }
   eng.run();
   EXPECT_EQ(net.active_flows(), 0u);
-  return time_digest(done);
+  return FlowRun{time_digest(done), net.fill_rounds(), net.rate_changes(),
+                 net.fill_resets()};
+}
+
+/// The completion-time digest of run_flows.
+std::uint64_t completion_digest(const bn::Topology& topo,
+                                const std::vector<TimedFlow>& flows) {
+  return run_flows(topo, flows).digest;
 }
 
 /// Exact binary start times: k / 1024 seconds.
@@ -566,8 +580,11 @@ namespace {
 // 512; link 1 (3072) freezes C, D and E at 1024; link 2 (4096), left
 // with 3072 by E, freezes F and G at 1536; link 3 (8192), left with
 // 6656 by G, gives the rest to the flows that cross only it.
-RouteTable four_round_links() {
-  RouteTable topo({1024.0, 3072.0, 4096.0, 8192.0}, 12);
+// `more` appends links (4, 5, ...) that no route crosses yet.
+RouteTable four_round_links(const std::vector<double>& more = {}) {
+  std::vector<double> capacities = {1024.0, 3072.0, 4096.0, 8192.0};
+  capacities.insert(capacities.end(), more.begin(), more.end());
+  RouteTable topo(capacities, 12);
   topo.add(1, 0, {0});     // A
   topo.add(2, 0, {0});     // B
   topo.add(3, 0, {1});     // C
@@ -664,4 +681,143 @@ TEST(FlowResume, RolledBackRoundQueuesALinkInMidRoundAgain) {
   EXPECT_THROW(eng.run(), std::runtime_error);
   ASSERT_LT(done[0], done[1]);
   EXPECT_EQ(time_digest(done), 0xfbc3cfaf149193f9ULL);
+}
+
+// Arrival pins.  An arrival lowers only its own links' shares, so a
+// fill after arrivals resumes at the first logged round in which one of
+// those links, counting the new flows, would have come to or under the
+// round's threshold -- at the round's start or after any freeze in it
+// (docs/SIMULATOR.md "Resuming after arrivals and departures").
+// Digests, rounds and rate changes were recorded from the fill that
+// reset every link and searched from round 1 after any arrival;
+// fill_resets() shows which path each fill took.
+
+TEST(FlowResume, ArrivalAboveEveryThresholdResumesPastTheLastRound) {
+  // Round 1 freezes A and B on link 0 at 512; B's other link (1 MiB/s)
+  // is far above it.  Z arrives on link 1 at t = 1: even with B still
+  // counted there, link 1 stays above 512 + eps, so the fill keeps
+  // round 1 and searches only a new round 2 for Z.
+  RouteTable topo({1024.0, 1048576.0}, 4);
+  topo.add(1, 0, {0});     // A
+  topo.add(2, 0, {0, 1});  // B
+  topo.add(3, 0, {1});     // Z
+  const std::vector<TimedFlow> flows = {
+      {1, 0, 4096.0, 0.0}, {2, 0, 8192.0, 0.0}, {3, 0, 1 << 22, 1.0},
+  };
+  const FlowRun run = run_flows(topo, flows);
+  EXPECT_EQ(run.digest, 0x94311efbbaf6284aULL);
+  EXPECT_EQ(run.fill_rounds, 5u);
+  EXPECT_EQ(run.rate_changes, 4u);
+  EXPECT_EQ(run.fill_resets, 2u);  // the first fill, and A's departure
+}
+
+TEST(FlowResume, ArrivalAndDepartureWhereTheDepartureResumesLower) {
+  // C (1024 B/s, round 2) leaves at t = 1 as Z arrives on link 3.
+  // Counting Z, link 3 first comes under a threshold at round 4's start
+  // (6656 / 3 under 3328); C's link was first queued in round 2, so the
+  // fill rolls rounds 2 and up back and searches them.
+  RouteTable topo = four_round_links();
+  topo.add(10, 0, {3});  // Z
+  const std::vector<TimedFlow> flows = {
+      {1, 0, 65536.0, 0.0}, {2, 0, 65536.0, 0.0}, {3, 0, 1024.0, 0.0},
+      {4, 0, 65536.0, 0.0}, {5, 0, 65536.0, 0.0}, {6, 0, 65536.0, 0.0},
+      {7, 0, 65536.0, 0.0}, {8, 0, 65536.0, 0.0}, {10, 0, 65536.0, 1.0},
+  };
+  const FlowRun run = run_flows(topo, flows);
+  EXPECT_EQ(run.digest, 0x4b6b4e472057f967ULL);
+  EXPECT_EQ(run.fill_rounds, 20u);
+  EXPECT_EQ(run.rate_changes, 16u);
+  EXPECT_EQ(run.fill_resets, 1u);
+}
+
+TEST(FlowResume, ArrivalOnANeverUsedLink) {
+  // Z crosses link 4 (2560, never used) and link 3.  Link 4 alone
+  // stays above 1536, round 3's threshold; link 3, with Z, comes under
+  // round 4's 3328 at its start.  The fill rolls round 4 back and
+  // freezes H, H2 and Z together at link 3's 6656 / 3.
+  RouteTable topo = four_round_links({2560.0});
+  topo.add(10, 0, {4, 3});  // Z
+  const std::vector<TimedFlow> flows = {
+      {1, 0, 65536.0, 0.0}, {2, 0, 65536.0, 0.0}, {3, 0, 65536.0, 0.0},
+      {4, 0, 65536.0, 0.0}, {5, 0, 65536.0, 0.0}, {6, 0, 65536.0, 0.0},
+      {7, 0, 65536.0, 0.0}, {8, 0, 65536.0, 0.0}, {9, 0, 65536.0, 0.0},
+      {10, 0, 65536.0, 1.0},
+  };
+  const FlowRun run = run_flows(topo, flows);
+  EXPECT_EQ(run.digest, 0x030c8139f2d8b302ULL);
+  EXPECT_EQ(run.fill_rounds, 18u);
+  EXPECT_EQ(run.rate_changes, 13u);
+  EXPECT_EQ(run.fill_resets, 1u);
+}
+
+TEST(FlowResume, ArrivalOnALinkWhoseFlowsAllDeparted) {
+  // P, alone on link 4 (2560), freezes in round 4 and leaves at t = 1
+  // as R arrives on link 0, whose share drops under round 1's: that
+  // fill starts over and drops link 4, which P's freeze left with no
+  // residual.  S arrives on link 4 alone at t = 2 and must see its
+  // whole 2560 again; it leaves at t = 3, and Q arrives at t = 4 on
+  // link 4 (listed, with no flows) and link 3.
+  RouteTable topo = four_round_links({2560.0});
+  topo.add(10, 0, {4});     // P, S
+  topo.add(11, 0, {0});     // R
+  topo.add(9, 1, {4, 3});   // Q
+  const std::vector<TimedFlow> flows = {
+      {1, 0, 65536.0, 0.0}, {2, 0, 65536.0, 0.0}, {3, 0, 65536.0, 0.0},
+      {4, 0, 65536.0, 0.0}, {5, 0, 65536.0, 0.0}, {6, 0, 65536.0, 0.0},
+      {7, 0, 65536.0, 0.0}, {8, 0, 65536.0, 0.0}, {10, 0, 2560.0, 0.0},
+      {11, 0, 65536.0, 1.0}, {10, 0, 2560.0, 2.0}, {9, 1, 65536.0, 4.0},
+  };
+  const FlowRun run = run_flows(topo, flows);
+  EXPECT_EQ(run.digest, 0xcca269702d68c665ULL);
+  EXPECT_EQ(run.fill_rounds, 34u);
+  EXPECT_EQ(run.rate_changes, 16u);
+  EXPECT_EQ(run.fill_resets, 3u);  // the first fill, R's, and one departure
+}
+
+TEST(FlowResume, ArrivalPushesALinkUnderTheThresholdMidRound) {
+  // The values of LinkFallingUnderTheThresholdMidRound...: flow g
+  // crosses wire A (share m, the round's minimum) and wire B; c - 2
+  // more flows cross only B, the probe first.  Without the arrival, B
+  // stays above m + eps after g's freeze too, and its flows freeze in
+  // round 2 at (r - m) / (c - 2).  Z arrives on B at t = 1: B's share
+  // stays above the threshold at round 1's start, but once g freezes,
+  // (r - m) / (c - 1) is at or under it, so the fill must start over
+  // and freeze the probe at m in round 1.  A probe of the log that
+  // looks only at round starts would see B under round 2's threshold
+  // first, keep round 1 and give the probe (r - m) / (c - 1), 1e-12
+  // above m: its bytes are many enough for its finish to show that.
+  const double m = 0x1.8786454bcc99bp+24;
+  const double r = 0x1.000496b40fc55p+39;
+  const int c = 21427;
+  ASSERT_GT(std::max(0.0, r - m) / (c - 2), m + m * 1e-12);
+  ASSERT_GT(r / c, m + m * 1e-12);
+  ASSERT_LE(std::max(0.0, r - m) / (c - 1), m + m * 1e-12);
+  ASSERT_NE(std::max(0.0, r - m) / (c - 1), m);
+  bn::AdjacencyParams p;
+  p.nodes = 3;
+  p.attach = {0, 1, 2};
+  p.edges = {{0, 1, m}, {1, 2, r}};
+  p.port_bw = 1e15;
+  p.latency_sec = 0.0;
+  p.per_hop_latency = 0.0;
+  auto topo = bn::make_adjacency(p);
+
+  bs::Engine eng;
+  bn::FlowNetwork net(*topo, eng);
+  const double probe_bytes = 1e11;
+  std::vector<double> done(1, -1.0);
+  net.start_flow(0, 2, 1e12, [](bs::Time) {});  // g
+  net.start_flow(1, 2, probe_bytes, [&done](bs::Time t) {
+    done[0] = t;
+    throw std::runtime_error("probe landed");  // stop: the rest is slow
+  });
+  for (int i = 3; i < c; ++i) net.start_flow(1, 2, 1e12, [](bs::Time) {});
+  eng.schedule_at(1.0, [&net] { net.start_flow(1, 2, 1e12, [](bs::Time) {}); });  // Z
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  const double before = std::max(0.0, r - m) / (c - 2);  // the probe's first rate
+  EXPECT_EQ(done[0], 1.0 + (probe_bytes - before) / m);
+  EXPECT_EQ(time_digest(done), 0xd4e63bd139559d9cULL);
+  EXPECT_EQ(net.fill_rounds(), 5u);
+  EXPECT_EQ(net.rate_changes(), 42852u);
+  EXPECT_EQ(net.fill_resets(), 2u);  // the first fill, and Z's
 }

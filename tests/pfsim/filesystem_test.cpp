@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "simt/engine.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace bf = balbench::pfsim;
@@ -252,4 +257,61 @@ TEST(FileSystem, StatsAccumulateAndReset) {
   EXPECT_EQ(fs.stats().bytes_written, 1 * kMiB);
   fs.reset_stats();
   EXPECT_EQ(fs.stats().requests, 0);
+}
+
+namespace {
+
+/// The split walked stripe by stripe: the closed form's reference.
+std::vector<std::int64_t> split_stripe_by_stripe(std::int64_t offset, std::int64_t bytes,
+                                                 std::int64_t stripe_unit, int servers) {
+  std::vector<std::int64_t> per_server(static_cast<std::size_t>(servers), 0);
+  std::int64_t pos = offset;
+  for (std::int64_t left = bytes; left > 0;) {
+    const std::int64_t take = std::min(left, stripe_unit - pos % stripe_unit);
+    per_server[static_cast<std::size_t>(pos / stripe_unit % servers)] += take;
+    pos += take;
+    left -= take;
+  }
+  return per_server;
+}
+
+}  // namespace
+
+TEST(SplitByServer, MatchesAStripeByStripeWalk) {
+  balbench::util::Xoshiro256 rng(20010423);
+  std::vector<std::int64_t> got;
+  const auto below = [&rng](std::int64_t n) {
+    return static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n)));
+  };
+  for (int i = 0; i < 4000; ++i) {
+    // One draw per statement, so the cases do not depend on the
+    // compiler's evaluation order.
+    const int servers = 1 + static_cast<int>(below(12));
+    const std::int64_t scale = below(4);
+    const std::int64_t su = 1 + scale * below(70000);
+    // Aligned and unaligned offsets; ranges from one byte (inside one
+    // stripe) to hundreds of stripe cycles.
+    const std::int64_t stripes = below(64);
+    const std::int64_t offset = stripes * su + (below(2) == 0 ? 0 : below(su));
+    const std::int64_t span = below(3) == 0 ? su : su * servers * 300;
+    const std::int64_t bytes = 1 + below(span);
+    bf::split_by_server(offset, bytes, su, servers, got);
+    ASSERT_EQ(got, split_stripe_by_stripe(offset, bytes, su, servers))
+        << "offset " << offset << " bytes " << bytes << " stripe unit " << su
+        << " servers " << servers;
+  }
+}
+
+TEST(SplitByServer, EdgeCases) {
+  std::vector<std::int64_t> got;
+  bf::split_by_server(100, 0, 64, 3, got);  // empty range
+  EXPECT_EQ(got, (std::vector<std::int64_t>{0, 0, 0}));
+  bf::split_by_server(10, 20, 64, 3, got);  // inside stripe 0
+  EXPECT_EQ(got, (std::vector<std::int64_t>{20, 0, 0}));
+  bf::split_by_server(60, 8, 64, 3, got);  // across one boundary
+  EXPECT_EQ(got, (std::vector<std::int64_t>{4, 4, 0}));
+  bf::split_by_server(64, 64 * 7, 64, 3, got);  // aligned, 7 whole stripes
+  EXPECT_EQ(got, (std::vector<std::int64_t>{128, 192, 128}));
+  bf::split_by_server(0, 64 * 6 + 1, 64, 1, got);  // one server
+  EXPECT_EQ(got, (std::vector<std::int64_t>{64 * 6 + 1}));
 }

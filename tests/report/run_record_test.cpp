@@ -64,7 +64,8 @@ TEST_F(RunRecordJobs, RecordContainsSchemaAndMetrics) {
         "simt.events_fired", "net.flow_fill_rounds", "pario.bytes_written",
         "pfsim.requests", "pfsim.fabric_flow_resolves",
         "pfsim.fabric_fill_rounds", "pfsim.fabric_fill_visits",
-        "net.flow_rate_changes", "pfsim.fabric_rate_changes"}) {
+        "net.flow_rate_changes", "pfsim.fabric_rate_changes",
+        "net.flow_fill_resets", "pfsim.fabric_fill_resets"}) {
     EXPECT_NE(record.find(metric), std::string::npos) << metric;
   }
   // Host-side quantities must never leak into a run record.
