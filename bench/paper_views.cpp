@@ -1,7 +1,7 @@
 // Reproduces Table 1 and Figures 1, 3, 4 and 5 of the paper as ASCII
 // tables and plots, as views of the report sweep's cells.  Each view
-// takes its rows from the report spec (report::beff_specs / io_specs;
-// --quick takes the quick scope): Table 1 every b_eff row (plus the
+// takes its rows from the report spec (report::sweep_spec of the doc
+// scope; --quick takes the quick scope): Table 1 every b_eff row (plus the
 // Sec. 2.2 "coffee-cup" statistic on stderr), Figure 1 the rows
 // report::fig1_points() names, Figures 3/4/5 the b_eff_io rows tagged
 // fig3/fig4/fig5, Figure 3 re-run at every T of its own axis.  The
@@ -33,9 +33,16 @@ using report::Scope;
 
 // ---- Rows -----------------------------------------------------------------
 
+/// The spec's rows of `scope`, with empty results.
+ExperimentsData spec_rows(Scope scope) {
+  report::ExperimentOptions options;
+  options.scope = scope;
+  return report::sweep_spec(options);
+}
+
 ExperimentsData table1_rows(Scope scope) {
   ExperimentsData d;
-  d.beff = report::beff_specs(scope);
+  d.beff = spec_rows(scope).beff;
   return d;
 }
 
@@ -53,7 +60,7 @@ ExperimentsData fig1_rows(Scope scope) {
 
 ExperimentsData figure_rows(Scope scope, const char* figure) {
   ExperimentsData d;
-  d.io = report::io_specs(scope);
+  d.io = spec_rows(scope).io;
   std::erase_if(d.io, [&](const IoRun& r) { return r.figure != figure; });
   return d;
 }

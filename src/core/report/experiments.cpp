@@ -35,156 +35,26 @@ constexpr double kMiB = 1024.0 * 1024.0;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Sweep specification
+// Paper reference values
 // ---------------------------------------------------------------------------
 
-std::vector<BeffRun> beff_specs(Scope scope) {
-  std::vector<BeffRun> v;
-  auto add = [&](const char* key, const char* display, int np, bool first,
-                 bool in_table, PaperBeffRow paper = {}) {
-    BeffRun run;
-    run.key = key;
-    run.display = display;
-    run.nprocs = np;
-    run.first = first;
-    run.in_table = in_table;
-    run.paper = paper;
-    v.push_back(std::move(run));
-  };
-  if (scope == Scope::Quick) {
-    add("t3e", "Cray T3E/900", 8, true, false);
-    add("t3e", "Cray T3E/900", 2, false, false);
-    add("sx5", "NEC SX-5/8B", 4, true, true, {5439, 1360, 8762, 8758, -1});
-    return v;
-  }
-  // Doc scope: the paper's Table 1 sweep (full fidelity; paper_views
-  // --view table1 renders every row), paper reference values transcribed
-  // from the paper's Table 1.
-  add("t3e", "Cray T3E/900", 512, true, true, {19919, 39, 98, 193, 330});
-  add("t3e", "Cray T3E/900", 256, false, false);  // Fig. 1 balance point
-  add("t3e", "Cray T3E/900", 128, false, false);
-  add("t3e", "Cray T3E/900", 64, false, true, {3159, 49, 110, 192, 0});
-  add("t3e", "Cray T3E/900", 24, false, false);
-  add("t3e", "Cray T3E/900", 2, false, true, {183, 91, 210, 210, 0});
-  add("sr8000rr", "SR 8000 round-robin", 128, true, true, {3695, 29, 90, 105, 776});
-  add("sr8000rr", "SR 8000 round-robin", 24, false, true, {915, 38, 115, 110, 0});
-  add("sr8000", "SR 8000 sequential", 24, true, true, {1806, 75, 226, 400, 954});
-  add("sr2201", "SR 2201", 16, true, true, {528, 33, 91, 96, -1});
-  add("sx5", "NEC SX-5/8B", 4, true, true, {5439, 1360, 8762, 8758, -1});
-  add("sx4", "NEC SX-4/32", 16, true, true, {9670, 604, 3141, 3242, 0});
-  add("sx4", "NEC SX-4/32", 8, false, true, {5766, 641, 3555, 3552, 0});
-  add("sx4", "NEC SX-4/32", 4, false, false);
-  add("hpv", "HP-V 9000", 7, true, true, {435, 62, 162, 162, 0});
-  add("sv1", "SGI SV1-B/16-8", 15, true, true, {1445, 96, 373, 375, 994});
-  return v;
+const std::vector<PaperBeffRow>& paper_table1() {
+  // Transcribed from the paper's Table 1, in its row order.
+  static const std::vector<PaperBeffRow> rows = {
+      {"t3e", 512, 19919, 39, 98, 193, 330},
+      {"t3e", 64, 3159, 49, 110, 192, 0},
+      {"t3e", 2, 183, 91, 210, 210, 0},
+      {"sr8000rr", 128, 3695, 29, 90, 105, 776},
+      {"sr8000rr", 24, 915, 38, 115, 110, 0},
+      {"sr8000", 24, 1806, 75, 226, 400, 954},
+      {"sr2201", 16, 528, 33, 91, 96, -1},
+      {"sx5", 4, 5439, 1360, 8762, 8758, -1},
+      {"sx4", 16, 9670, 604, 3141, 3242, 0},
+      {"sx4", 8, 5766, 641, 3555, 3552, 0},
+      {"hpv", 7, 435, 62, 162, 162, 0},
+      {"sv1", 15, 1445, 96, 373, 375, 994}};
+  return rows;
 }
-
-std::vector<IoRun> io_specs(Scope scope) {
-  std::vector<IoRun> v;
-  auto add = [&](const char* figure, const char* key, const char* display,
-                 int np, double T, std::int64_t cap = 0) {
-    IoRun run;
-    run.figure = figure;
-    run.key = key;
-    run.display = display;
-    run.nprocs = np;
-    run.scheduled_seconds = T;
-    run.mpart_cap = cap;
-    v.push_back(std::move(run));
-  };
-  if (scope == Scope::Quick) {
-    for (int p : {2, 4}) add("fig3", "t3e", "T3E", p, 600.0);
-    add("fig5", "sp", "SP", 16, 900.0);
-    add("fig5", "sx5", "SX-5", 2, 900.0, 2LL << 20);
-    add("fig4", "t3e", "T3E", 4, 600.0);
-    return v;
-  }
-  // Fig. 3: b_eff_io over process counts, T = 10 min (the T that the
-  // committed table shows; paper_views --view fig3 re-runs these
-  // cells at T = 10, 15 and 30 min).
-  for (const auto& [key, display] :
-       std::vector<std::pair<const char*, const char*>>{{"t3e", "T3E"},
-                                                        {"sp", "SP"}}) {
-    for (int p : {2, 4, 8, 16, 32, 64, 128}) add("fig3", key, display, p, 600.0);
-  }
-  // Fig. 5: the official T >= 15 min schedule (paper_views --view fig5).
-  for (int p : {16, 32, 64, 128}) add("fig5", "sp", "SP", p, 900.0);
-  for (int p : {8, 16, 32, 64, 128}) add("fig5", "t3e", "T3E", p, 900.0);
-  for (int p : {8, 16, 24}) add("fig5", "sr8000", "SR 8000", p, 900.0);
-  for (int p : {2, 4}) add("fig5", "sx5", "SX-5", p, 900.0, 2LL << 20);
-  // Fig. 4: per-pattern detail, T = 10 min (paper_views --view fig4).
-  add("fig4", "sp", "SP", 64, 600.0);
-  add("fig4", "t3e", "T3E", 64, 600.0);
-  add("fig4", "sr8000", "SR 8000", 24, 600.0);
-  add("fig4", "sx5", "SX-5", 4, 600.0, 2LL << 20);
-  return v;
-}
-
-namespace {
-
-/// The kernel-suite and fault-sweep rows of the built-in sweep;
-/// sweep_spec() is their public face.
-std::vector<KernelRun> kernel_specs(Scope scope) {
-  std::vector<KernelRun> v;
-  auto add = [&](const char* key, const char* display, int np) {
-    KernelRun run;
-    run.key = key;
-    run.display = display;
-    run.nprocs = np;
-    v.push_back(std::move(run));
-  };
-  if (scope == Scope::Quick) {
-    add("t3e", "Cray T3E/900", 8);
-    add("sx5", "NEC SX-5/8B", 4);
-    return v;
-  }
-  // Doc scope: one suite per machine at its headline partition --
-  // the same (machine, nprocs) as the Table 1 rows where one exists,
-  // so the balance table can divide b_eff by the *matching* R_max.
-  // SP and Beowulf have no Table 1 b_eff row; the SP partition matches
-  // its largest Fig. 5 b_eff_io run, the Beowulf one is the Sec. 6
-  // "Top Clusters" configuration.
-  add("t3e", "Cray T3E/900", 512);
-  add("sr8000rr", "SR 8000 round-robin", 128);
-  add("sr8000", "SR 8000 sequential", 24);
-  add("sr2201", "SR 2201", 16);
-  add("sx5", "NEC SX-5/8B", 4);
-  add("sx4", "NEC SX-4/32", 16);
-  add("hpv", "HP-V 9000", 7);
-  add("sv1", "SGI SV1-B/16-8", 15);
-  add("sp", "IBM SP", 128);
-  add("beowulf", "Beowulf cluster", 32);
-  return v;
-}
-
-std::vector<FaultSweepRun> fault_sweep_specs(Scope scope) {
-  std::vector<FaultSweepRun> v;
-  auto add = [&](const char* key, const char* display, int np, double rate) {
-    FaultSweepRun run;
-    run.key = key;
-    run.display = display;
-    run.nprocs = np;
-    run.rate = rate;
-    // Same defaults the --faults grammar would give "link=<rate>,
-    // degrade=0.5": seed 2001, no window, no drop, default retries.
-    run.plan.link_degrade_prob = rate;
-    run.plan.degrade_factor = 0.5;
-    v.push_back(std::move(run));
-  };
-  if (scope == Scope::Quick) {
-    for (double rate : {0.0, 0.25, 0.5}) add("t3e", "Cray T3E/900", 2, rate);
-    return v;
-  }
-  // Doc scope: the b_eff degradation curve of the "Fault-scenario
-  // sweeps" section -- one headline cell re-run across link fault
-  // rates (rate 0 is the clean baseline the chart normalizes against).
-  for (double rate : {0.0, 0.05, 0.1, 0.2, 0.35, 0.5}) {
-    add("t3e", "Cray T3E/900", 8, rate);
-  }
-  return v;
-}
-
-}  // namespace
 
 const std::vector<Fig1Point>& fig1_points() {
   static const std::vector<Fig1Point> points = {
@@ -326,6 +196,13 @@ std::string wrap(const std::string& text, const std::string& cont_prefix,
     }
   }
   return out + line;
+}
+
+const PaperBeffRow* find_paper_row(const std::string& key, int nprocs) {
+  for (const auto& p : paper_table1()) {
+    if (p.key == key && p.nprocs == nprocs) return &p;
+  }
+  return nullptr;
 }
 
 const BeffRun* find_beff(const ExperimentsData& d, const std::string& key,
@@ -483,6 +360,12 @@ void maybe_kill(const Checkpoint* ck, int kill_after) {
   }
 }
 
+/// A row's label: the cell's `display`, else its machine's name.
+std::string display_of(const scenario::Scenario& sc, const std::string& key,
+                       const std::string& display) {
+  return display.empty() ? sc.resolve_machine(key).name : display;
+}
+
 /// Scenario cells -> the pipeline's run structs.  The conversion lives
 /// here (not in core/scenario) so the scenario library stays free of
 /// report types; resolution already succeeded during validation.
@@ -491,12 +374,9 @@ std::vector<BeffRun> beff_runs_from(const scenario::Scenario& sc) {
   for (const auto& c : sc.beff) {
     BeffRun run;
     run.key = c.machine;
-    run.display = sc.resolve_machine(c.machine).name;
+    run.display = display_of(sc, c.machine, c.display);
     run.nprocs = c.nprocs;
     run.first = c.analysis;
-    // Scenario cells always render as table rows; paper reference
-    // columns stay 0 (the renderer prints "--" for absent references).
-    run.in_table = true;
     v.push_back(std::move(run));
   }
   return v;
@@ -507,8 +387,8 @@ std::vector<IoRun> io_runs_from(const scenario::Scenario& sc) {
   for (const auto& c : sc.io) {
     IoRun run;
     run.key = c.machine;
-    run.display = sc.resolve_machine(c.machine).name;
-    run.figure = "fig3";  // scenario io cells render in the Fig. 3 table
+    run.display = display_of(sc, c.machine, c.display);
+    run.figure = c.figure.empty() ? "fig3" : c.figure;
     run.nprocs = c.nprocs;
     run.scheduled_seconds = c.scheduled_seconds;
     run.mpart_cap = c.mpart_cap;
@@ -522,7 +402,7 @@ std::vector<KernelRun> kernel_runs_from(const scenario::Scenario& sc) {
   for (const auto& c : sc.kernels) {
     KernelRun run;
     run.key = c.machine;
-    run.display = sc.resolve_machine(c.machine).name;
+    run.display = display_of(sc, c.machine, c.display);
     run.nprocs = c.nprocs;
     v.push_back(std::move(run));
   }
@@ -536,7 +416,7 @@ std::vector<FaultSweepRun> fault_sweep_runs_from(const scenario::Scenario& sc) {
   for (double rate : fs.rates) {
     FaultSweepRun run;
     run.key = fs.machine;
-    run.display = sc.resolve_machine(fs.machine).name;
+    run.display = display_of(sc, fs.machine, fs.display);
     run.nprocs = fs.nprocs;
     run.rate = rate;
     run.plan.seed = fs.seed;
@@ -549,23 +429,31 @@ std::vector<FaultSweepRun> fault_sweep_runs_from(const scenario::Scenario& sc) {
   return v;
 }
 
+/// The built-in sweep of `scope`, parsed once from its compiled-in
+/// document.
+const scenario::Scenario& builtin_scenario(Scope scope) {
+  static const scenario::Scenario quick =
+      scenario::parse_scenario_text(builtin_sweep_text(Scope::Quick));
+  static const scenario::Scenario doc =
+      scenario::parse_scenario_text(builtin_sweep_text(Scope::Doc));
+  return scope == Scope::Quick ? quick : doc;
+}
+
 }  // namespace
 
 ExperimentsData sweep_spec(const ExperimentOptions& options) {
+  const scenario::Scenario& sc = options.scenario != nullptr
+                                     ? *options.scenario
+                                     : builtin_scenario(options.scope);
   ExperimentsData data;
   data.scope = options.scope;
-  if (const scenario::Scenario* sc = options.scenario) {
-    data.scenario = sc->name;
-    data.beff = beff_runs_from(*sc);
-    data.io = io_runs_from(*sc);
-    data.kernels = kernel_runs_from(*sc);
-    data.fault_sweep = fault_sweep_runs_from(*sc);
-  } else {
-    data.beff = beff_specs(options.scope);
-    data.io = io_specs(options.scope);
-    data.kernels = kernel_specs(options.scope);
-    data.fault_sweep = fault_sweep_specs(options.scope);
-  }
+  // Built-in runs keep an empty name, so their records carry no
+  // "scenario" field.
+  if (options.scenario != nullptr) data.scenario = sc.name;
+  data.beff = beff_runs_from(sc);
+  data.io = io_runs_from(sc);
+  data.kernels = kernel_runs_from(sc);
+  data.fault_sweep = fault_sweep_runs_from(sc);
   return data;
 }
 
@@ -773,46 +661,14 @@ ExperimentsData run_experiments(const ExperimentOptions& options) {
 // Config hash and provenance
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::string describe_config(Scope scope) {
-  std::ostringstream os;
-  os << "balbench-experiments/1 scope=" << scope_name(scope)
-     << " seed=2001 repetitions=3 start_looplength=300"
-     << " loop_target_time=0.00375 weights=25/25/50\n";
-  for (const auto& b : beff_specs(scope)) {
-    os << "beff " << b.key << " np=" << b.nprocs << " first=" << b.first
-       << " table=" << b.in_table << '\n';
-  }
-  for (const auto& r : io_specs(scope)) {
-    os << "beffio " << r.figure << ' ' << r.key << " np=" << r.nprocs
-       << " T=" << r.scheduled_seconds << " cap=" << r.mpart_cap << '\n';
-  }
-  for (const auto& k : kernel_specs(scope)) {
-    os << "kernels " << k.key << " np=" << k.nprocs << '\n';
-  }
-  for (const auto& f : fault_sweep_specs(scope)) {
-    os << "faultsweep " << f.key << " np=" << f.nprocs
-       << " plan=" << f.plan.describe() << '\n';
-  }
-  os << "micro termination-check t3e np=32\n";
-  return os.str();
-}
-
-}  // namespace
-
 std::string config_hash(Scope scope, const scenario::Scenario* sc) {
-  // util::fnv1a_hex uses the same FNV-1a 64-bit constants and 16-digit
-  // hex form this function always produced, so hashes stamped into
-  // committed records and EXPERIMENTS.md stay valid.
-  if (sc == nullptr) return util::fnv1a_hex(describe_config(scope));
-  // A scenario run's configuration IS the scenario: its canonical
-  // describe() covers every machine parameter, cell, fault plan and
-  // sweep point, so two scenarios hash equal iff they schedule
-  // byte-identical work.
+  // A sweep's configuration IS its scenario: the canonical describe()
+  // covers every machine parameter, cell, fault plan and sweep point,
+  // so two sweeps hash equal iff they schedule byte-identical work.
+  const scenario::Scenario& s = sc != nullptr ? *sc : builtin_scenario(scope);
   return util::fnv1a_hex("balbench-scenario-experiments/1 scope=" +
                          std::string(scope_name(scope)) + "\n" +
-                         sc->describe());
+                         s.describe());
 }
 
 std::string git_revision() {
@@ -1027,20 +883,27 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
         "ring-only /proc | ping-pong |\n"
         "|---|---|---|---|---|---|---|\n";
   for (const auto& b : data.beff) {
-    if (!b.in_table) continue;
+    // A built-in row is a Table 1 row exactly where the paper has one;
+    // every scenario row is one, without references.
+    PaperBeffRow paper;
+    if (data.scenario.empty()) {
+      const PaperBeffRow* p = find_paper_row(b.key, b.nprocs);
+      if (p == nullptr) continue;
+      paper = *p;
+    }
     std::string pingpong;
-    if (!b.first || b.paper.pingpong == 0.0) {
+    if (!b.first || paper.pingpong == 0.0) {
       pingpong = "—";
-    } else if (b.paper.pingpong < 0.0) {
+    } else if (paper.pingpong < 0.0) {
       pingpong = "(empty)";
     } else {
-      pingpong = cmp_cell(b.paper.pingpong, b.r.analysis.pingpong_bw);
+      pingpong = cmp_cell(paper.pingpong, b.r.analysis.pingpong_bw);
     }
     os << "| " << b.display << " | " << b.nprocs << " | "
-       << cmp_cell(b.paper.b_eff, b.r.b_eff) << " | "
-       << cmp_cell(b.paper.per_proc, b.r.per_proc()) << " | "
-       << cmp_cell(b.paper.at_lmax_per_proc, b.r.per_proc_at_lmax()) << " | "
-       << cmp_cell(b.paper.ring_per_proc, b.r.per_proc_at_lmax_rings()) << " | "
+       << cmp_cell(paper.b_eff, b.r.b_eff) << " | "
+       << cmp_cell(paper.per_proc, b.r.per_proc()) << " | "
+       << cmp_cell(paper.at_lmax_per_proc, b.r.per_proc_at_lmax()) << " | "
+       << cmp_cell(paper.ring_per_proc, b.r.per_proc_at_lmax_rings()) << " | "
        << pingpong << " |\n";
   }
   os << "\n";

@@ -15,11 +15,17 @@
 //                                marked with the generating command and
 //                                the config hash.
 //
+// There is one sweep specification: a balbench-scenario/1 document
+// (core/scenario).  The built-in quick and doc sweeps are two such
+// documents, src/core/report/sweeps/{quick,doc}.json, compiled into
+// this library (builtin_sweep_text), so a built-in run and a
+// --scenario run take the same path from document to cells.
+//
 // run_experiments() is spec construction (sweep_spec) plus
 // run_cells(), the one cell runner: bench/paper_views takes its rows
-// from the same specs (beff_specs, io_specs, fig1_points) and runs them
-// through it too, so its tables and plots are views of these cells,
-// and balbench-perf times single rows of sweep_spec() through it.
+// from the same sweep_spec() (plus fig1_points) and runs them through
+// it too, so its tables and plots are views of these cells, and
+// balbench-perf times single rows of sweep_spec() through it.
 //
 // Determinism contract: both outputs are pure functions of (scope,
 // code); the host-side `jobs` knob never changes a byte (asserted at
@@ -32,6 +38,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/beff/beff.hpp"
@@ -51,10 +58,17 @@ namespace balbench::report {
 enum class Scope { Quick, Doc };
 const char* scope_name(Scope s);
 
-/// Table 1 reference values from the paper, in MByte/s as printed
-/// there.  0 = the paper's table has no such row/cell; pingpong -1 =
-/// the row exists but the paper leaves the ping-pong cell empty.
+/// The compiled-in balbench-scenario/1 document of a built-in sweep
+/// (src/core/report/sweeps/<scope>.json).
+std::string_view builtin_sweep_text(Scope scope);
+
+/// One Table 1 row of the paper: its (machine key, partition) and
+/// reference values in MByte/s as printed there.  0 = the paper's
+/// table has no such cell; pingpong -1 = the paper leaves the
+/// ping-pong cell empty.
 struct PaperBeffRow {
+  const char* key = "";
+  int nprocs = 0;
   double b_eff = 0.0;
   double per_proc = 0.0;
   double at_lmax_per_proc = 0.0;
@@ -62,14 +76,18 @@ struct PaperBeffRow {
   double pingpong = 0.0;
 };
 
+/// The paper's Table 1, in its row order.  A built-in sweep's b_eff
+/// row is a Table 1 row exactly when this table holds its (key,
+/// nprocs); a scenario's rows are all Table 1 rows, without
+/// references.
+const std::vector<PaperBeffRow>& paper_table1();
+
 /// One b_eff configuration of the sweep plus its result.
 struct BeffRun {
   std::string key;      // machines::machine_by_name() key
   std::string display;  // row label, e.g. "Cray T3E/900"
   int nprocs = 0;
   bool first = false;   // first partition of its machine (analysis cells on)
-  bool in_table = false;  // appears as a Table 1 row
-  PaperBeffRow paper;
   std::int64_t memory_per_proc = 0;
   double rmax_gflops_per_proc = 0.0;
   beff::BeffResult r;
@@ -133,15 +151,6 @@ struct ExperimentsData {
   std::string faults;
 };
 
-/// The sweep specification's b_eff (machine, partition) and b_eff_io
-/// (machine, T, partition) rows of `scope`, with empty results.
-/// Exposed so bench/paper_views can enumerate, subset or label the
-/// exact cells the pipeline runs; the returned order is the pipeline's
-/// execution-slot order.  sweep_spec() below returns every row, kernel
-/// and fault-sweep rows included.
-std::vector<BeffRun> beff_specs(Scope scope);
-std::vector<IoRun> io_specs(Scope scope);
-
 /// One bar of Figure 1 (balance factor b_eff / R_max): the b_eff cell
 /// (machine key, partition) it plots and its bar label.
 struct Fig1Point {
@@ -186,7 +195,7 @@ struct ExperimentOptions {
   int kill_after = 0;
   /// Config-defined sweep (not owned, must outlive the call).  When
   /// set, the cell lists come from the scenario instead of the
-  /// built-in specs, machine keys resolve scenario-first, the
+  /// built-in document, machine keys resolve scenario-first, the
   /// scenario's fault plan applies when `fault_plan` is null (the CLI
   /// flag wins), and the scenario's fault sweep replaces the built-in
   /// one.  Everything downstream -- journal, records, rendering,
@@ -194,10 +203,11 @@ struct ExperimentOptions {
   const scenario::Scenario* scenario = nullptr;
 };
 
-/// The cell lists `options` selects, with empty results: the
-/// scenario's cells when options.scenario is set, else the built-in
-/// specs of options.scope.  This is what run_experiments() runs;
-/// balbench-perf walks the same rows to name and time its cells.
+/// The cell lists `options` selects, with empty results, in the
+/// pipeline's execution-slot order: the cells of options.scenario, or
+/// of the built-in document of options.scope when it is null.  This is
+/// what run_experiments() runs; bench/paper_views and balbench-perf
+/// take the same rows to subset, label and time.
 ExperimentsData sweep_spec(const ExperimentOptions& options);
 
 /// Runs the whole sweep with options.jobs host worker threads and the
@@ -226,13 +236,13 @@ ExperimentsData run_experiments(const ExperimentOptions& options);
 /// keyed by list index ("beff/i", "io/i", "faultsweep/i").
 void run_cells(ExperimentsData& data, const ExperimentOptions& options);
 
-/// FNV-1a (64-bit, hex) over the canonical description of the sweep
-/// configuration.  Stamped into both outputs so a record can be
-/// matched to the configuration that produced it.  With `sc` null it
-/// hashes the built-in specs of `scope` -- machines, partitions,
-/// scheduled times, seeds and aggregation constants; with a scenario
-/// it hashes the scenario's canonical describe() (machines, cells,
-/// fault plan, fault sweep) instead.
+/// FNV-1a (64-bit, hex) of "balbench-scenario-experiments/1
+/// scope=<scope>\n" followed by the canonical describe() of `sc`, or
+/// of the built-in document of `scope` when `sc` is null: machines,
+/// cells, fault plan and fault sweep.  Stamped into both outputs so a
+/// record can be matched to the configuration that produced it.  A
+/// scenario file with the same cells as a built-in sweep hashes like
+/// it.
 std::string config_hash(Scope scope, const scenario::Scenario* sc);
 
 /// `git rev-parse --short HEAD`, or "unknown" outside a work tree.

@@ -772,16 +772,17 @@ std::string parse_cell_machine(const Scenario& s, const Obj& cell,
 void parse_sweep(Scenario* s, const Obj& sweep) {
   sweep.check_keys({"beff", "beffio", "kernels"});
   for (const Obj& cell : sweep.children("beff")) {
-    cell.check_keys({"machine", "procs", "analysis"});
+    cell.check_keys({"machine", "procs", "analysis", "display"});
     std::vector<int> procs;
     const std::string key = parse_cell_machine(*s, cell, &procs);
     if (key.empty()) continue;
     const bool analysis = cell.get_bool("analysis", false);
-    for (int np : procs) s->beff.push_back({key, np, analysis});
+    const std::string display = cell.get_string("display", "");
+    for (int np : procs) s->beff.push_back({key, np, analysis, display});
   }
   for (const Obj& cell : sweep.children("beffio")) {
     cell.check_keys({"machine", "procs", "scheduled_seconds",
-                     "mpart_cap_bytes"});
+                     "mpart_cap_bytes", "figure", "display"});
     std::vector<int> procs;
     const std::string key = parse_cell_machine(*s, cell, &procs);
     if (key.empty()) continue;
@@ -790,6 +791,13 @@ void parse_sweep(Scenario* s, const Obj& sweep) {
     io.scheduled_seconds =
         cell.get_positive("scheduled_seconds", io.scheduled_seconds);
     io.mpart_cap = cell.get_int_min("mpart_cap_bytes", 0, io.mpart_cap);
+    io.figure = cell.get_string("figure", "");
+    if (!io.figure.empty() && io.figure != "fig3" && io.figure != "fig4" &&
+        io.figure != "fig5") {
+      cell.error_at("figure", "expected \"fig3\", \"fig4\" or \"fig5\", "
+                              "got \"" + io.figure + "\"");
+    }
+    io.display = cell.get_string("display", "");
     const machines::MachineSpec spec = s->resolve_machine(key);
     if (!spec.io.has_value()) {
       cell.error_at("machine",
@@ -803,11 +811,12 @@ void parse_sweep(Scenario* s, const Obj& sweep) {
     }
   }
   for (const Obj& cell : sweep.children("kernels")) {
-    cell.check_keys({"machine", "procs"});
+    cell.check_keys({"machine", "procs", "display"});
     std::vector<int> procs;
     const std::string key = parse_cell_machine(*s, cell, &procs);
     if (key.empty()) continue;
-    for (int np : procs) s->kernels.push_back({key, np});
+    const std::string display = cell.get_string("display", "");
+    for (int np : procs) s->kernels.push_back({key, np, display});
   }
 }
 
@@ -849,10 +858,11 @@ void parse_faults(Scenario* s, const Obj& faults) {
 
 void parse_fault_sweep(Scenario* s, const Obj& fs) {
   fs.check_keys({"machine", "procs", "link_rates", "degrade_factor", "seed",
-                 "window"});
+                 "window", "display"});
   s->has_fault_sweep = true;
   FaultSweep& sweep = s->fault_sweep;
   sweep.machine = fs.get_string("machine", "", true);
+  sweep.display = fs.get_string("display", "");
   if (!sweep.machine.empty() && !resolvable(*s, sweep.machine)) {
     fs.error_at("machine",
                 "\"" + sweep.machine +
@@ -951,19 +961,28 @@ machines::MachineSpec Scenario::resolve_machine(const std::string& key) const {
 }
 
 std::string Scenario::describe() const {
+  // The optional row-label and figure keys print only when set, so a
+  // scenario that does not use them keeps its config hash.
+  auto display_token = [](const std::string& display) {
+    return display.empty() ? std::string() : " display=\"" + display + "\"";
+  };
   std::ostringstream os;
   os << kSchema << " name=" << name << '\n';
   for (const MachineEntry& m : machines) os << m.canonical << '\n';
   for (const BeffCell& c : beff) {
     os << "beff " << c.machine << " np=" << c.nprocs
-       << " analysis=" << (c.analysis ? 1 : 0) << '\n';
+       << " analysis=" << (c.analysis ? 1 : 0) << display_token(c.display)
+       << '\n';
   }
   for (const IoCell& c : io) {
     os << "beffio " << c.machine << " np=" << c.nprocs
-       << " T=" << num(c.scheduled_seconds) << " cap=" << c.mpart_cap << '\n';
+       << " T=" << num(c.scheduled_seconds) << " cap=" << c.mpart_cap
+       << (c.figure.empty() ? "" : " figure=" + c.figure)
+       << display_token(c.display) << '\n';
   }
   for (const KernelCell& c : kernels) {
-    os << "kernels " << c.machine << " np=" << c.nprocs << '\n';
+    os << "kernels " << c.machine << " np=" << c.nprocs
+       << display_token(c.display) << '\n';
   }
   if (has_faults) os << "faults " << faults.describe() << '\n';
   if (has_fault_sweep) {
@@ -976,7 +995,7 @@ std::string Scenario::describe() const {
       if (i != 0) os << ',';
       os << num(fault_sweep.rates[i]);
     }
-    os << '\n';
+    os << display_token(fault_sweep.display) << '\n';
   }
   return os.str();
 }

@@ -52,6 +52,7 @@ struct BeffCell {
   std::string machine;  // scenario machine name or registry short name
   int nprocs = 0;
   bool analysis = false;  // also measure ping-pong/bisection cells
+  std::string display;    // row label; empty = the machine's name
 };
 
 /// One b_eff_io cell.
@@ -60,12 +61,15 @@ struct IoCell {
   int nprocs = 0;
   double scheduled_seconds = 60.0;
   std::int64_t mpart_cap = 0;  // 0 = uncapped
+  std::string figure;   // "fig3" | "fig4" | "fig5"; empty = fig3
+  std::string display;  // row label; empty = the machine's name
 };
 
 /// One kernel-suite cell.
 struct KernelCell {
   std::string machine;
   int nprocs = 0;
+  std::string display;  // row label; empty = the machine's name
 };
 
 /// A fault-rate sweep: the same b_eff cell re-run once per link
@@ -78,6 +82,7 @@ struct FaultSweep {
   std::uint64_t seed = 2001;
   double window_start_s = 0.0;
   double window_end_s = 0.0;  // 0 = no window
+  std::string display;  // row label; empty = the machine's name
 };
 
 struct Scenario {
@@ -104,8 +109,8 @@ struct Scenario {
 
   /// Canonical description of everything that can change a result
   /// byte: every machine parameter, every cell, the fault plan and
-  /// the fault sweep.  Hashed into config/checkpoint keys exactly
-  /// like the built-in sweep's describe_config().
+  /// the fault sweep.  The config hash of every sweep, built-in or
+  /// not, is taken over it (report::config_hash).
   [[nodiscard]] std::string describe() const;
 };
 

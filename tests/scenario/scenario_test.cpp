@@ -230,6 +230,62 @@ TEST(ScenarioParse, DescribeCoversEverythingHashed) {
             report::config_hash(report::Scope::Quick, nullptr));
 }
 
+TEST(ScenarioParse, DisplayAndFigureDescribeOnlyWhenSet) {
+  // Without the keys: neither token, so a scenario that does not use
+  // them hashes as if the schema did not have them.
+  const Scenario plain = parse_scenario_text(R"({
+    "schema": "balbench-scenario/1",
+    "name": "plain",
+    "sweep": { "beff": [ { "machine": "t3e", "procs": [2] } ],
+               "beffio": [ { "machine": "t3e", "procs": [2] } ],
+               "kernels": [ { "machine": "t3e", "procs": [2] } ] },
+    "fault_sweep": { "machine": "t3e", "procs": 2, "link_rates": [0] }
+  })");
+  EXPECT_EQ(plain.describe().find("display="), std::string::npos)
+      << plain.describe();
+  EXPECT_EQ(plain.describe().find("figure="), std::string::npos);
+  report::ExperimentOptions options;
+  options.scenario = &plain;
+  const report::ExperimentsData rows = report::sweep_spec(options);
+  EXPECT_EQ(rows.beff.at(0).display, "Cray T3E/900-512");  // machine name
+  EXPECT_EQ(rows.io.at(0).figure, "fig3");
+
+  const Scenario labelled = parse_scenario_text(R"({
+    "schema": "balbench-scenario/1",
+    "name": "labelled",
+    "sweep": {
+      "beff": [ { "machine": "t3e", "procs": [2], "display": "B" } ],
+      "beffio": [ { "machine": "t3e", "procs": [2], "display": "I",
+                    "figure": "fig5" } ],
+      "kernels": [ { "machine": "t3e", "procs": [2], "display": "K" } ] },
+    "fault_sweep": { "machine": "t3e", "procs": 2, "link_rates": [0],
+                     "display": "F" }
+  })");
+  const std::string d = labelled.describe();
+  for (const char* token :
+       {"beff t3e np=2 analysis=0 display=\"B\"",
+        "beffio t3e np=2 T=60 cap=0 figure=fig5 display=\"I\"",
+        "kernels t3e np=2 display=\"K\"", "rates=0 display=\"F\""}) {
+    EXPECT_NE(d.find(token), std::string::npos) << token << "\n" << d;
+  }
+  options.scenario = &labelled;
+  const report::ExperimentsData labelled_rows = report::sweep_spec(options);
+  EXPECT_EQ(labelled_rows.beff.at(0).display, "B");
+  EXPECT_EQ(labelled_rows.io.at(0).display, "I");
+  EXPECT_EQ(labelled_rows.io.at(0).figure, "fig5");
+  EXPECT_EQ(labelled_rows.kernels.at(0).display, "K");
+  EXPECT_EQ(labelled_rows.fault_sweep.at(0).display, "F");
+
+  const auto violations = validate_scenario_text(R"({
+    "schema": "balbench-scenario/1",
+    "name": "bad",
+    "sweep": { "beffio": [ { "machine": "t3e", "procs": [2],
+                             "figure": "fig6" } ] }
+  })");
+  EXPECT_TRUE(any_contains(violations, "$.sweep.beffio[0].figure"))
+      << all_of_them(violations);
+}
+
 // ---------------------------------------------------------------------------
 // Topology lowering: a scenario fat tree with a single leaf is
 // structurally a crossbar (routes {tx, rx}, same latency), so a

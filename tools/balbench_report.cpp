@@ -51,7 +51,7 @@
 //                     "balbench-scenario/1" JSON (machines with
 //                     arbitrary topologies, beff/beffio/kernel cell
 //                     mixes, correlated fault plans, fault-rate
-//                     sweeps) instead of the built-in specs; the
+//                     sweeps) instead of the built-in sweep; the
 //                     other sweep flags (--record, --markdown,
 //                     --jobs, --checkpoint, --faults, ...) compose
 //                     unchanged and the byte-identity contract holds
@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
   options.add_string("scenario", &scenario_path,
                      "run the config-defined sweep from this "
                      "balbench-scenario/1 JSON file instead of the built-in "
-                     "specs (docs/SCENARIOS.md)");
+                     "sweep of --scope (docs/SCENARIOS.md)");
   options.add_string("validate-scenario", &validate_path,
                      "lint a scenario file and exit: 0 = valid, 2 = schema "
                      "violations (printed one per line)");

@@ -46,14 +46,46 @@ function(serve_wait_ready socket)
   message(FATAL_ERROR "server on ${socket} never became ready")
 endfunction()
 
-# Waits until the pid recorded in `pidfile` is gone; ~60 s budget.
+# Sets `out_var` to TRUE when process `pid` has exited.  The server's
+# launching shell exits at once, so a dead server is an orphan that
+# stays a zombie until init reaps it -- and `kill -0` succeeds on a
+# zombie.  Where /proc exists, state Z (or no entry) counts as exited;
+# elsewhere `kill -0` decides.
+function(serve_pid_exited pid out_var)
+  set(${out_var} FALSE PARENT_SCOPE)
+  if(EXISTS /proc/self/stat)
+    # cat, not file(READ): the entry can vanish between a check and the
+    # read once init reaps the zombie.
+    execute_process(COMMAND cat /proc/${pid}/stat
+                    OUTPUT_VARIABLE stat RESULT_VARIABLE rc ERROR_QUIET)
+    if(NOT rc EQUAL 0)
+      set(${out_var} TRUE PARENT_SCOPE)
+      return()
+    endif()
+    # "pid (comm) S ...": comm may hold spaces or parentheses, so the
+    # state is the field after the LAST ')'.
+    string(FIND "${stat}" ")" close REVERSE)
+    math(EXPR at "${close} + 2")
+    string(SUBSTRING "${stat}" ${at} 1 state)
+    if(state STREQUAL "Z" OR state STREQUAL "")
+      set(${out_var} TRUE PARENT_SCOPE)
+    endif()
+    return()
+  endif()
+  execute_process(COMMAND sh -c "kill -0 ${pid} 2>/dev/null"
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    set(${out_var} TRUE PARENT_SCOPE)
+  endif()
+endfunction()
+
+# Waits until the pid recorded in `pidfile` has exited; ~60 s budget.
 function(serve_wait_dead pidfile)
   file(READ ${pidfile} pid)
   string(STRIP "${pid}" pid)
   foreach(i RANGE 600)
-    execute_process(COMMAND sh -c "kill -0 ${pid} 2>/dev/null"
-                    RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
+    serve_pid_exited(${pid} exited)
+    if(exited)
       return()
     endif()
     execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.1)
