@@ -424,7 +424,7 @@ bool render_trend_section(std::ostream& os, const History& h,
                           const TrendOptions& options) {
   const auto groups = analyze_trends(h, options);
 
-  os << kTrendBeginPrefix
+  os << "<!-- BEGIN " << kTrendSection
      << " (generated: balbench-history render --history BENCH_HISTORY.json"
         " --doc EXPERIMENTS.md; do not edit — byte-compared by the"
         " history_doc_drift ctest) -->\n"
@@ -600,51 +600,8 @@ bool render_trend_section(std::ostream& os, const History& h,
             "band.\n";
     }
   }
-  os << kTrendEndLine << "\n";
+  os << "<!-- END " << kTrendSection << " -->\n";
   return drifted;
-}
-
-namespace {
-
-/// Bounds [first, second) of the PERF HISTORY section in `doc`, the end
-/// past the end marker's newline.  `first` is npos without a begin
-/// marker, `second` is npos without a matching end marker.
-std::pair<std::size_t, std::size_t> trend_section_bounds(
-    const std::string& doc) {
-  const std::string_view end_line = kTrendEndLine;
-  const std::size_t begin = doc.find(kTrendBeginPrefix);
-  if (begin == std::string::npos) return {begin, begin};
-  std::size_t end = doc.find(end_line, begin);
-  if (end == std::string::npos) return {begin, end};
-  end += end_line.size();
-  if (end < doc.size() && doc[end] == '\n') ++end;
-  return {begin, end};
-}
-
-}  // namespace
-
-std::string splice_trend_section(const std::string& doc,
-                                 const std::string& section) {
-  const auto [begin, end] = trend_section_bounds(doc);
-  if (begin == std::string::npos) {
-    std::string out = doc;
-    if (!out.empty() && out.back() != '\n') out += '\n';
-    out += '\n';
-    out += section;
-    return out;
-  }
-  if (end == std::string::npos) {
-    throw std::runtime_error(std::string("document has a begin marker '") +
-                             kTrendBeginPrefix +
-                             "' but no matching end marker");
-  }
-  return doc.substr(0, begin) + section + doc.substr(end);
-}
-
-std::string extract_trend_section(const std::string& doc) {
-  const auto [begin, end] = trend_section_bounds(doc);
-  if (end == std::string::npos) return {};
-  return doc.substr(begin, end - begin);
 }
 
 }  // namespace balbench::history

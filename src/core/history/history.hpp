@@ -23,7 +23,8 @@
 //     revision in the last `window` revisions -- a slow multi-commit
 //     drift trips the window even when every adjacent pair overlaps;
 //   * a deterministic markdown section (trend tables + ASCII chart)
-//     spliced into EXPERIMENTS.md between PERF HISTORY markers.  The
+//     spliced into EXPERIMENTS.md between PERF HISTORY markers
+//     (util::splice_sections, by `balbench-history render`).  The
 //     section is a pure function of the store file, so the
 //     history_doc_drift ctest can byte-compare it forever.
 //
@@ -168,11 +169,10 @@ std::vector<GroupTrend> analyze_trends(const History& h,
 // EXPERIMENTS.md trend section
 // ---------------------------------------------------------------------------
 
-/// First and last line of the rendered section.  The begin marker is
-/// matched by prefix so the stamp text can evolve without breaking
-/// old documents.
-inline constexpr const char* kTrendBeginPrefix = "<!-- BEGIN PERF HISTORY";
-inline constexpr const char* kTrendEndLine = "<!-- END PERF HISTORY -->";
+/// Marker name of the rendered section: it runs from a "<!-- BEGIN
+/// PERF HISTORY (generated: ...) -->" line through "<!-- END PERF
+/// HISTORY -->" (util/doc_sections.hpp).
+inline constexpr const char* kTrendSection = "PERF HISTORY";
 
 /// Renders the marker-delimited markdown section: per-group trend
 /// table, drift verdicts and (with >= 2 revisions) an ASCII chart of
@@ -180,17 +180,5 @@ inline constexpr const char* kTrendEndLine = "<!-- END PERF HISTORY -->";
 /// group drifted.  Byte-deterministic in (store, options).
 bool render_trend_section(std::ostream& os, const History& h,
                           const TrendOptions& options);
-
-/// Returns `doc` with its PERF HISTORY section replaced by `section`
-/// (which must be a full render_trend_section output).  A document
-/// without the section gets it appended after one separating blank
-/// line.  Throws std::runtime_error on a begin marker without an end
-/// marker.
-std::string splice_trend_section(const std::string& doc,
-                                 const std::string& section);
-
-/// Extracts the PERF HISTORY section (markers included, trailing
-/// newline included) or returns "" when the document has none.
-std::string extract_trend_section(const std::string& doc);
 
 }  // namespace balbench::history

@@ -663,8 +663,10 @@ ExperimentsData run_experiments(const ExperimentOptions& options) {
 
 std::string config_hash(Scope scope, const scenario::Scenario* sc) {
   // A sweep's configuration IS its scenario: the canonical describe()
-  // covers every machine parameter, cell, fault plan and sweep point,
-  // so two sweeps hash equal iff they schedule byte-identical work.
+  // covers the scenario's own machines, its cells, fault plan and
+  // sweep points, but names registry machines only by key (their
+  // parameters are code, pinned by the record's git_rev).  At one
+  // revision two sweeps hash equal iff they schedule identical work.
   const scenario::Scenario& s = sc != nullptr ? *sc : builtin_scenario(scope);
   return util::fnv1a_hex("balbench-scenario-experiments/1 scope=" +
                          std::string(scope_name(scope)) + "\n" +
@@ -836,47 +838,47 @@ void write_kernel_record(std::ostream& os, const ExperimentsData& data,
 }
 
 // ---------------------------------------------------------------------------
-// EXPERIMENTS.md renderer
+// EXPERIMENTS.md sections
 // ---------------------------------------------------------------------------
 
-void render_experiments_md(std::ostream& os, const ExperimentsData& data,
-                           const std::string& cfg_hash) {
-  auto section_stamp = [&](const char* what) {
-    os << "<!-- generated: " << what
+std::vector<util::DocSection> render_experiments_sections(
+    const ExperimentsData& data, const std::string& cfg_hash) {
+  // Every section this renderer owns, in document order.  One whose
+  // configurations are absent from `data` keeps empty text, so a splice
+  // removes what an earlier sweep wrote there.
+  std::vector<util::DocSection> sections;
+  for (const char* owned :
+       {"TABLE 1", "FIGURE 1", "FIGURE 3", "FIGURE 4", "FIGURE 5",
+        "BALANCE CHARACTERIZATION", "FAULT-SCENARIO SWEEPS",
+        "SIDE RESULTS"}) {
+    sections.push_back({owned, {}});
+  }
+  std::ostringstream os;
+  std::string name;
+  // A section is its BEGIN marker, heading and generated stamp, the
+  // body written to `os`, and its END marker.
+  auto open = [&](const char* section, const char* heading,
+                  const char* what) {
+    name = section;
+    os.str("");
+    os << "<!-- BEGIN " << name << " -->\n"
+       << heading << "\n\n<!-- generated: " << what
        << " | balbench-report --scope " << scope_name(data.scope)
        << " --markdown EXPERIMENTS.md | config " << cfg_hash << " -->\n";
   };
-
-  os << "# EXPERIMENTS — paper vs. measured (simulated)\n"
-        "\n";
-  section_stamp("whole document");
-  os << "<!-- Do not edit measured numbers by hand: the doc_drift_guard\n"
-        "     ctest re-runs the sweep and byte-compares this file. -->\n"
-        "\n"
-        "Every table and figure of the paper, the tool that regenerates it,\n"
-        "and how our measured values compare.  All of our numbers come from\n"
-        "the deterministic virtual-time simulation described in DESIGN.md; the\n"
-        "success criterion is **shape** (who wins, by what factor, where the\n"
-        "crossovers and saturation points lie), not absolute equality — the\n"
-        "substrate is a simulator, not the authors' 1999-2000 testbeds.\n"
-        "\n"
-        "Regenerate everything with:\n"
-        "\n"
-        "```sh\n"
-        "build/tools/balbench-report --scope doc --markdown EXPERIMENTS.md  # this file\n"
-        "build/tools/balbench-report --scope doc --record beffrun.json     # JSON run record\n"
-        "build/tools/balbench-report --trace trace.json --machine t3e --procs 64\n"
-        "build/bench/table2_patterns; build/bench/paper_views  # ASCII tables/plots\n"
-        "```\n"
-        "\n"
-        "Comparison markers are rule-generated per cell: ✓ = within 10 % of\n"
-        "the paper's value, ≈ = within 50 %, otherwise the ratio is printed.\n"
-        "\n";
+  auto close = [&] {
+    os << "<!-- END " << name << " -->\n";
+    const auto it =
+        std::find_if(sections.begin(), sections.end(),
+                     [&](const util::DocSection& s) { return s.name == name; });
+    if (it == sections.end()) {
+      throw std::logic_error("section " + name + " is not in the owned list");
+    }
+    it->text = os.str();
+  };
 
   // ---- Table 1 ----------------------------------------------------------
-  os << "## Table 1 — effective bandwidth results\n"
-        "\n";
-  section_stamp("Table 1");
+  open("TABLE 1", "## Table 1 — effective bandwidth results", "Table 1");
   os << "Paper → measured (MByte/s):\n"
         "\n"
         "| System | procs | b_eff | b_eff/proc | b_eff at L_max /proc | "
@@ -892,7 +894,11 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
       paper = *p;
     }
     std::string pingpong;
-    if (!b.first || paper.pingpong == 0.0) {
+    if (!b.first) {
+      pingpong = "—";
+    } else if (!data.scenario.empty()) {
+      pingpong = mbps(b.r.analysis.pingpong_bw);
+    } else if (paper.pingpong == 0.0) {
       pingpong = "—";
     } else if (paper.pingpong < 0.0) {
       pingpong = "(empty)";
@@ -906,7 +912,6 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
        << cmp_cell(paper.ring_per_proc, b.r.per_proc_at_lmax_rings()) << " | "
        << pingpong << " |\n";
   }
-  os << "\n";
 
   // Shape-check bullets, recomputed from the sweep.
   {
@@ -951,10 +956,6 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
           mbps(rr24->r.rings_logavg_at_lmax / 24) +
           " — the paper shows the same inversion, 115 vs 110).");
     }
-    bullets.push_back(
-        "Shared-memory systems land within ~10 % at L_max; their averaged "
-        "values run high (our fixed per-call latency model is simpler than "
-        "real vector-machine MPI behaviour at mid sizes).");
     if (t3e512 != nullptr && seq24 != nullptr) {
       char t3e_cup[16], sr_cup[16];
       std::snprintf(t3e_cup, sizeof t3e_cup, "%.1f",
@@ -970,20 +971,14 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
                         sr_cup + " s (paper: 13.6 s).");
     }
     if (!bullets.empty()) {
-      os << "Shape checks that hold (asserted in `tests/integration` and\n"
+      os << "\n"
+            "Shape checks that hold (asserted in `tests/integration` and\n"
             "`tests/beff/machine_sweep_test.cpp`):\n"
             "\n";
       for (const auto& b : bullets) os << wrap("* " + b, "  ") << "\n";
-      os << "\n";
     }
   }
-  os << "Systematic bias: our averaged b_eff runs 10–40 % above the paper "
-        "because\n"
-        "mid-size messages (8–256 kB) are modeled with a single latency +\n"
-        "bandwidth knee, while real MPI stacks had additional protocol "
-        "switches.\n"
-        "All at-L_max and ping-pong columns are within ~10 %.\n"
-        "\n";
+  close();
 
   // ---- Figure 1 ---------------------------------------------------------
   {
@@ -1002,9 +997,7 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
                        [](const BalancePoint& a, const BalancePoint& b) {
                          return a.balance > b.balance;
                        });
-      os << "## Figure 1 — balance factor\n"
-            "\n";
-      section_stamp("Figure 1");
+      open("FIGURE 1", "## Figure 1 — balance factor", "Figure 1");
       std::string list;
       for (std::size_t i = 0; i < balances.size(); ++i) {
         char v[16];
@@ -1020,20 +1013,10 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
                      "vector-vs-MPP gap are the reproduced claims.  R_max "
                      "values are published Linpack figures per processor.)",
                  "")
-         << "\n\n";
+         << "\n";
+      close();
     }
   }
-
-  // ---- Table 2 / Figure 2 (static: asserted structurally in tests) ------
-  os << "## Table 2 / Figure 2 — the pattern table "
-        "(`bench/table2_patterns`)\n"
-        "\n"
-        "Exact reproduction: 43 pattern rows across 5 types, chunk sizes\n"
-        "1 kB / 32 kB / 1 MB / M_PART with +8-byte non-wellformed variants,\n"
-        "ΣU = 64, fill-up patterns in the segmented types, M_PART =\n"
-        "max(2 MB, memory/128) (asserted in "
-        "`tests/beffio/pattern_table_test.cpp`).\n"
-        "\n";
 
   // ---- Figure 3 ---------------------------------------------------------
   {
@@ -1051,9 +1034,8 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
       }
     }
     if (!procs.empty()) {
-      os << "## Figure 3 — b_eff_io vs. process count\n"
-            "\n";
-      section_stamp("Figure 3");
+      open("FIGURE 3", "## Figure 3 — b_eff_io vs. process count",
+           "Figure 3");
       os << "Measured b_eff_io (T = 10 min):\n"
             "\n"
             "| procs |";
@@ -1073,28 +1055,7 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
         }
         os << "\n";
       }
-      os << "\n"
-            "* **T3E**: flat from 8 to 128 processes with the maximum at "
-            "16–32 —\n"
-            "  the paper's \"the I/O bandwidth is a global resource … "
-            "maximum is\n"
-            "  reached at 32 application processes, with little variation "
-            "from 8 to\n"
-            "  128\". ✓\n"
-            "* **SP**: bandwidth tracks the client count (≈12 MB/s per "
-            "node) until\n"
-            "  the 20 VSD servers saturate around 64–128 nodes — "
-            "\"on the IBM SP the\n"
-            "  I/O bandwidth tracks the number of compute nodes until it\n"
-            "  saturates\". ✓\n"
-            "* Larger T does not increase the value (and reads get slightly "
-            "slower\n"
-            "  as files outgrow the cache) — the Sec. 5.4 observation "
-            "that the\n"
-            "  maximum tends to occur at T = 10 min "
-            "(`bench/paper_views --view fig3`\n"
-            "  sweeps T ∈ {10, 15, 30} min). ✓\n"
-            "\n";
+      close();
     }
   }
 
@@ -1103,9 +1064,7 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
     const IoRun* sp64 = find_io(data, "fig4", "sp", 64);
     const IoRun* t3e64 = find_io(data, "fig4", "t3e", 64);
     if (sp64 != nullptr && t3e64 != nullptr) {
-      os << "## Figure 4 — per-pattern detail\n"
-            "\n";
-      section_stamp("Figure 4");
+      open("FIGURE 4", "## Figure 4 — per-pattern detail", "Figure 4");
       os << "Reproduced qualitative structure on all four systems (IBM SP 64, "
             "T3E\n"
             "64, SR 8000 24, SX-5 4 with reduced M_PART); the per-pattern "
@@ -1160,14 +1119,7 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
                      "— exactly the paper's contrast. ✓",
                  "  ")
          << "\n";
-      os << "* Shared-pointer type 1 trails the individual types at small "
-            "chunks\n"
-            "  (token-serialized pointer updates). ✓\n"
-            "* The SX-5 plots show the cache-bypass behaviour for requests "
-            "≥ 1 MB\n"
-            "  (large chunks run at raw RAID speed, small cached rewrites "
-            "faster). ✓\n"
-            "\n";
+      close();
     }
   }
 
@@ -1179,9 +1131,7 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
                        [](const IoRun* a, const IoRun* b) {
                          return a->r.b_eff_io > b->r.b_eff_io;
                        });
-      os << "## Figure 5 — final comparison\n"
-            "\n";
-      section_stamp("Figure 5");
+      open("FIGURE 5", "## Figure 5 — final comparison", "Figure 5");
       std::string list;
       for (std::size_t i = 0; i < bests.size(); ++i) {
         const double bw = bests[i]->r.b_eff_io;
@@ -1200,19 +1150,16 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
                      "aggregate.  Weighting checks (write/rewrite/read = "
                      "25/25/50, scatter double) are unit-tested.",
                  "")
-         << "\n\n";
+         << "\n";
+      close();
     }
   }
 
   // ---- Balance characterization ----------------------------------------
-  // Marker-delimited like the PERF HISTORY section so external tools
-  // can extract or splice it without re-running the sweep.
   if (!data.kernels.empty()) {
-    os << "<!-- BEGIN BALANCE CHARACTERIZATION -->\n"
-          "## Balance characterization — compute vs. communication vs. "
-          "I/O\n"
-          "\n";
-    section_stamp("balance characterization");
+    open("BALANCE CHARACTERIZATION",
+         "## Balance characterization — compute vs. communication vs. I/O",
+         "balance characterization");
     os << "The compute side comes from the simulated HPCC-style kernel "
           "suite\n"
           "(`core/kernels`, DESIGN.md §14): **R_max** is the *measured* "
@@ -1293,18 +1240,17 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
                  "  ")
          << "\n";
     }
-    os << "<!-- END BALANCE CHARACTERIZATION -->\n\n";
+    close();
   }
 
   // ---- Fault-scenario sweeps -------------------------------------------
-  // Marker-delimited like the balance section; present whenever the
-  // sweep (built-in or scenario-defined) scheduled fault points.
+  // Present whenever the sweep (built-in or scenario-defined) scheduled
+  // fault points.
   if (!data.fault_sweep.empty()) {
-    os << "<!-- BEGIN FAULT-SCENARIO SWEEPS -->\n"
-          "## Fault-scenario sweeps — b_eff degradation under injected "
-          "link faults\n"
-          "\n";
-    section_stamp("fault-scenario sweeps");
+    open("FAULT-SCENARIO SWEEPS",
+         "## Fault-scenario sweeps — b_eff degradation under injected link "
+         "faults",
+         "fault-scenario sweeps");
     os << wrap("Each point re-runs the full b_eff pattern mix (same rings, "
                "random neighbourhoods, message sizes and averaging rule) "
                "under a deterministic fault plan: every message is degraded "
@@ -1425,14 +1371,12 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
                  "  ")
          << "\n";
     }
-    os << "<!-- END FAULT-SCENARIO SWEEPS -->\n\n";
+    close();
   }
 
   // ---- Micro ------------------------------------------------------------
   if (data.termination_check_seconds > 0.0) {
-    os << "## Sec. 2.2 / 5.4 side results\n"
-          "\n";
-    section_stamp("side results");
+    open("SIDE RESULTS", "## Sec. 2.2 / 5.4 side results", "side results");
     char check_us[16], io_us[16];
     std::snprintf(check_us, sizeof check_us, "%.0f",
                   data.termination_check_seconds * 1e6);
@@ -1446,148 +1390,9 @@ void render_experiments_md(std::ostream& os, const ExperimentsData& data,
                    "`micro.termination_check_seconds`). ✓",
                "  ")
        << "\n";
-    os << "* b_eff measurement time: seconds to ~1 simulated minute per "
-          "system --\n"
-          "  below the paper's 3-5 min wall budget because the deterministic\n"
-          "  simulator deduplicates the 3 repetitions and pays no OS noise;\n"
-          "  b_eff_io spends the scheduled T of 10-30 min per partition. "
-          "✓\n"
-          "* L_SEG segment rounding to 1 MB and the 2 GB/nprocs cap are\n"
-          "  implemented and unit-tested.\n"
-          "\n";
+    close();
   }
-
-  // ---- Static closing sections -----------------------------------------
-  os << "## Extensions beyond the released benchmarks (paper Secs. 5.4/6)\n"
-        "\n"
-        "| Paper item | Where |\n"
-        "|---|---|\n"
-        "| geometric-series termination factors (proposed in 5.4) | "
-        "`beffio::TerminationMode::GeometricSeries`; test shows it lifts "
-        "small-chunk bandwidth vs. per-iteration checks |\n"
-        "| random I/O access patterns (Sec. 6 \"should examine\") | "
-        "`BeffIoOptions::include_random_type`, reported separately, never "
-        "averaged |\n"
-        "| MPI_Info-style per-pattern hints (Sec. 5.3 \"future release\") | "
-        "`pario::Hints::two_phase` |\n"
-        "| SKaMPI comparison-page output (Sec. 6) | `core/report`: CSV + "
-        "key=value summaries + `examples/compare_machines` |\n"
-        "| machine-readable run records + metrics (Sec. 6) | "
-        "`balbench-report --record`: JSON with per-cell bandwidths and "
-        "merged `obs` metric snapshots (DESIGN.md §10.4) |\n"
-        "| Chrome-trace timelines | `balbench-report --trace`: virtual-time "
-        "spans per rank, loadable in Perfetto (DESIGN.md §10.3) |\n"
-        "| Top Clusters list (Sec. 6) | `bench/topclusters_list` |\n"
-        "| averaging-rule ablations | `bench/ablation_averaging`: logavg vs "
-        "arithmetic (+1 %), rings-only (+10 %), L_max-only (+125 %), "
-        "single-method (−15 % for Sendrecv) |\n"
-        "\n"
-        "## Parameter provenance\n"
-        "\n"
-        "From the paper/its references: ping-pong bandwidths "
-        "(330/776/954/994),\n"
-        "memory sizes via the L_max column, SMP widths (8-way SR 8000, "
-        "4-way\n"
-        "SP nodes), I/O server counts (10 striped RAIDs on GigaRing, 20 "
-        "VSDs,\n"
-        "4 RAID-3 arrays), SFS 4 MB cluster size + 2 GB cache + 1 MB bypass\n"
-        "rule, GPFS 690/950 MB/s write/read maxima, the unoptimized "
-        "segmented\n"
-        "collective on the SP prototype, R_max-class Linpack per-processor\n"
-        "values.  Calibrated against Table 1's shape: latencies, per-call\n"
-        "overheads, torus link bandwidth (360 MB/s shared bidirectional),\n"
-        "NIC duplex factor 1.25, SMP bus widths, disk seek times, "
-        "client-link\n"
-        "bandwidths.  Every calibrated value lives in\n"
-        "`src/machines/machines.cpp` with a comment naming what it was fit "
-        "to.\n"
-        "\n"
-        "## Known deviations\n"
-        "\n"
-        "1. Averaged b_eff values run 10–40 % high (single-knee size "
-        "curve);\n"
-        "   at-L_max values are within ~10 %.\n"
-        "2. T3E per-process decline with P is shallower (flow-level max-min "
-        "vs.\n"
-        "   real wormhole routing hotspots).\n"
-        "3. T3E b_eff_io absolute level (~200 MB/s of the 300 MB/s peak) is\n"
-        "   likely above the paper's (unreadable) Fig. 3 values, which the "
-        "text\n"
-        "   implies were further reduced by the pattern mix; the "
-        "flatness-in-P\n"
-        "   and max-at-16–32 shape is reproduced.\n"
-        "4. b_eff_io batches its time-driven loops (DESIGN.md Sec. 6); "
-        "per-call\n"
-        "   costs are charged, but intra-loop pipelining across ranks is\n"
-        "   approximated by the max-min fluid model.\n"
-        "\n"
-        "## Wall-clock of the regeneration sweep (`--jobs`)\n"
-        "\n"
-        "The parallel sweep scheduler (DESIGN.md §9) makes `--jobs N` a "
-        "pure\n"
-        "wall-clock knob: every number above is byte-identical for every "
-        "value\n"
-        "(enforced by the `doc_drift_guard` ctest and the --jobs 1/2/4\n"
-        "byte-compares in `tests/report/run_record_test.cpp`).  "
-        "`balbench-report\n"
-        "--scope doc`, RelWithDebInfo build on a 4-core x86-64 Xeon VM "
-        "(median of\n"
-        "three runs at `--jobs 4`, one at `--jobs 1`; critical path and\n"
-        "efficiency from the `[prof]` line of `--wall-profile`):\n"
-        "\n"
-        "| setting | wall-clock | critical path | parallel efficiency |\n"
-        "|---|---|---|---|\n"
-        "| `--jobs 1` | 40.9 s | 1.6 s | 1.00 |\n"
-        "| `--jobs 4` | 12.6 s | 1.9 s | 0.94 |\n"
-        "\n"
-        "The sweep is one flat list of 986 tasks: one per b_eff cell (a\n"
-        "(pattern, method) pair or an analysis pattern), per b_eff_io "
-        "chain, per\n"
-        "kernel suite and per fault-sweep cell.  The critical path is the\n"
-        "longest single task, so more workers keep cutting the wall until\n"
-        "the 41 s of task time spread over them nears that one task (about\n"
-        "20 workers).  Scheduled one task per partition instead, the\n"
-        "512-process T3E partition alone took 21 s, which held `--jobs 4` "
-        "at\n"
-        "21 s with efficiency 0.52.  The decomposition stops at (pattern,\n"
-        "method) granularity rather than splitting message sizes, because\n"
-        "looplength adaptation chains through them.\n"
-        "\n"
-        "### 512-process cells before/after the DES hot-path rework\n"
-        "\n"
-        "The indexed event queue, pooled fiber stacks and skip-unchanged rate\n"
-        "commits (docs/SIMULATOR.md) were introduced against a committed\n"
-        "`balbench-perf` baseline of the same 512-process sweep cells on "
-        "this\n"
-        "container (`--repeat 5`, medians with bootstrap 95 % CIs):\n"
-        "\n"
-        "| cell | before | after |\n"
-        "|---|---|---|\n"
-        "| `sweep.t3e512.random` | 2.514 s  CI [2.487, 2.543] | 1.855 s  CI "
-        "[1.826, 1.870] |\n"
-        "| `sweep.t3e512.construct` | 6.2 ms  CI [4.8, 13.0] | 4.1 ms  CI "
-        "[3.9, 4.2] |\n"
-        "| `sweep.t3e512.ring` | 6.9 ms  CI [6.6, 8.1] | 7.7 ms  CI [7.5, "
-        "7.9] |\n"
-        "\n"
-        "The random-pattern cell is CI-separated (after's upper bound 1.870 s\n"
-        "below before's lower bound 2.487 s, a 1.36× speedup); the ring cell\n"
-        "stays within noise.  The \"after\" column also ran a component-incremental\n"
-        "flow solver, since removed: in these patterns every flow shares links\n"
-        "with every other, so its component walk covered the whole network and\n"
-        "cost time.  With the global fill alone the doc sweep took 110.8 s\n"
-        "instead of 124.0 s, with identical records, so the speedup belongs to\n"
-        "the queue, the stacks and the skipped commits.  These\n"
-        "`sweep.t3e512.*` cells are recorded in `BENCH_PERF.json` and tracked\n"
-        "by the history drift check, so a hot-path regression shows up as drift\n"
-        "rather than silently re-inflating the critical path above.\n";
-}
-
-void render_experiments_md(std::ostream& os, const ExperimentsData& data,
-                           const std::string& cfg_hash,
-                           const std::string& trend_section) {
-  render_experiments_md(os, data, cfg_hash);
-  if (!trend_section.empty()) os << '\n' << trend_section;
+  return sections;
 }
 
 }  // namespace balbench::report

@@ -10,10 +10,12 @@
 //                                "balbench-run-record/1"): config hash,
 //                                git revision, per-cell bandwidths and
 //                                the merged obs metric snapshots;
-//   * render_experiments_md() -- the full EXPERIMENTS.md document, every
-//                                measured number recomputed, each table
-//                                marked with the generating command and
-//                                the config hash.
+//   * render_experiments_sections() -- the generated sections of
+//                                EXPERIMENTS.md, every measured number
+//                                recomputed, each marked with the
+//                                generating command and the config
+//                                hash; the prose around them is
+//                                hand-written (util/doc_sections.hpp).
 //
 // There is one sweep specification: a balbench-scenario/1 document
 // (core/scenario).  The built-in quick and doc sweeps are two such
@@ -30,8 +32,8 @@
 // Determinism contract: both outputs are pure functions of (scope,
 // code); the host-side `jobs` knob never changes a byte (asserted at
 // --jobs 1/2/4 in tests/report/run_record_test.cpp and by the
-// `doc_drift_guard` ctest, which re-renders the committed
-// EXPERIMENTS.md).  All bandwidths in the record are bytes per VIRTUAL
+// `doc_drift_guard` ctest, which re-renders the generated sections of
+// the committed EXPERIMENTS.md).  All bandwidths in the record are bytes per VIRTUAL
 // second; all durations are virtual seconds (DESIGN.md Sec. 10.2).
 #pragma once
 
@@ -45,6 +47,7 @@
 #include "core/beffio/beffio.hpp"
 #include "core/kernels/kernels.hpp"
 #include "robust/fault.hpp"
+#include "util/doc_sections.hpp"
 
 namespace balbench::scenario {
 struct Scenario;
@@ -238,8 +241,10 @@ void run_cells(ExperimentsData& data, const ExperimentOptions& options);
 
 /// FNV-1a (64-bit, hex) of "balbench-scenario-experiments/1
 /// scope=<scope>\n" followed by the canonical describe() of `sc`, or
-/// of the built-in document of `scope` when `sc` is null: machines,
-/// cells, fault plan and fault sweep.  Stamped into both outputs so a
+/// of the built-in document of `scope` when `sc` is null: the
+/// scenario's own machines, cells, fault plan and fault sweep;
+/// registry machines count by key only, their parameters being code
+/// that the record's git_rev pins.  Stamped into both outputs so a
 /// record can be matched to the configuration that produced it.  A
 /// scenario file with the same cells as a built-in sweep hashes like
 /// it.
@@ -268,23 +273,18 @@ void write_kernel_record(std::ostream& os, const ExperimentsData& data,
                          const std::string& cfg_hash,
                          const std::string& git_rev);
 
-/// Renders the complete EXPERIMENTS.md.  Every measured number in the
-/// document is recomputed from `data`; paper reference values and the
-/// comparison markers come from a fixed rule (within 10 % = check mark,
-/// within 50 % = approx, otherwise the ratio is printed).  Sections
-/// whose configurations are absent from `data` (Quick scope) are
-/// omitted bullet-by-bullet, never approximated.
-void render_experiments_md(std::ostream& os, const ExperimentsData& data,
-                           const std::string& cfg_hash);
-
-/// Same document with a pre-rendered performance-history section (see
-/// core/history, DESIGN.md Sec. 13) appended after a blank line.  The
-/// section arrives as opaque bytes so core/report stays independent of
-/// core/history; pass "" for the plain document.  The marker lines
-/// inside the section let `balbench-history` splice updates in place
-/// without re-running the sweep.
-void render_experiments_md(std::ostream& os, const ExperimentsData& data,
-                           const std::string& cfg_hash,
-                           const std::string& trend_section);
+/// The generated sections of EXPERIMENTS.md, in document order:
+/// TABLE 1, FIGURE 1, FIGURE 3, FIGURE 4, FIGURE 5, BALANCE
+/// CHARACTERIZATION, FAULT-SCENARIO SWEEPS and SIDE RESULTS.  Every
+/// measured number is recomputed from `data`; paper reference values
+/// and the comparison markers come from a fixed rule (within 10 % =
+/// check mark, within 50 % = approx, otherwise the ratio is printed).
+/// A bullet or sentence whose configurations are absent from `data` is
+/// left out, never approximated; so is a whole section, which is then
+/// returned with empty text.  util::splice_sections puts the sections
+/// into a document (removing the empty ones), util::check_sections
+/// compares one.
+std::vector<util::DocSection> render_experiments_sections(
+    const ExperimentsData& data, const std::string& cfg_hash);
 
 }  // namespace balbench::report

@@ -7,11 +7,12 @@
 // balance factor of Fig. 1), and -- where the paper ran b_eff_io -- an
 // I/O subsystem configuration.
 //
-// Parameter provenance: headline numbers (ping-pong bandwidth, memory
-// sizes, R_max, I/O server counts, RAID striping) are taken from the
-// paper and its references; remaining microparameters (latencies,
-// per-call overheads, bus capacities) were calibrated so the simulated
-// Table 1 / Figs 3-5 reproduce the paper's *shape* (see EXPERIMENTS.md).
+// Where the parameters come from: headline numbers (ping-pong
+// bandwidth, memory sizes, R_max, I/O server counts, RAID striping)
+// are taken from the paper and its references; remaining
+// microparameters (latencies, per-call overheads, bus capacities) were
+// calibrated so the simulated Table 1 / Figs 3-5 reproduce the paper's
+// *shape* (see EXPERIMENTS.md).
 #pragma once
 
 #include <cstdint>

@@ -4,9 +4,11 @@
 
 #include <filesystem>
 #include <sstream>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "util/atomic_write.hpp"
+#include "util/doc_sections.hpp"
 
 namespace bh = balbench::history;
 namespace bo = balbench::obs;
@@ -269,22 +271,32 @@ TEST(HistorySection, SpliceAppendsThenReplacesIdempotently) {
   std::ostringstream s1, s2;
   bh::render_trend_section(s1, series({0.005}), bh::TrendOptions{});
   bh::render_trend_section(s2, series({0.005, 0.010}), bh::TrendOptions{});
+  const std::vector<balbench::util::DocSection> one = {
+      {bh::kTrendSection, s1.str()}};
+  const std::vector<balbench::util::DocSection> two = {
+      {bh::kTrendSection, s2.str()}};
 
+  // The rendered section is one whole marker-delimited section, so a
+  // document without it gets it appended after a blank line.
   const std::string doc = "# title\n\nbody.\n";
-  const std::string with1 = bh::splice_trend_section(doc, s1.str());
-  EXPECT_NE(with1.find("# title"), std::string::npos);
-  EXPECT_EQ(bh::extract_trend_section(with1), s1.str());
+  const std::string with1 = balbench::util::splice_sections(doc, one);
+  EXPECT_EQ(with1, doc + "\n" + s1.str());
+  EXPECT_EQ(balbench::util::check_sections(with1, one), "");
 
   // Re-splicing replaces in place; splicing the same section is a
   // fixed point.
-  const std::string with2 = bh::splice_trend_section(with1, s2.str());
-  EXPECT_EQ(bh::extract_trend_section(with2), s2.str());
+  const std::string with2 = balbench::util::splice_sections(with1, two);
+  EXPECT_EQ(balbench::util::check_sections(with2, two), "");
   EXPECT_EQ(with2.find("One snapshot so far"), std::string::npos);
-  EXPECT_EQ(bh::splice_trend_section(with2, s2.str()), with2);
+  EXPECT_EQ(balbench::util::splice_sections(with2, two), with2);
 }
 
-TEST(HistorySection, ExtractFromPlainDocumentIsEmpty) {
-  EXPECT_EQ(bh::extract_trend_section("# no section here\n"), "");
+TEST(HistorySection, PlainDocumentLacksTheSection) {
+  std::ostringstream s;
+  bh::render_trend_section(s, series({0.005}), bh::TrendOptions{});
+  EXPECT_EQ(balbench::util::check_sections("# no section here\n",
+                                           {{bh::kTrendSection, s.str()}}),
+            "section PERF HISTORY is missing");
 }
 
 TEST(HistoryIngest, ReplaceOverwritesInPlace) {

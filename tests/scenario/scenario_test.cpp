@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include "machines/machines.hpp"
 #include "obs/json.hpp"
 #include "parmsg/sim_transport.hpp"
+#include "util/doc_sections.hpp"
 
 namespace balbench::scenario {
 namespace {
@@ -386,6 +388,106 @@ TEST(ScenarioDeterminism, WindowedFaultsAreJobsInvariant) {
   EXPECT_NE(j1.find("window-start=0.005"), std::string::npos);
   EXPECT_NE(j1.find("\"fault_sweep\""), std::string::npos);
   EXPECT_NE(j1.find("\"link_rate\": 0.5"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Rendered sections: a scenario's markdown holds only what its sweep
+// computes.
+// ---------------------------------------------------------------------------
+
+struct Rendered {
+  report::ExperimentsData data;
+  std::vector<util::DocSection> sections;
+  std::string markdown;  // what `--markdown NEW_FILE` writes
+};
+
+Rendered render_scenario(const Scenario& s) {
+  report::ExperimentOptions opt;
+  opt.scope = report::Scope::Quick;
+  opt.jobs = 2;
+  opt.scenario = &s;
+  Rendered r;
+  r.data = report::run_experiments(opt);
+  r.sections = report::render_experiments_sections(
+      r.data, report::config_hash(opt.scope, &s));
+  r.markdown = util::splice_sections("", r.sections);
+  return r;
+}
+
+/// The Table 1 row of `display` at `nprocs` procs, or "" if absent.
+std::string table1_row(const std::string& md, const std::string& display,
+                       int nprocs) {
+  std::istringstream in(md);
+  const std::string prefix =
+      "| " + display + " | " + std::to_string(nprocs) + " | ";
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return "";
+}
+
+TEST(ScenarioMarkdown, AnalysisRowsPrintTheirMeasuredPingPong) {
+  const Scenario s = parse_scenario_text(R"({
+    "schema": "balbench-scenario/1",
+    "name": "pingpong",
+    "sweep": { "beff": [ { "machine": "t3e", "procs": [2], "analysis": true },
+                         { "machine": "sx5", "procs": [4] } ] }
+  })");
+  const Rendered r = render_scenario(s);
+  ASSERT_EQ(r.data.beff.size(), 2u);
+  const double pingpong_mbps =
+      r.data.beff[0].r.analysis.pingpong_bw / (1024.0 * 1024.0);
+  ASSERT_GT(pingpong_mbps, 0.0);
+  ASSERT_LT(pingpong_mbps, 999.0);  // no thousands separator below
+  const std::string t3e = table1_row(r.markdown, r.data.beff[0].display, 2);
+  const std::string sx5 = table1_row(r.markdown, r.data.beff[1].display, 4);
+  EXPECT_EQ(t3e.substr(t3e.rfind("| ")),
+            "| " + std::to_string(std::llround(pingpong_mbps)) + " |")
+      << t3e;
+  // No analysis cells, no ping-pong.
+  EXPECT_EQ(sx5.substr(sx5.rfind("| ")), "| — |") << sx5;
+}
+
+TEST(ScenarioMarkdown, ProcurementWhatifHoldsNoHandWrittenProse) {
+  const Scenario s = load_scenario_file(
+      std::string(BALBENCH_SCENARIO_EXAMPLES_DIR) + "/procurement-whatif.json");
+  const Rendered r = render_scenario(s);
+  // The renderer lists every section it owns; only two are generated.
+  std::vector<std::string> names, generated;
+  for (const auto& sec : r.sections) {
+    names.push_back(sec.name);
+    if (!sec.text.empty()) generated.push_back(sec.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "TABLE 1", "FIGURE 1", "FIGURE 3", "FIGURE 4",
+                       "FIGURE 5", "BALANCE CHARACTERIZATION",
+                       "FAULT-SCENARIO SWEEPS", "SIDE RESULTS"}));
+  EXPECT_EQ(generated,
+            (std::vector<std::string>{"TABLE 1", "SIDE RESULTS"}));
+  // The prose that lives in EXPERIMENTS.md only, about the built-in
+  // machines or the repository, never reaches a scenario's markdown.
+  for (const char* moved :
+       {"# EXPERIMENTS", "Comparison markers are rule-generated",
+        "Shape checks that hold", "Shared-memory systems land",
+        "Systematic bias", "Table 2 / Figure 2", "b_eff measurement time",
+        "L_SEG segment rounding", "Extensions beyond", "Parameter provenance",
+        "Known deviations", "Wall-clock of the regeneration sweep",
+        "512-process cells"}) {
+    EXPECT_EQ(r.markdown.find(moved), std::string::npos) << moved;
+  }
+  // Each machine's row carries the ping-pong its record holds.
+  EXPECT_NE(table1_row(r.markdown, "T3E-class, NIC 165 MB/s", 64)
+                .find("| 103 | 165 |"),
+            std::string::npos)
+      << r.markdown;
+  // A section an earlier sweep wrote but this one does not generate is
+  // stale: the check names it and a splice removes it.
+  const std::string stale = r.markdown +
+                            "\n<!-- BEGIN FIGURE 1 -->\nold\n"
+                            "<!-- END FIGURE 1 -->\n";
+  EXPECT_EQ(util::check_sections(stale, r.sections),
+            "section FIGURE 1 is no longer generated");
+  EXPECT_EQ(util::splice_sections(stale, r.sections), r.markdown);
 }
 
 // ---------------------------------------------------------------------------

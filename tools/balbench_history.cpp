@@ -20,12 +20,14 @@
 //
 //   render --history FILE --doc FILE [--window N] [--threshold F]
 //       Splices a freshly rendered PERF HISTORY section into the
-//       document (appended when absent), without re-running the
-//       experiments sweep.  Exit 3 on drift.
+//       document (appended when absent) with util::splice_sections,
+//       without re-running the experiments sweep.  This is the only
+//       writer of that section.  Exit 3 on drift.
 //
 //   check-doc --history FILE --doc FILE [--window N] [--threshold F]
-//       Byte-compares the document's PERF HISTORY section against a
-//       fresh render; exit 1 on mismatch.  This is the
+//       Compares the document's PERF HISTORY section against a fresh
+//       render (util::check_sections); exit 1 naming the first
+//       differing line.  This is the
 //       `history_doc_drift` ctest -- the cheap mirror of
 //       doc_drift_guard (seconds, not minutes, because only the
 //       section is recomputed).
@@ -55,6 +57,7 @@
 #include "core/history/wall_merge.hpp"
 #include "obs/json.hpp"
 #include "util/atomic_write.hpp"
+#include "util/doc_sections.hpp"
 #include "util/options.hpp"
 
 namespace {
@@ -177,7 +180,8 @@ int cmd_trend(int argc, const char* const* argv, bool splice) {
 
   if (splice) {
     const std::string doc = util::read_file(doc_path);
-    const std::string next = history::splice_trend_section(doc, section.str());
+    const std::string next = util::splice_sections(
+        doc, {{history::kTrendSection, section.str()}});
     if (next != doc) {
       util::write_output(doc_path, next);
       std::cerr << "balbench-history: updated the PERF HISTORY section of "
@@ -225,14 +229,15 @@ int cmd_check_doc(int argc, const char* const* argv) {
   history::render_trend_section(section, load_existing(history_path),
                                 trend_opt);
 
-  const std::string doc = util::read_file(doc_path);
-  if (history::extract_trend_section(doc) == section.str()) {
+  const std::string problem = util::check_sections(
+      util::read_file(doc_path), {{history::kTrendSection, section.str()}});
+  if (problem.empty()) {
     std::cerr << "balbench-history: the PERF HISTORY section of " << doc_path
               << " is up to date\n";
     return 0;
   }
-  std::cerr << "balbench-history: the PERF HISTORY section of " << doc_path
-            << " is missing or drifted; regenerate with\n"
+  std::cerr << "balbench-history: " << doc_path << ": " << problem
+            << "\nbalbench-history: regenerate with\n"
                "  balbench-history render --history "
             << history_path << " --doc " << doc_path << '\n';
   return 1;

@@ -9,10 +9,22 @@
 //   --kernel-record FILE  standalone "balbench-kernel-record/1" JSON:
 //                     the kernel-suite cells plus derived balance
 //                     factors (docs/FORMATS.md, docs/METRICS.md).
-//   --markdown FILE   the regenerated EXPERIMENTS.md.
-//   --check-doc FILE  regenerate in memory and byte-compare against
-//                     FILE; exit 1 and report the first differing line
-//                     on drift.  This is the `doc_drift_guard` ctest.
+//   --markdown FILE   splice the generated sections of EXPERIMENTS.md
+//                     (report::render_experiments_sections) into FILE,
+//                     replacing each in place between its BEGIN/END
+//                     markers and appending a missing one; the prose
+//                     around them stays as it is, and a report section
+//                     the sweep does not produce is removed.  A
+//                     missing FILE is created holding the sections
+//                     only; "-" prints them.
+//   --check-doc FILE  render the sections in memory and compare them
+//                     with FILE's; exit 1 naming the first section
+//                     that is missing, duplicated, out of order,
+//                     changed or no longer generated, with its first
+//                     differing line.  This is the `doc_drift_guard`
+//                     ctest.  The PERF HISTORY section belongs to
+//                     `balbench-history render` and is neither written
+//                     nor checked here.
 //
 // or, independently of the sweep:
 //
@@ -27,14 +39,6 @@
 //                     virtual-time deltas; |Δ| beyond --tolerance (or
 //                     any structural mismatch) exits 3.  Byte-identical
 //                     traces always diff clean (DESIGN.md Sec. 13.3).
-//
-// The sweep outputs can carry the perf-history trend section
-// (DESIGN.md Sec. 13.2):
-//
-//   --history FILE    append the trend section rendered from this
-//                     "balbench-perf-history/2" store to --markdown /
-//                     --check-doc output; the same section is produced
-//                     by `balbench-history render`.
 //
 // Observe-only extras (stderr / side files, never the byte-compared
 // outputs):
@@ -79,6 +83,7 @@
 // "-" as FILE writes to stdout; real files are written atomically
 // (tmp + fsync + rename).  All sweep outputs are byte-identical for
 // every --jobs value (DESIGN.md Sec. 10.2).
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -87,7 +92,6 @@
 
 #include "core/beff/beff.hpp"
 #include "core/beffio/beffio.hpp"
-#include "core/history/history.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/history/trace_diff.hpp"
 #include "core/report/experiments.hpp"
@@ -101,6 +105,7 @@
 #include "robust/fault.hpp"
 #include "simt/trace.hpp"
 #include "util/atomic_write.hpp"
+#include "util/doc_sections.hpp"
 #include "util/options.hpp"
 
 namespace {
@@ -118,31 +123,19 @@ int diff_traces(const std::string& path_a, const std::string& path_b,
   return diff.drifted > 0 ? 3 : 0;
 }
 
-int check_doc(const std::string& path, const std::string& rendered) {
-  const std::string committed = util::read_file(path);
-  if (committed == rendered) {
-    std::cerr << "balbench-report: " << path << " is up to date\n";
+int check_doc(const std::string& path,
+              const std::vector<util::DocSection>& sections,
+              const char* scope) {
+  const std::string problem =
+      util::check_sections(util::read_file(path), sections);
+  if (problem.empty()) {
+    std::cerr << "balbench-report: the generated sections of " << path
+              << " are up to date\n";
     return 0;
   }
-  // Report the first differing line so the failure is actionable.
-  std::istringstream a(committed), b(rendered);
-  std::string la, lb;
-  int line = 0;
-  for (;;) {
-    ++line;
-    const bool ga = static_cast<bool>(std::getline(a, la));
-    const bool gb = static_cast<bool>(std::getline(b, lb));
-    if (!ga && !gb) break;
-    if (la != lb || ga != gb) {
-      std::cerr << "balbench-report: " << path << " drifted at line " << line
-                << ":\n  committed: " << (ga ? la : "<eof>")
-                << "\n  generated: " << (gb ? lb : "<eof>") << '\n';
-      break;
-    }
-  }
-  std::cerr << "balbench-report: regenerate with\n  balbench-report --scope "
-               "doc --markdown "
-            << path << '\n';
+  std::cerr << "balbench-report: " << path << ": " << problem
+            << "\nbalbench-report: regenerate with\n  balbench-report --scope "
+            << scope << " --markdown " << path << '\n';
   return 1;
 }
 
@@ -247,7 +240,6 @@ int main(int argc, char** argv) {
   bool diff_trace = false;
   double tolerance = 0.0;
   std::vector<std::string> positionals;
-  std::string history_path;
   std::string machine = "t3e";
   std::int64_t procs = 64;
   std::int64_t jobs = 1;
@@ -268,8 +260,8 @@ int main(int argc, char** argv) {
 #endif
   util::Options options(
       "balbench-report: run the experiments sweep and emit JSON run "
-      "records, the regenerated EXPERIMENTS.md, or Chrome traces.  "
-      "Exit codes: 0 = clean sweep, 3 = completed with degraded/failed "
+      "records, the generated sections of EXPERIMENTS.md, or Chrome "
+      "traces.  Exit codes: 0 = clean sweep, 3 = completed with degraded/failed "
       "cells (see \"status\" in the record), 1 = fatal error, 2 = bad "
       "usage");
   options.add_string("scope", &scope_arg, "sweep size: quick | doc");
@@ -278,9 +270,14 @@ int main(int argc, char** argv) {
                      "write the standalone balbench-kernel-record/1 JSON "
                      "(kernel cells + balance factors) here");
   options.add_string("markdown", &markdown_path,
-                     "write the regenerated EXPERIMENTS.md here");
+                     "splice the generated sections into this document "
+                     "between their BEGIN/END markers, keeping the prose "
+                     "around them (a missing file is created)");
   options.add_string("check-doc", &check_path,
-                     "byte-compare the regenerated document against this file");
+                     "compare the generated sections with this document's; "
+                     "exit 1 naming the first missing, duplicated, "
+                     "out-of-order, changed or no longer generated "
+                     "section");
   options.add_string("trace", &trace_path,
                      "write a Chrome trace of one run (no sweep)");
   options.add_flag("diff-trace", &diff_trace,
@@ -289,10 +286,6 @@ int main(int argc, char** argv) {
                    "when any |delta| exceeds --tolerance");
   options.add_double("tolerance", &tolerance,
                      "--diff-trace drift tolerance in virtual seconds");
-  options.add_string("history", &history_path,
-                     "append the perf-history trend section rendered from "
-                     "this balbench-perf-history/2 store to --markdown / "
-                     "--check-doc output (see balbench-history)");
   options.add_positionals(&positionals, "FILE",
                           "trace files for --diff-trace (exactly two)");
   // The machine list is generated from the registry so this help text
@@ -425,22 +418,21 @@ int main(int argc, char** argv) {
       report::write_kernel_record(out, data, hash, report::git_revision());
       util::write_output(kernel_record_path, out.str());
     }
-    std::string rendered;
+    std::vector<util::DocSection> sections;
     if (!markdown_path.empty() || !check_path.empty()) {
-      std::string trend_section;
-      if (!history_path.empty()) {
-        std::ostringstream section;
-        history::render_trend_section(section,
-                                      history::load_history(history_path),
-                                      history::TrendOptions{});
-        trend_section = section.str();
-      }
-      std::ostringstream out;
-      report::render_experiments_md(out, data, hash, trend_section);
-      rendered = out.str();
+      sections = report::render_experiments_sections(data, hash);
     }
-    if (!markdown_path.empty()) util::write_output(markdown_path, rendered);
-    if (!check_path.empty()) return check_doc(check_path, rendered);
+    if (!markdown_path.empty()) {
+      std::error_code ec;
+      const std::string doc =
+          markdown_path != "-" && std::filesystem::exists(markdown_path, ec)
+              ? util::read_file(markdown_path)
+              : std::string();
+      util::write_output(markdown_path, util::splice_sections(doc, sections));
+    }
+    if (!check_path.empty()) {
+      return check_doc(check_path, sections, report::scope_name(scope));
+    }
 
     // With faults on, a completed-but-imperfect sweep is exit 3 so CI
     // can tell "every cell clean" from "some cells degraded/failed"

@@ -22,8 +22,10 @@ set(resumed_record "${WORK_DIR}/resume_resumed.json")
 set(resumed_md "${WORK_DIR}/resume_resumed.md")
 set(journal "${WORK_DIR}/resume_journal.json")
 # Stale artifacts from a previous ctest invocation would fail act 2's
-# "the killed run produced no final outputs" assertion.
-file(REMOVE ${journal} ${resumed_record} ${resumed_md})
+# "the killed run produced no final outputs" assertion, and --markdown
+# splices into an existing file, so a stale reference document would
+# keep its old prose around the fresh sections.
+file(REMOVE ${journal} ${resumed_record} ${resumed_md} ${reference_md})
 
 # Act 1: the uninterrupted reference.
 execute_process(

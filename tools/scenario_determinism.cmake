@@ -16,6 +16,11 @@ if(NOT BALBENCH_REPORT OR NOT EXAMPLES_DIR OR NOT WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DBALBENCH_REPORT=<exe> -DEXAMPLES_DIR=<dir> -DWORK_DIR=<dir> -P scenario_determinism.cmake")
 endif()
 
+# --markdown splices into an existing file; start from none so that each
+# run writes a fresh render and a stale section cannot satisfy a check.
+file(REMOVE ${WORK_DIR}/scen_j1.md ${WORK_DIR}/scen_j2.md
+     ${WORK_DIR}/scen_j4.md ${WORK_DIR}/drop_j1.md ${WORK_DIR}/drop_j2.md)
+
 foreach(jobs 1 2 4)
   execute_process(
     COMMAND ${BALBENCH_REPORT} --scope quick --jobs ${jobs}
