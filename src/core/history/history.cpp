@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include <unistd.h>
+
 #include "util/ascii_plot.hpp"
 #include "util/atomic_write.hpp"
 
@@ -141,6 +143,23 @@ History load_history(const std::string& path) {
     // fails with one error naming path, line and column.
     throw std::runtime_error(path + ": " + e.what());
   }
+}
+
+History load_existing_history(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) {
+    throw std::runtime_error("cannot read " + path);
+  }
+  return load_history(path);
+}
+
+std::string default_host() {
+  char buf[256];
+  if (gethostname(buf, sizeof buf) == 0) {
+    buf[sizeof buf - 1] = '\0';
+    if (buf[0] != '\0') return buf;
+  }
+  return "unknown-host";
 }
 
 void save_history(const std::string& path, const History& h) {

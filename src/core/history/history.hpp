@@ -88,6 +88,14 @@ void write_history(std::ostream& os, const History& h);
 /// line/column/key-path diagnostics.
 History load_history(const std::string& path);
 
+/// load_history for the readers: a missing file is an error ("cannot
+/// read PATH") instead of an empty store, which only ingest wants.
+History load_existing_history(const std::string& path);
+
+/// The machine label an entry gets when no --host is given: the
+/// gethostname, or "unknown-host".
+std::string default_host();
+
 /// Writes the store to `path` through util::atomic_write.
 void save_history(const std::string& path, const History& h);
 
@@ -117,7 +125,8 @@ struct TrendOptions {
   /// group, not just the adjacent one.
   int window = 5;
   /// Regression slack, as a fraction of the window's pessimistic CI
-  /// edge (same rule and default as the balbench-perf --baseline gate).
+  /// edge.  `balbench-perf --baseline` gates with this same rule and
+  /// default: it is the one regression rule.
   double threshold = 0.10;
 };
 

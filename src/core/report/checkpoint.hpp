@@ -89,7 +89,7 @@ class Checkpoint {
 };
 
 /// balbench-perf's journal of completed cells' raw samples.  The
-/// config key pins the cell list AND --repeat/--warmup/--handicap.
+/// config key pins the cell list AND --repeat/--warmup.
 /// Resume semantics as Checkpoint's; single-threaded.
 class PerfCheckpoint {
  public:

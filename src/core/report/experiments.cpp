@@ -277,8 +277,8 @@ void write_status_fields(obs::JsonWriter& w,
   w.end_array();
 }
 
-/// One kernel cell as JSON, shared by the run record's "kernels" array
-/// and the standalone kernel record so the two can never drift.
+/// One kernel cell of the run record's "kernels" array as JSON: the
+/// suite's results plus the derived balance factors.
 void write_kernel_run(obs::JsonWriter& w, const KernelRun& k,
                       const ExperimentsData& d) {
   w.begin_object();
@@ -818,25 +818,6 @@ void write_run_record(std::ostream& os, const ExperimentsData& data,
   os << '\n';
 }
 
-void write_kernel_record(std::ostream& os, const ExperimentsData& data,
-                         const std::string& cfg_hash,
-                         const std::string& git_rev) {
-  obs::JsonWriter w(os);
-  w.begin_object();
-  w.field("schema", "balbench-kernel-record/1");
-  w.field("scope", scope_name(data.scope));
-  w.field("config_hash", cfg_hash);
-  w.key("provenance").begin_object();
-  w.field("generator", "balbench-report");
-  w.field("git_rev", git_rev);
-  w.end_object();
-  w.key("kernels").begin_array();
-  for (const auto& k : data.kernels) write_kernel_run(w, k, data);
-  w.end_array();
-  w.end_object();
-  os << '\n';
-}
-
 // ---------------------------------------------------------------------------
 // EXPERIMENTS.md sections
 // ---------------------------------------------------------------------------
@@ -1005,15 +986,7 @@ std::vector<util::DocSection> render_experiments_sections(
         if (i > 0) list += " > ";
         list += balances[i].label + " " + v;
       }
-      os << wrap("Measured bytes/flop: " + list +
-                     ".  Matches the paper's reading: the shared-memory "
-                     "vector systems are several times better balanced than "
-                     "the MPP/cluster systems.  (Fig. 1's absolute values are "
-                     "not legible in the source text; the ordering and the "
-                     "vector-vs-MPP gap are the reproduced claims.  R_max "
-                     "values are published Linpack figures per processor.)",
-                 "")
-         << "\n";
+      os << wrap("Measured bytes/flop: " + list + ".", "") << "\n";
       close();
     }
   }
@@ -1144,11 +1117,7 @@ std::vector<util::DocSection> render_experiments_sections(
                 std::to_string(bests[i]->nprocs) + ")";
       }
       os << wrap("Measured best-partition b_eff_io at T = 15 min: " + list +
-                     ".  The paper's figure likewise has the SP on top at "
-                     "large partitions, T3E/SR 8000 mid-field saturating at "
-                     "small partitions, and the 4-processor SX-5 lowest in "
-                     "aggregate.  Weighting checks (write/rewrite/read = "
-                     "25/25/50, scatter double) are unit-tested.",
+                     ".",
                  "")
          << "\n";
       close();
@@ -1227,18 +1196,6 @@ std::vector<util::DocSection> render_experiments_sections(
                    "  ")
            << "\n";
       }
-      os << wrap("* Every machine's b_eff_io/R_max is orders of magnitude "
-                 "below its b_eff/R_max: disks, not networks, are the "
-                 "scarce resource per flop — the imbalance the paper's "
-                 "Sec. 5 argues b_eff_io exposes.",
-                 "  ")
-         << "\n";
-      os << wrap("* STREAM/R_max separates the vector machines (whole "
-                 "bytes per flop) from the cache machines (fractions) — "
-                 "the memory-bandwidth side of the balance argument "
-                 "(RZBENCH's machine-balance metric, PAPERS.md).",
-                 "  ")
-         << "\n";
     }
     close();
   }

@@ -257,21 +257,12 @@ std::string git_revision();
 
 /// JSON run record, schema "balbench-run-record/1" (DESIGN.md
 /// Sec. 10.4): provenance, per-run headline bandwidths (bytes per
-/// virtual second), per-pattern/-type cell bandwidths, and the merged
+/// virtual second), per-pattern/-type cell bandwidths, every kernel
+/// cell with its derived balance factors (b_eff/R_max, b_eff_io/R_max,
+/// STREAM/R_max -- the formulas of docs/METRICS.md), and the merged
 /// obs::MetricsSnapshot of every run.
 void write_run_record(std::ostream& os, const ExperimentsData& data,
                       const std::string& cfg_hash, const std::string& git_rev);
-
-/// JSON kernel record, schema "balbench-kernel-record/1": provenance
-/// plus every kernel cell of the sweep (per-kernel flops, memory and
-/// interconnect traffic, virtual seconds, headline value) and the
-/// derived per-machine balance factors (b_eff/R_max, b_eff_io/R_max,
-/// STREAM/R_max -- the formulas of docs/METRICS.md).  The same data
-/// also appears inside the run record's "kernels" array; this record
-/// is the standalone export for kernel-only consumers.
-void write_kernel_record(std::ostream& os, const ExperimentsData& data,
-                         const std::string& cfg_hash,
-                         const std::string& git_rev);
 
 /// The generated sections of EXPERIMENTS.md, in document order:
 /// TABLE 1, FIGURE 1, FIGURE 3, FIGURE 4, FIGURE 5, BALANCE

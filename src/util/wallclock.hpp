@@ -17,9 +17,8 @@ namespace balbench::util {
 double wall_now();
 
 /// Busy-spins until `seconds` of wall-clock time elapsed.  Used by the
-/// balbench-perf calibration cells (a spin is far steadier than a
-/// sleep under timer-tick granularity) and by the artificial-handicap
-/// test hook of the regression gate.
+/// balbench-perf calibration cells: a spin is far steadier than a
+/// sleep under timer-tick granularity, and never ends early.
 void wall_spin(double seconds);
 
 }  // namespace balbench::util

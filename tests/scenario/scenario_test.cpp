@@ -449,8 +449,8 @@ TEST(ScenarioMarkdown, AnalysisRowsPrintTheirMeasuredPingPong) {
 }
 
 TEST(ScenarioMarkdown, ProcurementWhatifHoldsNoHandWrittenProse) {
-  const Scenario s = load_scenario_file(
-      std::string(BALBENCH_SCENARIO_EXAMPLES_DIR) + "/procurement-whatif.json");
+  const std::string dir = BALBENCH_SCENARIO_EXAMPLES_DIR;
+  const Scenario s = load_scenario_file(dir + "/procurement-whatif.json");
   const Rendered r = render_scenario(s);
   // The renderer lists every section it owns; only two are generated.
   std::vector<std::string> names, generated;
@@ -465,15 +465,26 @@ TEST(ScenarioMarkdown, ProcurementWhatifHoldsNoHandWrittenProse) {
   EXPECT_EQ(generated,
             (std::vector<std::string>{"TABLE 1", "SIDE RESULTS"}));
   // The prose that lives in EXPERIMENTS.md only, about the built-in
-  // machines or the repository, never reaches a scenario's markdown.
-  for (const char* moved :
-       {"# EXPERIMENTS", "Comparison markers are rule-generated",
-        "Shape checks that hold", "Shared-memory systems land",
-        "Systematic bias", "Table 2 / Figure 2", "b_eff measurement time",
-        "L_SEG segment rounding", "Extensions beyond", "Parameter provenance",
-        "Known deviations", "Wall-clock of the regeneration sweep",
-        "512-process cells"}) {
-    EXPECT_EQ(r.markdown.find(moved), std::string::npos) << moved;
+  // machines, the paper's reading of them or the repository, never
+  // reaches a scenario's markdown -- neither this one's nor that of
+  // the examples whose kernel cells fill the balance table.
+  for (const std::string& markdown :
+       {r.markdown,
+        render_scenario(load_scenario_file(dir + "/dragonfly-study.json"))
+            .markdown,
+        render_scenario(load_scenario_file(dir + "/pattern-mix.json"))
+            .markdown}) {
+    for (const char* moved :
+         {"# EXPERIMENTS", "Comparison markers are rule-generated",
+          "Shape checks that hold", "Shared-memory systems land",
+          "Systematic bias", "Table 2 / Figure 2", "b_eff measurement time",
+          "L_SEG segment rounding", "Extensions beyond",
+          "Parameter provenance", "Known deviations",
+          "Wall-clock of the regeneration sweep", "512-process cells",
+          "Matches the paper's reading", "The paper's figure likewise",
+          "orders of magnitude", "STREAM/R_max separates"}) {
+      EXPECT_EQ(markdown.find(moved), std::string::npos) << moved;
+    }
   }
   // Each machine's row carries the ping-pong its record holds.
   EXPECT_NE(table1_row(r.markdown, "T3E-class, NIC 165 MB/s", 64)

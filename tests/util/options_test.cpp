@@ -144,7 +144,7 @@ TEST(Options, WholeNumbersStillParse) {
   EXPECT_DOUBLE_EQ(x, 1e-3);
   EXPECT_EQ(n, -7);
   EXPECT_DOUBLE_EQ(bu::parse_double("0.10", "--t"), 0.10);
-  EXPECT_THROW(bu::parse_double("3x", "--handicap factor"),
+  EXPECT_THROW(bu::parse_double("3x", "--threshold"),
                std::invalid_argument);
 }
 

@@ -166,7 +166,8 @@ TEST(Stats, RobustSummarySingleSampleFallsBackToRange) {
 
 TEST(Stats, RobustSummarySeparatesClearlyDifferentPopulations) {
   // The gate's discriminating power: a 3x shift with small noise must
-  // produce disjoint CIs (this is exactly the perf_gate_smoke setup).
+  // produce disjoint CIs beyond the default 10 % slack
+  // (history::analyze_trends' regression rule).
   std::vector<double> fast, slow;
   for (int i = 0; i < 5; ++i) {
     fast.push_back(1.0 + 0.01 * i);

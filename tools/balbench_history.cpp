@@ -4,7 +4,7 @@
 //
 //   ingest --history FILE --record FILE [--host NAME] [--replace]
 //       Appends one balbench-perf-record/1 snapshot (written by
-//       `balbench-perf --record`) to the history store, keyed by (git
+//       `balbench-perf --out`) to the history store, keyed by (git
 //       revision, config hash, host).  A missing store file is
 //       created; re-ingesting an existing key is an error unless
 //       --replace deliberately overwrites the entry in place.
@@ -44,14 +44,11 @@
 // render); 1 = fatal error or check-doc mismatch; 2 = bad usage.
 // All file outputs go through util::write_output ("-" = stdout).
 #include <cstring>
-#include <filesystem>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "core/history/history.hpp"
 #include "core/history/wall_merge.hpp"
@@ -63,27 +60,6 @@
 namespace {
 
 using namespace balbench;
-
-/// The machine label entries default to when --host is not given.  CI
-/// pins --host explicitly so the committed store stays host-neutral.
-std::string default_host() {
-  char buf[256];
-  if (gethostname(buf, sizeof buf) == 0) {
-    buf[sizeof buf - 1] = '\0';
-    if (buf[0] != '\0') return buf;
-  }
-  return "unknown-host";
-}
-
-/// Loads an existing store; unlike ingest, the readers refuse a
-/// missing file rather than analyze an empty store.
-history::History load_existing(const std::string& path) {
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) {
-    throw std::runtime_error("cannot read " + path);
-  }
-  return history::load_history(path);
-}
 
 int cmd_ingest(int argc, const char* const* argv) {
   std::string history_path;
@@ -110,7 +86,7 @@ int cmd_ingest(int argc, const char* const* argv) {
                  "required\n";
     return 2;
   }
-  if (host.empty()) host = default_host();
+  if (host.empty()) host = history::default_host();
 
   history::History store = history::load_history(history_path);
   const obs::JsonValue record = obs::parse_json(util::read_file(record_path));
@@ -139,7 +115,8 @@ int cmd_list(int argc, const char* const* argv) {
     std::cerr << "balbench-history list: --history is required\n";
     return 2;
   }
-  history::render_list(std::cout, load_existing(history_path));
+  history::render_list(std::cout,
+                       history::load_existing_history(history_path));
   return 0;
 }
 
@@ -176,7 +153,7 @@ int cmd_trend(int argc, const char* const* argv, bool splice) {
   trend_opt.threshold = threshold;
   std::ostringstream section;
   const bool drifted = history::render_trend_section(
-      section, load_existing(history_path), trend_opt);
+      section, history::load_existing_history(history_path), trend_opt);
 
   if (splice) {
     const std::string doc = util::read_file(doc_path);
@@ -226,8 +203,8 @@ int cmd_check_doc(int argc, const char* const* argv) {
   trend_opt.window = static_cast<int>(window);
   trend_opt.threshold = threshold;
   std::ostringstream section;
-  history::render_trend_section(section, load_existing(history_path),
-                                trend_opt);
+  history::render_trend_section(
+      section, history::load_existing_history(history_path), trend_opt);
 
   const std::string problem = util::check_sections(
       util::read_file(doc_path), {{history::kTrendSection, section.str()}});

@@ -23,17 +23,13 @@
 //                     default cell list and config hash are unchanged
 //   --repeat N        recorded samples per cell (default 5)
 //   --warmup N        unrecorded warm-up runs per cell (default 1)
-//   --out FILE        where to write the record (default
-//                     BENCH_PERF.json, "-" = stdout)
-//   --baseline FILE   compare against an earlier record and exit 1 on
-//                     regression (see below)
+//   --out FILE        where to write the record (default "-" = stdout)
+//   --baseline STORE  gate this run against a balbench-perf-history/2
+//                     store (core/history) and exit 3 on regression
+//                     (see below)
+//   --host NAME       machine label of this run's store group (default:
+//                     gethostname, as for `balbench-history ingest`)
 //   --threshold X     regression slack as a fraction (default 0.10)
-//   --validate FILE   schema-check an existing record and exit (no
-//                     cells are run)
-//   --handicap ID=F   artificially slow every sample of cell ID by
-//                     factor F (busy-spin); exists so the gate itself
-//                     is testable end to end.  An ID that names no
-//                     selected cell is bad usage
 //   --wall-profile F  wall-clock profile of the run (obs/prof.hpp)
 //   --checkpoint FILE crash-safe journal of completed cells (a
 //                     "perf-checkpoint" balbench-journal/1, atomically
@@ -50,17 +46,23 @@
 // percentile-bootstrap CI of the median gives an honest "could this
 // just be noise?" band without any normality assumption.
 //
-// The regression rule is CI overlap, not point comparison: cell ID
-// regressed iff current ci_lo > baseline ci_hi * (1 + threshold),
-// i.e. even the optimistic edge of the current run is slower than the
-// pessimistic edge of the baseline plus slack.  A noisy cell widens
-// its own CI and therefore gates itself less aggressively -- the gate
-// never flags what it cannot statistically distinguish.
+// The gate is the history store's drift rule (history::analyze_trends,
+// DESIGN.md Sec. 13.2): the run joins the store -- in memory only, the
+// file is never written -- as the newest revision of its (config
+// hash, --host) group, and cell ID regressed iff its
+// ci_lo > min ci_hi over the group's window * (1 + threshold),
+// i.e. even the optimistic edge of this run is slower than the
+// pessimistic edge of the fastest recent revision plus slack.  With
+// one earlier revision that is plain CI overlap against it.  A noisy
+// cell widens its own CI and therefore gates itself less aggressively
+// -- the gate never flags what it cannot statistically distinguish.
+// A group with no earlier revision has no baseline: a note, exit 0.
 //
 // Cells always run serially (timing!), and every number here is HOST
 // wall-clock: per DESIGN.md Sec. 10.2 nothing in this record may ever
 // feed a benchmark result or byte-compared output.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -73,6 +75,7 @@
 #include "core/beff/beff.hpp"
 #include "core/beff/patterns.hpp"
 #include "core/beffio/pattern_table.hpp"
+#include "core/history/history.hpp"
 #include "core/report/checkpoint.hpp"
 #include "core/report/experiments.hpp"
 #include "core/scenario/scenario.hpp"
@@ -234,7 +237,8 @@ std::vector<Cell> sweep_cells() {
   report::ExperimentsData spec = quick_spec();
   // Kernel rows are the kernels suite's.  The fault sweep re-runs the
   // t3e/2 b_eff cell under link faults and was never a perf cell;
-  // adding it would change the committed baseline's cell list.
+  // adding it would change the `--suite all` cell list (and hash) that
+  // the perf_cells ctest pins and the history store groups by.
   spec.kernels.clear();
   spec.fault_sweep.clear();
   std::vector<Cell> v = pipeline_cells("sweep", "sweep.", spec, nullptr);
@@ -315,8 +319,8 @@ std::vector<Cell> calib_cells() {
 /// Cells of a --scenario FILE run (core/scenario), one per scheduled
 /// configuration: the opt-in fifth suite, named "scenario".  It exists
 /// only when the flag is given, so the default registry composition --
-/// and with it the perf config hash the committed BENCH_PERF.json
-/// baseline pins -- never changes.
+/// and with it the `--suite all` config hash the perf_cells ctest
+/// pins -- never changes.
 std::vector<Cell> scenario_cells(
     const std::shared_ptr<const scenario::Scenario>& sc) {
   report::ExperimentOptions options;
@@ -425,42 +429,7 @@ struct CellResult {
   util::RobustSummary stats;
 };
 
-/// One "ID=FACTOR" handicap parsed from the command line.
-struct Handicap {
-  std::string id;
-  double factor = 1.0;
-};
-
-/// Parses "ID=FACTOR"; ID must name one of `cells`, so a typo cannot
-/// silently slow nothing.
-bool parse_handicap(const std::string& arg, const std::vector<Cell>& cells,
-                    Handicap* out, std::string* error) {
-  const auto eq = arg.find('=');
-  if (eq == std::string::npos || eq == 0) {
-    *error = "--handicap wants ID=FACTOR, got '" + arg + "'";
-    return false;
-  }
-  out->id = arg.substr(0, eq);
-  try {
-    out->factor = util::parse_double(arg.substr(eq + 1), "--handicap factor");
-  } catch (const std::invalid_argument& e) {
-    *error = e.what();
-    return false;
-  }
-  if (out->factor < 1.0) {
-    *error = "--handicap factor must be >= 1, got '" + arg + "'";
-    return false;
-  }
-  if (std::none_of(cells.begin(), cells.end(),
-                   [&](const Cell& c) { return c.id == out->id; })) {
-    *error = "--handicap names no selected cell '" + out->id + "'";
-    return false;
-  }
-  return true;
-}
-
-CellResult run_cell(const Cell& cell, int repeat, int warmup, double handicap,
-                    bool verbose) {
+CellResult run_cell(const Cell& cell, int repeat, int warmup, bool verbose) {
   CellResult r;
   r.id = cell.id;
   r.suite = cell.suite;
@@ -470,13 +439,6 @@ CellResult run_cell(const Cell& cell, int repeat, int warmup, double handicap,
     {
       obs::prof::Scope scope("perf", cell.id);
       cell.body();
-      // The handicap spins for (factor - 1) x the body's own time
-      // INSIDE the sample window, so a handicapped cell really is
-      // slower end to end -- the gate test exercises the same
-      // measurement path as a genuine regression.
-      if (handicap > 1.0) {
-        util::wall_spin((util::wall_now() - t0) * (handicap - 1.0));
-      }
     }
     r.samples.push_back(util::wall_now() - t0);
   }
@@ -528,106 +490,56 @@ void write_perf_record(std::ostream& os, const std::vector<CellResult>& results,
   os << '\n';
 }
 
-/// What the gate needs from a record on disk.
-struct BaselineCell {
-  std::string id;
-  double median = 0.0;
-  double ci_lo = 0.0;
-  double ci_hi = 0.0;
-};
-
-struct Baseline {
-  std::string config_hash;
-  std::vector<BaselineCell> cells;
-};
-
-/// Parses + schema-checks a perf record; throws std::runtime_error
-/// with a pointed message on any violation (shared by --baseline and
-/// --validate, so "validates" and "is comparable" are the same thing).
-Baseline load_record(const std::string& path) {
-  const obs::JsonValue doc = obs::parse_json(util::read_file(path));
-  const std::string& schema = doc.at("schema").as_string();
-  if (schema != "balbench-perf-record/1") {
-    throw std::runtime_error(path + ": schema is '" + schema +
-                             "', want 'balbench-perf-record/1'");
-  }
-  Baseline b;
-  b.config_hash = doc.at("config_hash").as_string();
-  for (const auto& cell : doc.at("cells").as_array()) {
-    BaselineCell c;
-    c.id = cell.at("id").as_string();
-    c.median = cell.at("median_seconds").as_number();
-    c.ci_lo = cell.at("ci95_lo_seconds").as_number();
-    c.ci_hi = cell.at("ci95_hi_seconds").as_number();
-    const auto& samples = cell.at("samples_seconds").as_array();
-    if (samples.empty()) {
-      throw std::runtime_error(path + ": cell " + c.id + " has no samples");
-    }
-    for (const auto& s : samples) (void)s.as_number();
-    if (!(c.ci_lo <= c.median && c.median <= c.ci_hi)) {
-      throw std::runtime_error(path + ": cell " + c.id +
-                               " has an inconsistent CI (lo <= median <= hi "
-                               "violated)");
-    }
-    b.cells.push_back(std::move(c));
-  }
-  if (b.cells.empty()) throw std::runtime_error(path + ": no cells");
-  return b;
-}
-
-/// The gate.  Returns the number of regressed cells; prints one
-/// verdict line per compared cell.
-int compare(const Baseline& base, const std::vector<CellResult>& cur,
-            const std::string& cur_hash, double threshold) {
-  if (base.config_hash != cur_hash) {
-    std::fprintf(stderr,
-                 "[perf] note: baseline config_hash %s != current %s "
-                 "(different suite composition); comparing shared cells only\n",
-                 base.config_hash.c_str(), cur_hash.c_str());
-  }
-  int regressions = 0;
-  std::size_t compared = 0;
-  for (const auto& c : cur) {
-    const BaselineCell* b = nullptr;
-    for (const auto& bc : base.cells) {
-      if (bc.id == c.id) {
-        b = &bc;
-        break;
+/// The gate: `run` joins `store` as the newest revision of its (config
+/// hash, host) group -- in memory only, so a key the store already
+/// holds is fine -- and history::analyze_trends judges it under the
+/// history's window and `threshold`.  Prints one verdict line per cell
+/// and returns the number of regressed cells.
+std::size_t gate(history::History store, history::HistoryEntry run,
+                 double threshold) {
+  const std::string config = run.config_hash;
+  const std::string host = run.host;
+  store.entries.push_back(std::move(run));
+  history::TrendOptions options;
+  options.threshold = threshold;
+  for (const auto& group : history::analyze_trends(store, options)) {
+    if (group.config_hash != config || group.host != host) continue;
+    if (group.revs.size() < 2) break;
+    std::size_t compared = 0;
+    for (const auto& c : group.cells) {
+      if (std::isnan(c.medians.back())) {
+        std::fprintf(stderr, "[perf] %-32s in baseline but not run (skipped)\n",
+                     c.id.c_str());
+      } else if (c.verdict == history::Verdict::New) {
+        std::fprintf(stderr,
+                     "[perf] %-32s not in baseline (new cell, skipped)\n",
+                     c.id.c_str());
+      } else {
+        ++compared;
+        std::fprintf(stderr,
+                     "[perf] %-32s median %.6fs CI [%.6f, %.6f] vs window "
+                     "median %.6fs CI band [%.6f, %.6f]: %s\n",
+                     c.id.c_str(), c.latest.median, c.latest.ci_lo,
+                     c.latest.ci_hi, c.window_median, c.window_ci_lo,
+                     c.window_ci_hi, history::verdict_name(c.verdict));
       }
     }
-    if (b == nullptr) {
-      std::fprintf(stderr, "[perf] %-32s not in baseline (new cell, skipped)\n",
-                   c.id.c_str());
-      continue;
-    }
-    ++compared;
-    const double limit = b->ci_hi * (1.0 + threshold);
-    const char* verdict = "ok";
-    if (c.stats.ci_lo > limit) {
-      verdict = "REGRESSION";
-      ++regressions;
-    } else if (c.stats.ci_hi < b->ci_lo) {
-      verdict = "improved";
-    }
     std::fprintf(stderr,
-                 "[perf] %-32s median %.6fs CI [%.6f, %.6f] vs baseline "
-                 "%.6fs CI [%.6f, %.6f]: %s\n",
-                 c.id.c_str(), c.stats.median, c.stats.ci_lo, c.stats.ci_hi,
-                 b->median, b->ci_lo, b->ci_hi, verdict);
+                 "[perf] compared %zu cells against %zu earlier revision%s "
+                 "of config %s on host %s: %zu regression%s (threshold "
+                 "%.0f%%, window %d)\n",
+                 compared, group.revs.size() - 1,
+                 group.revs.size() == 2 ? "" : "s", config.c_str(),
+                 host.c_str(), group.regressed,
+                 group.regressed == 1 ? "" : "s", 100.0 * threshold,
+                 options.window);
+    return group.regressed;
   }
-  for (const auto& bc : base.cells) {
-    const bool present = std::any_of(cur.begin(), cur.end(),
-                                     [&](const CellResult& c) { return c.id == bc.id; });
-    if (!present) {
-      std::fprintf(stderr, "[perf] %-32s in baseline but not run (skipped)\n",
-                   bc.id.c_str());
-    }
-  }
-  std::fprintf(stderr, "[perf] compared %zu cells, %d regression%s "
-               "(threshold %.0f%%)\n",
-               compared, regressions, regressions == 1 ? "" : "s",
-               100.0 * threshold);
-  return regressions;
+  std::fprintf(stderr,
+               "[perf] note: no baseline for config %s on host %s in the "
+               "store; nothing gated\n",
+               config.c_str(), host.c_str());
+  return 0;
 }
 
 }  // namespace
@@ -637,11 +549,10 @@ int main(int argc, char** argv) {
   std::string scenario_path;
   std::int64_t repeat = 5;
   std::int64_t warmup = 1;
-  std::string out_path = "BENCH_PERF.json";
+  std::string out_path = "-";
   std::string baseline_path;
-  double threshold = 0.10;
-  std::string validate_path;
-  std::string handicap_arg;
+  std::string host;
+  double threshold = history::TrendOptions{}.threshold;
   std::string wall_profile_path;
   std::string checkpoint_path;
   bool resume = false;
@@ -649,8 +560,8 @@ int main(int argc, char** argv) {
   util::Options options(
       "balbench-perf: run host-timed benchmark cells, emit a "
       "balbench-perf-record/1 JSON (median/MAD/bootstrap CI per cell), "
-      "and optionally gate against a baseline record.  Exit codes: 0 = "
-      "clean, 3 = gate found regressions, 1 = fatal error, 2 = bad "
+      "and optionally gate it against a perf-history store.  Exit codes: "
+      "0 = clean, 3 = gate found regressions, 1 = fatal error, 2 = bad "
       "usage");
   options.add_string("suite", &suites,
                      "comma-separated suites: " + suite_list());
@@ -661,13 +572,15 @@ int main(int argc, char** argv) {
   options.add_int("warmup", &warmup, "unrecorded warm-up runs per cell");
   options.add_string("out", &out_path, "output record path (- = stdout)");
   options.add_string("baseline", &baseline_path,
-                     "compare against this record; exit 1 on regression");
+                     "gate against this balbench-perf-history/2 store (this "
+                     "run is the newest revision of its config/host "
+                     "group, in memory only); exit 3 on regression");
+  options.add_string("host", &host,
+                     "machine label of this run's store group (default: "
+                     "gethostname)");
   options.add_double("threshold", &threshold,
-                     "regression slack (fraction of the baseline CI edge)");
-  options.add_string("validate", &validate_path,
-                     "schema-check this record and exit (runs nothing)");
-  options.add_string("handicap", &handicap_arg,
-                     "slow one cell by ID=FACTOR (gate self-test hook)");
+                     "regression slack (fraction of the window's "
+                     "pessimistic CI edge)");
   options.add_string("wall-profile", &wall_profile_path,
                      "write a wall-clock profile of this run here");
   options.add_string("checkpoint", &checkpoint_path,
@@ -685,16 +598,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (!validate_path.empty()) {
-      const Baseline b = load_record(validate_path);
-      std::fprintf(stderr,
-                   "[perf] %s: valid balbench-perf-record/1, %zu cells, "
-                   "config_hash %s\n",
-                   validate_path.c_str(), b.cells.size(),
-                   b.config_hash.c_str());
-      return 0;
-    }
-
     if (repeat < 1 || warmup < 0 || threshold < 0.0) {
       std::cerr << "balbench-perf: need --repeat >= 1, --warmup >= 0, "
                    "--threshold >= 0\n";
@@ -714,23 +617,24 @@ int main(int argc, char** argv) {
       std::cerr << "balbench-perf: " << error << '\n';
       return 2;
     }
-    Handicap handicap;
-    if (!handicap_arg.empty() &&
-        !parse_handicap(handicap_arg, cells, &handicap, &error)) {
-      std::cerr << "balbench-perf: " << error << '\n';
-      return 2;
-    }
     if (resume && checkpoint_path.empty()) {
       std::cerr << "balbench-perf: --resume needs --checkpoint FILE\n";
       return 2;
     }
+    // Read the store before timing anything: a bad path fails in
+    // milliseconds, not after the whole suite.
+    history::History store;
+    if (!baseline_path.empty()) {
+      store = history::load_existing_history(baseline_path);
+    }
+    if (host.empty()) host = history::default_host();
+    const std::string cfg_hash = perf_config_hash(cells);
     std::unique_ptr<report::PerfCheckpoint> ck;
     if (!checkpoint_path.empty()) {
       ck = std::make_unique<report::PerfCheckpoint>(
           checkpoint_path,
-          perf_config_hash(cells) + "|repeat=" + std::to_string(repeat) +
-              "|warmup=" + std::to_string(warmup) +
-              "|handicap=" + handicap_arg,
+          cfg_hash + "|repeat=" + std::to_string(repeat) +
+              "|warmup=" + std::to_string(warmup),
           resume);
     }
 
@@ -753,9 +657,8 @@ int main(int argc, char** argv) {
                        cell.id.c_str());
         }
       } else {
-        const double factor = cell.id == handicap.id ? handicap.factor : 1.0;
         r = run_cell(cell, static_cast<int>(repeat), static_cast<int>(warmup),
-                     factor, verbose);
+                     verbose);
         if (ck != nullptr) ck->record(cell.id, r.samples);
       }
       results.push_back(std::move(r));
@@ -773,22 +676,26 @@ int main(int argc, char** argv) {
       obs::prof::write_summary(std::cerr, *profiler);
     }
 
-    const std::string cfg_hash = perf_config_hash(cells);
+    const std::string git_rev = report::git_revision();
     std::ostringstream record;
     write_perf_record(record, results, suites, static_cast<int>(repeat),
-                      static_cast<int>(warmup), cfg_hash,
-                      report::git_revision());
+                      static_cast<int>(warmup), cfg_hash, git_rev);
     util::write_output(out_path, record.str());
     std::fprintf(stderr, "[perf] %zu cells x %lld samples -> %s\n",
                  results.size(), static_cast<long long>(repeat),
                  out_path.c_str());
 
     if (!baseline_path.empty()) {
-      const Baseline base = load_record(baseline_path);
+      history::HistoryEntry run{git_rev, cfg_hash, host, suites,
+                                static_cast<int>(repeat),
+                                static_cast<int>(warmup), {}};
+      for (const auto& r : results) {
+        run.cells.push_back({r.id, r.suite, r.samples});
+      }
       // Exit 3 = "completed, but the gate flagged regressions" --
       // distinct from fatal errors (1) so CI can branch on it, and
       // aligned with balbench-report's degraded-cells exit code.
-      if (compare(base, results, cfg_hash, threshold) > 0) return 3;
+      if (gate(std::move(store), std::move(run), threshold) > 0) return 3;
     }
     return 0;
   } catch (const std::exception& e) {

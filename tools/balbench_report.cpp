@@ -6,9 +6,6 @@
 //   --record FILE     JSON run record ("balbench-run-record/1"): config
 //                     hash, git revision, per-cell bandwidths, merged
 //                     obs metric snapshots.
-//   --kernel-record FILE  standalone "balbench-kernel-record/1" JSON:
-//                     the kernel-suite cells plus derived balance
-//                     factors (docs/FORMATS.md, docs/METRICS.md).
 //   --markdown FILE   splice the generated sections of EXPERIMENTS.md
 //                     (report::render_experiments_sections) into FILE,
 //                     replacing each in place between its BEGIN/END
@@ -233,7 +230,6 @@ class ProfileSession {
 int main(int argc, char** argv) {
   std::string scope_arg = "doc";
   std::string record_path;
-  std::string kernel_record_path;
   std::string markdown_path;
   std::string check_path;
   std::string trace_path;
@@ -266,9 +262,6 @@ int main(int argc, char** argv) {
       "usage");
   options.add_string("scope", &scope_arg, "sweep size: quick | doc");
   options.add_string("record", &record_path, "write the JSON run record here");
-  options.add_string("kernel-record", &kernel_record_path,
-                     "write the standalone balbench-kernel-record/1 JSON "
-                     "(kernel cells + balance factors) here");
   options.add_string("markdown", &markdown_path,
                      "splice the generated sections into this document "
                      "between their BEGIN/END markers, keeping the prose "
@@ -374,8 +367,7 @@ int main(int argc, char** argv) {
                 << "' (quick | doc)\n";
       return 2;
     }
-    if (record_path.empty() && kernel_record_path.empty() &&
-        markdown_path.empty() && check_path.empty()) {
+    if (record_path.empty() && markdown_path.empty() && check_path.empty()) {
       markdown_path.assign(1, '-');  // default: render the document to stdout
     }
     if (resume && checkpoint_path.empty()) {
@@ -412,11 +404,6 @@ int main(int argc, char** argv) {
       std::ostringstream out;
       report::write_run_record(out, data, hash, report::git_revision());
       util::write_output(record_path, out.str());
-    }
-    if (!kernel_record_path.empty()) {
-      std::ostringstream out;
-      report::write_kernel_record(out, data, hash, report::git_revision());
-      util::write_output(kernel_record_path, out.str());
     }
     std::vector<util::DocSection> sections;
     if (!markdown_path.empty() || !check_path.empty()) {

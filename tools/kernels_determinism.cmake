@@ -5,7 +5,7 @@
 # analytic-plus-deterministic-noise timing runs through simt virtual
 # time and never consults the host.
 #
-#   1. quick-scope kernel records at --jobs 1, 2 and 4 byte-compare
+#   1. quick-scope run records at --jobs 1, 2 and 4 byte-compare
 #   2. the record actually contains kernel cells and balance factors
 #      (guards against a vacuous pass on an empty "kernels" array)
 if(NOT BALBENCH_REPORT OR NOT WORK_DIR)
@@ -15,7 +15,7 @@ endif()
 foreach(jobs 1 2 4)
   execute_process(
     COMMAND ${BALBENCH_REPORT} --scope quick --jobs ${jobs}
-            --kernel-record ${WORK_DIR}/kernels_j${jobs}.json
+            --record ${WORK_DIR}/kernels_j${jobs}.json
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "--jobs ${jobs} kernel sweep exited ${rc}, expected 0")
@@ -28,21 +28,21 @@ foreach(jobs 2 4)
             ${WORK_DIR}/kernels_j1.json ${WORK_DIR}/kernels_j${jobs}.json
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "kernel records differ between --jobs 1 and --jobs ${jobs}")
+    message(FATAL_ERROR "run records differ between --jobs 1 and --jobs ${jobs}")
   endif()
 endforeach()
 
 file(READ ${WORK_DIR}/kernels_j1.json record)
-string(FIND "${record}" "\"schema\": \"balbench-kernel-record/1\"" has_schema)
+string(FIND "${record}" "\"schema\": \"balbench-run-record/1\"" has_schema)
 if(has_schema EQUAL -1)
-  message(FATAL_ERROR "record is not a balbench-kernel-record/1")
+  message(FATAL_ERROR "record is not a balbench-run-record/1")
 endif()
 foreach(needle "\"gemm\"" "\"stream_triad\"" "\"random_access\"" "\"fft\""
         "\"balance\"" "\"stream_per_rmax_Bpf\"")
   string(FIND "${record}" "${needle}" found)
   if(found EQUAL -1)
-    message(FATAL_ERROR "kernel record is missing ${needle}")
+    message(FATAL_ERROR "run record is missing ${needle}")
   endif()
 endforeach()
 
-message(STATUS "kernel cells: byte-identical records at jobs 1/2/4")
+message(STATUS "kernel cells: byte-identical run records at jobs 1/2/4")
