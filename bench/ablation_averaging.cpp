@@ -12,11 +12,9 @@
 //   E. max over repetitions      vs. first repetition (noise floor --
 //      identical in our deterministic simulator, reported as a check)
 #include <iostream>
-#include <memory>
 
-#include "core/beff/beff.hpp"
+#include "core/report/experiments.hpp"
 #include "machines/machines.hpp"
-#include "parmsg/sim_transport.hpp"
 #include "util/options.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -43,21 +41,18 @@ int main(int argc, char** argv) {
 
   const auto spec = machines::machine_by_name(machine);
   const int np = static_cast<int>(std::min<std::int64_t>(procs, spec.max_procs));
-  std::fprintf(stderr, "[ablation] %s, %d procs...\n", spec.name.c_str(), np);
 
-  // Single configuration, so the parallelism lives one level down: the
-  // factory overload spreads the b_eff measurement cells over --jobs
-  // threads, each with its own simulator.
-  beff::BeffOptions opt;
-  opt.memory_per_proc = spec.memory_per_proc;
-  opt.measure_analysis = false;
-  opt.jobs = static_cast<int>(jobs);
-  const auto r = beff::run_beff(
-      [&]() -> std::unique_ptr<parmsg::Transport> {
-        return std::make_unique<parmsg::SimTransport>(spec.make_topology(np),
-                                                      spec.costs);
-      },
-      np, opt);
+  // One b_eff row without the analysis cells; run_cells spreads its
+  // measurement cells over --jobs threads, each with its own simulator.
+  report::ExperimentsData data;
+  report::BeffRun& b = data.beff.emplace_back();
+  b.key = machine;
+  b.nprocs = np;
+  report::ExperimentOptions run;
+  run.jobs = static_cast<int>(jobs);
+  run.verbose = true;
+  report::run_cells(data, run);
+  const beff::BeffResult& r = data.beff.front().r;
 
   // Recompute variants from the protocol.
   std::vector<double> ring_avgs;

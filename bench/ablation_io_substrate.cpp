@@ -11,13 +11,11 @@
 //   * striping unit 4x larger
 //   * per-call software overhead halved (a faster MPI-I/O library)
 #include <iostream>
-#include <vector>
 
-#include "core/beffio/beffio.hpp"
+#include "core/report/experiments.hpp"
+#include "core/scenario/scenario.hpp"
 #include "machines/machines.hpp"
-#include "parmsg/sim_transport.hpp"
 #include "util/options.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -42,16 +40,20 @@ int main(int argc, char** argv) {
   const int np = static_cast<int>(procs);
   const auto machine = machines::cray_t3e_900();
 
-  struct Variant {
-    std::string name;
-    pfsim::IoSystemConfig io;
-  };
-  std::vector<Variant> variants;
+  // The variants are the machines of a scenario built here, one
+  // b_eff_io cell each; run_cells runs their chains on --jobs threads.
+  scenario::Scenario sc;
+  sc.name = "ablation_io_substrate";
   auto add = [&](const std::string& name, auto&& mutate) {
-    auto io = *machine.io;
-    io.name = name;
-    mutate(io);
-    variants.push_back({name, std::move(io)});
+    machines::MachineSpec m = machine;
+    m.short_name = name;  // also the b_eff_io file prefix
+    m.io->name = name;
+    mutate(*m.io);
+    sc.machines.push_back({std::move(m), name});
+    scenario::IoCell& cell = sc.io.emplace_back();
+    cell.machine = name;
+    cell.nprocs = np;
+    cell.scheduled_seconds = t_minutes * 60.0;
   };
   add("baseline (10 servers)", [](auto&) {});
   add("5 servers", [](auto& io) { io.num_servers = 5; });
@@ -69,26 +71,21 @@ int main(int argc, char** argv) {
     io.shared_pointer_overhead /= 2;
   });
 
-  const auto results = util::parallel_map<beffio::BeffIoResult>(
-      static_cast<int>(jobs), variants.size(), [&](std::size_t i) {
-        const Variant& v = variants[i];
-        std::fprintf(stderr, "[ablation_io] %s...\n", v.name.c_str());
-        parmsg::SimTransport transport(machine.make_topology(np), machine.costs);
-        beffio::BeffIoOptions opt;
-        opt.scheduled_time = t_minutes * 60.0;
-        opt.memory_per_node = machine.memory_per_proc;
-        opt.file_prefix = v.name;
-        return beffio::run_beffio(transport, v.io, np, opt);
-      });
+  report::ExperimentOptions run;
+  run.jobs = static_cast<int>(jobs);
+  run.verbose = true;
+  run.scenario = &sc;
+  report::ExperimentsData data = report::sweep_spec(run);
+  report::run_cells(data, run);
 
   util::Table table({"variant", "write\nMB/s", "read\nMB/s", "b_eff_io\nMB/s",
                      "vs baseline"});
-  const double base = results.empty() ? 0.0 : results.front().b_eff_io;
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    const auto& r = results[i];
+  const double base = data.io.front().r.b_eff_io;
+  for (const auto& run_io : data.io) {
+    const auto& r = run_io.r;
     char rel[32];
     std::snprintf(rel, sizeof rel, "%+.0f%%", (r.b_eff_io / base - 1.0) * 100.0);
-    table.add_row({variants[i].name,
+    table.add_row({run_io.key,
                    util::format_mbps(r.write().weighted_bandwidth(), 1),
                    util::format_mbps(r.read().weighted_bandwidth(), 1),
                    util::format_mbps(r.b_eff_io, 1), rel});

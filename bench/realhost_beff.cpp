@@ -4,10 +4,11 @@
 // wall-clock timing.  Useful as a smoke test of the benchmark code
 // path on real hardware and as a (noisy) characterization of the host.
 //
-// Defaults are deliberately tiny: this container has one core, and the
-// full schedule would take minutes of wall time.
+// Defaults are deliberately tiny: the full schedule would take minutes
+// of wall time.  The cells run one after another on one transport,
+// because concurrent cells would overlap their wall-clock timings on
+// shared cores and perturb the (already noisy) numbers.
 #include <iostream>
-#include <memory>
 #include <thread>
 
 #include "core/beff/beff.hpp"
@@ -21,17 +22,12 @@ int main(int argc, char** argv) {
   std::int64_t procs = 2;
   std::int64_t lmax = 64 * 1024;
   std::int64_t looplength = 4;
-  std::int64_t jobs = 1;
   util::Options options(
       "realhost_beff: Table 1's b_eff methodology on this host's real "
       "threads (no paper table; a live counterpart to paper_views --view table1)");
   options.add_int("procs", &procs, "thread ranks");
   options.add_int("lmax", &lmax, "maximum message size in bytes");
   options.add_int("looplength", &looplength, "starting looplength");
-  options.add_int("jobs", &jobs,
-                  "concurrent measurement cells; unlike the simulated benches,"
-                  " values > 1 overlap wall-clock timings on shared hardware"
-                  " and so perturb the (already noisy) numbers");
   try {
     if (!options.parse(argc, argv)) return 0;
   } catch (const std::exception& e) {
@@ -50,13 +46,8 @@ int main(int argc, char** argv) {
   opt.dedupe_repetitions = true;     // keep the wall time small
   opt.start_looplength = static_cast<int>(looplength);
   opt.measure_analysis = false;
-  opt.jobs = static_cast<int>(jobs);
-  const auto r = beff::run_beff(
-      [&]() -> std::unique_ptr<parmsg::Transport> {
-        return std::make_unique<parmsg::ThreadTransport>(
-            static_cast<int>(procs));
-      },
-      static_cast<int>(procs), opt);
+  parmsg::ThreadTransport transport(static_cast<int>(procs));
+  const auto r = beff::run_beff(transport, static_cast<int>(procs), opt);
 
   std::cout << "b_eff(host) = " << util::format_mbps(r.b_eff, 1)
             << " MByte/s over " << procs << " ranks ("

@@ -7,12 +7,9 @@
 #include <iostream>
 #include <vector>
 
-#include "core/beff/beff.hpp"
-#include "core/beffio/beffio.hpp"
+#include "core/report/experiments.hpp"
 #include "machines/machines.hpp"
-#include "parmsg/sim_transport.hpp"
 #include "util/options.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -25,13 +22,36 @@ int main(int argc, char** argv) {
       "topclusters_list: rank all systems by b_eff / b_eff_io "
       "(paper Sec. 6 proposal)");
   options.add_flag("quick", &quick, "smaller partitions");
-  options.add_jobs(&jobs, "the per-machine sweep");
+  options.add_jobs(&jobs, "the b_eff cells and b_eff_io chains");
   try {
     if (!options.parse(argc, argv)) return 0;
   } catch (const std::exception& e) {
     std::cerr << e.what() << '\n';
     return 2;
   }
+
+  // One flat task list: a b_eff row per machine, plus a b_eff_io row
+  // per machine with an I/O model, all through run_cells on --jobs
+  // threads.
+  report::ExperimentsData data;
+  for (const auto& m : machines::all_machines()) {
+    if (m.short_name == "sr8000rr") continue;  // same hardware as sr8000
+    const int np = std::min(m.max_procs, quick ? 16 : 64);
+    report::BeffRun& b = data.beff.emplace_back();
+    b.key = m.short_name;
+    b.display = m.name;
+    b.nprocs = np;
+    if (m.io.has_value()) {
+      report::IoRun& io = data.io.emplace_back();
+      io.key = m.short_name;
+      io.nprocs = np;
+      io.scheduled_seconds = quick ? 60.0 : 300.0;
+    }
+  }
+  report::ExperimentOptions run;
+  run.jobs = static_cast<int>(jobs);
+  run.verbose = true;
+  report::run_cells(data, run);
 
   struct Entry {
     std::string name;
@@ -40,37 +60,15 @@ int main(int argc, char** argv) {
     double beffio = 0.0;  // 0 when the machine has no I/O model
     double balance = 0.0;
   };
-
-  std::vector<machines::MachineSpec> park;
-  for (const auto& m : machines::all_machines()) {
-    if (m.short_name == "sr8000rr") continue;  // same hardware as sr8000
-    park.push_back(m);
+  std::vector<Entry> entries;
+  for (const auto& b : data.beff) {
+    double io_bw = 0.0;
+    for (const auto& io : data.io) {
+      if (io.key == b.key) io_bw = io.r.b_eff_io;
+    }
+    entries.push_back({b.display, b.nprocs, b.r.b_eff, io_bw,
+                       report::balance_factor(b)});
   }
-
-  auto entries = util::parallel_map<Entry>(
-      static_cast<int>(jobs), park.size(), [&](std::size_t i) {
-        const auto& m = park[i];
-        const int np = std::min(m.max_procs, quick ? 16 : 64);
-        std::fprintf(stderr, "[topclusters] %s (%d procs)...\n", m.name.c_str(),
-                     np);
-        parmsg::SimTransport t(m.make_topology(np), m.costs);
-        beff::BeffOptions opt;
-        opt.memory_per_proc = m.memory_per_proc;
-        opt.measure_analysis = false;
-        const auto rb = beff::run_beff(t, np, opt);
-
-        double io_bw = 0.0;
-        if (m.io.has_value()) {
-          parmsg::SimTransport t2(m.make_topology(np), m.costs);
-          beffio::BeffIoOptions io_opt;
-          io_opt.scheduled_time = quick ? 60.0 : 300.0;
-          io_opt.memory_per_node = m.memory_per_proc;
-          io_opt.file_prefix = m.short_name;
-          io_bw = beffio::run_beffio(t2, *m.io, np, io_opt).b_eff_io;
-        }
-        return Entry{m.name, np, rb.b_eff, io_bw,
-                     rb.b_eff / (m.rmax_gflops_per_proc * 1e9 * np)};
-      });
 
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.beff > b.beff; });

@@ -10,29 +10,14 @@
 #include <iostream>
 #include <sstream>
 
-#include "core/beff/beff.hpp"
+#include "core/report/experiments.hpp"
 #include "core/report/export.hpp"
 #include "machines/machines.hpp"
-#include "parmsg/sim_transport.hpp"
 #include "util/options.hpp"
-#include "util/parallel.hpp"
-#include "util/units.hpp"
-
-namespace {
-
-using namespace balbench;
-
-beff::BeffResult run(const machines::MachineSpec& m, int procs) {
-  const int np = std::min(procs, m.max_procs);
-  parmsg::SimTransport t(m.make_topology(np), m.costs);
-  beff::BeffOptions opt;
-  opt.memory_per_proc = m.memory_per_proc;
-  return beff::run_beff(t, np, opt);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace balbench;
+
   std::string a = "t3e";
   std::string b = "sr8000";
   std::int64_t procs = 24;
@@ -43,7 +28,7 @@ int main(int argc, char** argv) {
   options.add_string("b", &b, "second machine short name");
   options.add_int("procs", &procs, "process count (clamped per machine)");
   options.add_string("csv-dir", &csv_dir, "directory for full CSV protocols");
-  options.add_jobs(&jobs, "the two benchmark runs");
+  options.add_jobs(&jobs, "the b_eff cells of both machines");
   try {
     if (!options.parse(argc, argv)) return 0;
   } catch (const std::exception& e) {
@@ -53,15 +38,20 @@ int main(int argc, char** argv) {
 
   const auto ma = machines::machine_by_name(a);
   const auto mb = machines::machine_by_name(b);
-  const std::vector<const machines::MachineSpec*> specs{&ma, &mb};
-  const auto results = util::parallel_map<beff::BeffResult>(
-      static_cast<int>(jobs), specs.size(), [&](std::size_t i) {
-        std::fprintf(stderr, "[compare] running %s...\n",
-                     specs[i]->name.c_str());
-        return run(*specs[i], static_cast<int>(procs));
-      });
-  const auto& ra = results[0];
-  const auto& rb = results[1];
+  // Two full b_eff rows (analysis cells included), one task list.
+  report::ExperimentsData data;
+  for (const auto* m : {&ma, &mb}) {
+    report::BeffRun& row = data.beff.emplace_back();
+    row.key = m->short_name;
+    row.nprocs = std::min(static_cast<int>(procs), m->max_procs);
+    row.first = true;
+  }
+  report::ExperimentOptions run;
+  run.jobs = static_cast<int>(jobs);
+  run.verbose = true;
+  report::run_cells(data, run);
+  const auto& ra = data.beff[0].r;
+  const auto& rb = data.beff[1].r;
 
   std::ostringstream sa;
   std::ostringstream sb;

@@ -14,13 +14,9 @@
 #include <numeric>
 #include <vector>
 
-#include "core/beff/beff.hpp"
-#include "machines/machines.hpp"
-#include "net/topology.hpp"
-#include "parmsg/sim_transport.hpp"
+#include "core/report/experiments.hpp"
 #include "parmsg/thread_transport.hpp"
 #include "util/options.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -46,7 +42,7 @@ int main(int argc, char** argv) {
   std::int64_t jobs = 1;
   util::Options options("placement_study: SMP placement effects + real transport");
   options.add_int("procs", &procs, "number of processes (multiple of 8 ideal)");
-  options.add_jobs(&jobs, "the placement sweep");
+  options.add_jobs(&jobs, "the b_eff cells of Part 1");
   try {
     if (!options.parse(argc, argv)) return 0;
   } catch (const std::exception& e) {
@@ -58,23 +54,23 @@ int main(int argc, char** argv) {
   // --- Part 1: simulated placement comparison -------------------------
   std::cout << "Part 1: ring bandwidth vs process placement (SR 8000 model, "
             << np << " procs)\n\n";
-  const std::vector<net::Placement> placements{net::Placement::Sequential,
-                                               net::Placement::RoundRobin};
-  const auto results = util::parallel_map<beff::BeffResult>(
-      static_cast<int>(jobs), placements.size(), [&](std::size_t i) {
-        const auto m = machines::hitachi_sr8000(placements[i]);
-        parmsg::SimTransport transport(m.make_topology(np), m.costs);
-        beff::BeffOptions opt;
-        opt.memory_per_proc = m.memory_per_proc;
-        opt.measure_analysis = false;
-        return beff::run_beff(transport, np, opt);
-      });
+  // The registry's two SR 8000 placements as b_eff rows without the
+  // analysis cells, one task list on --jobs threads.
+  report::ExperimentsData data;
+  for (const char* key : {"sr8000", "sr8000rr"}) {
+    report::BeffRun& row = data.beff.emplace_back();
+    row.key = key;
+    row.nprocs = np;
+  }
+  report::ExperimentOptions run;
+  run.jobs = static_cast<int>(jobs);
+  run.verbose = true;
+  report::run_cells(data, run);
   util::Table table({"placement", "b_eff\nMB/s", "per proc\nMB/s",
                      "per proc at Lmax\nring patterns"});
-  for (std::size_t i = 0; i < placements.size(); ++i) {
-    const auto& r = results[i];
-    table.add_row({placements[i] == net::Placement::Sequential ? "sequential"
-                                                               : "round-robin",
+  for (const auto& row : data.beff) {
+    const auto& r = row.r;
+    table.add_row({row.key == "sr8000" ? "sequential" : "round-robin",
                    util::format_mbps(r.b_eff),
                    util::format_mbps(r.per_proc(), 1),
                    util::format_mbps(r.per_proc_at_lmax_rings(), 1)});

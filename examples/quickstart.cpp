@@ -1,13 +1,13 @@
 // Quickstart: measure the effective bandwidth (b_eff) of a simulated
-// machine in ~30 lines.
+// machine in ~30 lines -- README's "Quickstart (API)" snippet as a
+// program.
 //
-//   $ ./examples/quickstart [--procs N]
+//   $ ./examples/quickstart [--machine NAME] [--procs N]
 //
 // Steps: pick a machine model from the registry, create a simulation
 // transport on its topology, run the b_eff benchmark, and print the
 // single-number result plus the detailed protocol.
 #include <iostream>
-#include <memory>
 
 #include "core/beff/beff.hpp"
 #include "machines/machines.hpp"
@@ -20,12 +20,10 @@ int main(int argc, char** argv) {
 
   std::int64_t procs = 16;
   std::string machine = "t3e";
-  std::int64_t jobs = 1;
   util::Options options("quickstart: run b_eff on a simulated machine");
   options.add_int("procs", &procs, "number of MPI processes");
   options.add_string("machine", &machine,
-                     "machine model (t3e sr8000 sr8000rr sr2201 sx5 sx4 hpv sv1 sp)");
-  options.add_jobs(&jobs, "the b_eff measurement cells");
+                     "machine model (" + machines::machine_list() + ")");
   try {
     if (!options.parse(argc, argv)) return 0;
   } catch (const std::exception& e) {
@@ -37,19 +35,14 @@ int main(int argc, char** argv) {
   const auto spec = machines::machine_by_name(machine);
   const int np = static_cast<int>(std::min<std::int64_t>(procs, spec.max_procs));
 
-  // 2. A transport factory: each measurement cell gets its own
-  //    deterministic simulator on that topology.
-  auto make_transport = [&]() -> std::unique_ptr<parmsg::Transport> {
-    return std::make_unique<parmsg::SimTransport>(spec.make_topology(np),
-                                                  spec.costs);
-  };
+  // 2. A deterministic simulation transport on that topology.
+  parmsg::SimTransport transport(spec.make_topology(np), spec.costs);
 
-  // 3. The benchmark: 21 message sizes x 12 patterns x 3 methods,
-  //    spread over --jobs threads (the result does not depend on it).
+  // 3. The benchmark: 21 message sizes x 12 patterns x 3 methods, one
+  //    measurement cell after another on the transport.
   beff::BeffOptions opt;
-  opt.memory_per_proc = spec.memory_per_proc;
-  opt.jobs = static_cast<int>(jobs);
-  const auto result = beff::run_beff(make_transport, np, opt);
+  opt.memory_per_proc = spec.memory_per_proc;     // fixes L_max = mem/128
+  const auto result = beff::run_beff(transport, np, opt);
 
   // 4. One number ... plus the full protocol for the details.
   std::cout << "machine : " << spec.name << " (" << np << " processes)\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -12,7 +13,6 @@
 #include "obs/prof.hpp"
 #include "parmsg/cart.hpp"
 #include "robust/fault.hpp"
-#include "util/parallel.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -524,15 +524,6 @@ BeffResult run_beff(parmsg::Transport& transport, int nprocs,
   for (std::size_t i = 0; i < sweep.num_cells(); ++i) {
     sweep.run_cell(i, transport);
   }
-  return sweep.finish();
-}
-
-BeffResult run_beff(const TransportFactory& make_transport, int nprocs,
-                    const BeffOptions& options) {
-  CellSweep sweep(nprocs, options);
-  check_capacity(nprocs, make_transport()->max_processes());
-  util::parallel_for(options.jobs, sweep.num_cells(),
-                     [&](std::size_t i) { sweep.run_cell(i, *make_transport()); });
   return sweep.finish();
 }
 

@@ -32,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,9 +69,9 @@ struct BeffOptions {
   /// cycle, bisections, Cartesian halos).
   bool measure_analysis = true;
 
-  /// Host worker threads for the cell sweep (factory overload only;
-  /// the single-transport overload is always serial).  <= 0 means
-  /// hardware concurrency.  Any value produces byte-identical results.
+  /// Read by nothing: run_beff is serial, and report::run_cells takes
+  /// its worker count from ExperimentOptions::jobs.  Kept only because
+  /// the e2ebench workloads still assign it.
   int jobs = 1;
 
   /// Collect obs metrics: each cell runs with its own obs::Registry
@@ -196,21 +195,12 @@ class CellSweep {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Makes one independent transport instance per measurement cell.
-/// Must be callable from concurrent threads; each returned transport
-/// is used by exactly one thread.
-using TransportFactory = std::function<std::unique_ptr<parmsg::Transport>()>;
-
 /// Run the full benchmark on `nprocs` processes of `transport`.
 /// Executes the measurement cells serially on the given transport
-/// (one session per cell); `options.jobs` is ignored.
+/// (one session per cell).  report::run_cells spreads the same cells
+/// over host threads, a fresh simulator per cell, with byte-identical
+/// results.
 BeffResult run_beff(parmsg::Transport& transport, int nprocs,
-                    const BeffOptions& options);
-
-/// Run the full benchmark with `options.jobs` host threads; each cell
-/// constructs its own transport via `make_transport`.  Byte-identical
-/// to the serial overload for every jobs value.
-BeffResult run_beff(const TransportFactory& make_transport, int nprocs,
                     const BeffOptions& options);
 
 /// Detailed protocol report ("all measured patterns are reported in the

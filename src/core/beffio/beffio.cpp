@@ -10,7 +10,6 @@
 #include "obs/prof.hpp"
 #include "pario/file.hpp"
 #include "robust/fault.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -719,19 +718,6 @@ BeffIoResult run_beffio(parmsg::SimTransport& transport,
   for (int chain = 0; chain < sweep.num_chains(); ++chain) {
     sweep.run_chain(chain, transport);
   }
-  return sweep.finish();
-}
-
-BeffIoResult run_beffio(const SimTransportFactory& make_transport,
-                        const pfsim::IoSystemConfig& io_config, int nprocs,
-                        const BeffIoOptions& options) {
-  ChainSweep sweep(io_config, nprocs, options);
-  check_capacity(nprocs, make_transport()->max_processes());
-  util::parallel_for(options.jobs,
-                     static_cast<std::size_t>(sweep.num_chains()),
-                     [&](std::size_t chain) {
-                       sweep.run_chain(static_cast<int>(chain), *make_transport());
-                     });
   return sweep.finish();
 }
 

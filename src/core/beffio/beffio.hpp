@@ -36,7 +36,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -86,9 +85,9 @@ struct BeffIoOptions {
   std::uint64_t random_seed = 2001;
   std::string file_prefix = "beffio";
 
-  /// Host worker threads for the chain sweep (factory overload only;
-  /// the single-transport overload is always serial).  <= 0 means
-  /// hardware concurrency.  Any value produces byte-identical results.
+  /// Read by nothing: run_beffio is serial, and report::run_cells
+  /// takes its worker count from ExperimentOptions::jobs.  Kept only
+  /// because the e2ebench workloads still assign it.
   int jobs = 1;
 
   /// Collect obs metrics: each chain runs with its own obs::Registry
@@ -199,24 +198,12 @@ class ChainSweep {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Makes one independent transport instance per measurement chain.
-/// Must be callable from concurrent threads; each returned transport
-/// is used by exactly one thread.
-using SimTransportFactory =
-    std::function<std::unique_ptr<parmsg::SimTransport>()>;
-
 /// Run b_eff_io on `nprocs` ranks of the simulated machine with the
 /// given I/O subsystem.  Executes the measurement chains serially on
-/// the given transport (one session per chain); `options.jobs` is
-/// ignored.
+/// the given transport (one session per chain).  report::run_cells
+/// spreads the same chains over host threads, a fresh simulator per
+/// chain, with byte-identical results.
 BeffIoResult run_beffio(parmsg::SimTransport& transport,
-                        const pfsim::IoSystemConfig& io_config, int nprocs,
-                        const BeffIoOptions& options);
-
-/// Run b_eff_io with `options.jobs` host threads; each chain
-/// constructs its own transport via `make_transport`.  Byte-identical
-/// to the serial overload for every jobs value.
-BeffIoResult run_beffio(const SimTransportFactory& make_transport,
                         const pfsim::IoSystemConfig& io_config, int nprocs,
                         const BeffIoOptions& options);
 

@@ -1,8 +1,8 @@
 // Parallel sweep scheduler: one in-order loop over independent cells.
 //
 // The benchmark suite is a large space of *independent simulation
-// cells* (pattern x size x method for b_eff, pattern-type chains for
-// b_eff_io, machine x partition for the bench drivers).  Every cell is
+// cells* (pattern x method for b_eff, pattern-type chains for b_eff_io,
+// kernel suites; report::run_cells lists them).  Every cell is
 // a pure function of its inputs -- the simt engine consults no wall
 // clock and breaks ties deterministically -- so cells may execute on
 // any host thread in any order without changing a single reported
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace balbench::util {
 
@@ -92,15 +91,5 @@ int resolve_jobs(std::int64_t requested);
 /// claimed task finished; see the failure contract above.
 void parallel_for(int jobs, std::size_t n,
                   const std::function<void(std::size_t)>& body);
-
-/// Fill a pre-sized slot vector -- out[i] = fn(i) -- in parallel.  The
-/// returned vector is indexed by cell id, so any subsequent reduction
-/// that walks it front to back is independent of execution order.
-template <typename T, typename Fn>
-std::vector<T> parallel_map(int jobs, std::size_t n, Fn&& fn) {
-  std::vector<T> out(n);
-  parallel_for(jobs, n, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
 
 }  // namespace balbench::util

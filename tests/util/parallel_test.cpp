@@ -1,6 +1,6 @@
 // Tests for the in-order sweep scheduler (util/parallel.hpp):
-// coverage, slot-indexed collection, ordered reduction determinism,
-// the failure contract, and the observer telemetry.
+// coverage, ordered reduction determinism, the failure contract, and
+// the observer telemetry.
 #include "util/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -54,25 +54,18 @@ TEST(Parallel, SerialPoolRunsInlineOnCaller) {
   EXPECT_TRUE(all_inline);
 }
 
-TEST(Parallel, ParallelMapFillsSlotsByIndex) {
-  const auto squares = bu::parallel_map<std::int64_t>(
-      4, 50, [](std::size_t i) { return static_cast<std::int64_t>(i * i); });
-  ASSERT_EQ(squares.size(), 50u);
-  for (std::size_t i = 0; i < squares.size(); ++i) {
-    EXPECT_EQ(squares[i], static_cast<std::int64_t>(i * i));
-  }
-}
-
 TEST(Parallel, OrderedReduceIsByteIdenticalForAnyJobs) {
   // Floating-point addition is not associative, so determinism requires
   // reducing the slots strictly in index order.  Slot values span many
   // magnitudes to make any reordering visible in the bits.
   const std::size_t n = 301;
   auto fill = [&](int jobs) {
-    return bu::parallel_map<double>(jobs, n, [](std::size_t i) {
-      return std::ldexp(1.0 + 0.1 * static_cast<double>(i % 7),
-                        static_cast<int>(i % 64) - 32);
+    std::vector<double> slots(n);
+    bu::parallel_for(jobs, n, [&](std::size_t i) {
+      slots[i] = std::ldexp(1.0 + 0.1 * static_cast<double>(i % 7),
+                            static_cast<int>(i % 64) - 32);
     });
+    return slots;
   };
   const auto serial = fill(1);
   double expect = 0.0;

@@ -13,18 +13,19 @@
 //       Deterministic (rev x host x suite) inventory of the store:
 //       cell and sample counts per entry.
 //
-//   trend --history FILE [--window N] [--threshold F]
+//   trend --history FILE
 //       Prints the trend section (per-group tables + ASCII chart) to
 //       stdout.  Exit 3 when any cell regressed under the
-//       sliding-window CI-overlap rule.
+//       sliding-window CI-overlap rule (history::TrendOptions' defaults,
+//       so the section is a pure function of the store).
 //
-//   render --history FILE --doc FILE [--window N] [--threshold F]
+//   render --history FILE --doc FILE
 //       Splices a freshly rendered PERF HISTORY section into the
 //       document (appended when absent) with util::splice_sections,
 //       without re-running the experiments sweep.  This is the only
 //       writer of that section.  Exit 3 on drift.
 //
-//   check-doc --history FILE --doc FILE [--window N] [--threshold F]
+//   check-doc --history FILE --doc FILE
 //       Compares the document's PERF HISTORY section against a fresh
 //       render (util::check_sections); exit 1 naming the first
 //       differing line.  This is the
@@ -32,26 +33,17 @@
 //       doc_drift_guard (seconds, not minutes, because only the
 //       section is recomputed).
 //
-//   merge-wall-profiles [--output FILE] PROFILE...
-//       Sums the category rollups and scheduler telemetry of N
-//       balbench-wall-profile/1 files into one merged record (schema
-//       kept, plus "merged_runs"); merged records are themselves
-//       mergeable.
-//
 // The store is one balbench-perf-history/2 file (history::load_history).
 //
 // Exit codes: 0 = clean; 3 = completed but drift detected (trend /
 // render); 1 = fatal error or check-doc mismatch; 2 = bad usage.
 // All file outputs go through util::write_output ("-" = stdout).
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "core/history/history.hpp"
-#include "core/history/wall_merge.hpp"
 #include "obs/json.hpp"
 #include "util/atomic_write.hpp"
 #include "util/doc_sections.hpp"
@@ -123,8 +115,6 @@ int cmd_list(int argc, const char* const* argv) {
 int cmd_trend(int argc, const char* const* argv, bool splice) {
   std::string history_path;
   std::string doc_path;
-  std::int64_t window = history::TrendOptions{}.window;
-  double threshold = history::TrendOptions{}.threshold;
   util::Options options(
       splice ? "balbench-history render: splice the PERF HISTORY "
                "section into the document (appended when absent) "
@@ -136,11 +126,6 @@ int cmd_trend(int argc, const char* const* argv, bool splice) {
     options.add_string("doc", &doc_path,
                        "the document (EXPERIMENTS.md) to splice into");
   }
-  options.add_int("window", &window,
-                  "sliding-window length in revisions for drift detection");
-  options.add_double("threshold", &threshold,
-                     "regression slack as a fraction of the window's "
-                     "pessimistic CI edge");
   if (!options.parse(argc, argv)) return 0;
   if (history_path.empty() || (splice && doc_path.empty())) {
     std::cerr << "balbench-history: --history" << (splice ? " and --doc" : "")
@@ -148,12 +133,10 @@ int cmd_trend(int argc, const char* const* argv, bool splice) {
     return 2;
   }
 
-  history::TrendOptions trend_opt;
-  trend_opt.window = static_cast<int>(window);
-  trend_opt.threshold = threshold;
   std::ostringstream section;
   const bool drifted = history::render_trend_section(
-      section, history::load_existing_history(history_path), trend_opt);
+      section, history::load_existing_history(history_path),
+      history::TrendOptions{});
 
   if (splice) {
     const std::string doc = util::read_file(doc_path);
@@ -179,19 +162,12 @@ int cmd_trend(int argc, const char* const* argv, bool splice) {
 int cmd_check_doc(int argc, const char* const* argv) {
   std::string history_path;
   std::string doc_path;
-  std::int64_t window = history::TrendOptions{}.window;
-  double threshold = history::TrendOptions{}.threshold;
   util::Options options(
       "balbench-history check-doc: byte-compare the document's PERF "
       "HISTORY section against a fresh render of the store.  Exit 1 on "
       "mismatch");
   options.add_string("history", &history_path, "the history store");
   options.add_string("doc", &doc_path, "the document (EXPERIMENTS.md)");
-  options.add_int("window", &window,
-                  "sliding-window length in revisions for drift detection");
-  options.add_double("threshold", &threshold,
-                     "regression slack as a fraction of the window's "
-                     "pessimistic CI edge");
   if (!options.parse(argc, argv)) return 0;
   if (history_path.empty() || doc_path.empty()) {
     std::cerr << "balbench-history check-doc: --history and --doc are "
@@ -199,12 +175,10 @@ int cmd_check_doc(int argc, const char* const* argv) {
     return 2;
   }
 
-  history::TrendOptions trend_opt;
-  trend_opt.window = static_cast<int>(window);
-  trend_opt.threshold = threshold;
   std::ostringstream section;
   history::render_trend_section(
-      section, history::load_existing_history(history_path), trend_opt);
+      section, history::load_existing_history(history_path),
+      history::TrendOptions{});
 
   const std::string problem = util::check_sections(
       util::read_file(doc_path), {{history::kTrendSection, section.str()}});
@@ -220,43 +194,6 @@ int cmd_check_doc(int argc, const char* const* argv) {
   return 1;
 }
 
-int cmd_merge_wall_profiles(int argc, const char* const* argv) {
-  std::string output = "-";
-  std::vector<std::string> inputs;
-  util::Options options(
-      "balbench-history merge-wall-profiles: sum the category rollups "
-      "and scheduler telemetry of N balbench-wall-profile/1 files into "
-      "one merged record (merged records are themselves mergeable)");
-  options.add_string("output", &output, "write the merged record here");
-  options.add_positionals(&inputs, "PROFILE",
-                          "balbench-wall-profile/1 files to merge");
-  if (!options.parse(argc, argv)) return 0;
-  if (inputs.empty()) {
-    std::cerr << "balbench-history merge-wall-profiles: need at least one "
-                 "profile\n";
-    return 2;
-  }
-
-  history::WallProfileMerge merged;
-  bool first = true;
-  for (const auto& path : inputs) {
-    const history::WallProfileMerge one =
-        history::parse_wall_profile(obs::parse_json(util::read_file(path)));
-    if (first) {
-      merged = one;
-      first = false;
-    } else {
-      history::merge_wall_profiles(merged, one);
-    }
-  }
-  std::ostringstream out;
-  history::write_merged_wall_profile(out, merged);
-  util::write_output(output, out.str());
-  std::cerr << "balbench-history: merged " << inputs.size() << " file(s), "
-            << merged.runs << " run(s) total\n";
-  return 0;
-}
-
 void usage(std::ostream& os) {
   os << "balbench-history: perf-history store and trend analysis "
         "(DESIGN.md Sec. 13)\n\n"
@@ -270,9 +207,7 @@ void usage(std::ostream& os) {
         "  render               splice the PERF HISTORY section into "
         "EXPERIMENTS.md\n"
         "  check-doc            byte-compare the document's section "
-        "against a fresh render\n"
-        "  merge-wall-profiles  sum N balbench-wall-profile/1 files into "
-        "one record\n\n"
+        "against a fresh render\n\n"
         "run `balbench-history <subcommand> --help` for the options.\n"
         "exit codes: 0 = clean, 3 = drift, 1 = fatal / stale doc, "
         "2 = bad usage\n";
@@ -300,9 +235,6 @@ int main(int argc, char** argv) {
     if (cmd == "trend") return cmd_trend(sub_argc, sub_argv, /*splice=*/false);
     if (cmd == "render") return cmd_trend(sub_argc, sub_argv, /*splice=*/true);
     if (cmd == "check-doc") return cmd_check_doc(sub_argc, sub_argv);
-    if (cmd == "merge-wall-profiles") {
-      return cmd_merge_wall_profiles(sub_argc, sub_argv);
-    }
     std::cerr << "balbench-history: unknown subcommand '" << cmd << "'\n\n";
     usage(std::cerr);
     return 2;

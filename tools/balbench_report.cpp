@@ -198,22 +198,20 @@ int write_trace(const std::string& path, const std::string& machine_name,
 /// profiles are observe-only and must never change the exit code.
 class ProfileSession {
  public:
-  ProfileSession(bool enabled, std::string path) : path_(std::move(path)) {
-    if (!enabled) return;
+  explicit ProfileSession(std::string path) : path_(std::move(path)) {
+    if (path_.empty()) return;
     profiler_ = std::make_unique<obs::prof::Profiler>();
     obs::prof::attach(profiler_.get());
   }
   ~ProfileSession() {
     if (profiler_ == nullptr) return;
     obs::prof::attach(nullptr);
-    if (!path_.empty()) {
-      std::ostringstream out;
-      obs::prof::write_profile(out, *profiler_);
-      try {
-        util::write_output(path_, out.str());
-      } catch (const std::exception& e) {
-        std::cerr << "balbench-report: " << e.what() << '\n';
-      }
+    std::ostringstream out;
+    obs::prof::write_profile(out, *profiler_);
+    try {
+      util::write_output(path_, out.str());
+    } catch (const std::exception& e) {
+      std::cerr << "balbench-report: " << e.what() << '\n';
     }
     obs::prof::write_summary(std::cerr, *profiler_);
   }
@@ -247,13 +245,6 @@ int main(int argc, char** argv) {
   std::int64_t kill_after = 0;
   std::string scenario_path;
   std::string validate_path;
-  // The `profile` CMake preset builds with BALBENCH_PROFILE, which
-  // turns wall-clock profiling on by default (summary to stderr).
-#ifdef BALBENCH_PROFILE
-  constexpr bool kProfileDefault = true;
-#else
-  constexpr bool kProfileDefault = false;
-#endif
   util::Options options(
       "balbench-report: run the experiments sweep and emit JSON run "
       "records, the generated sections of EXPERIMENTS.md, or Chrome "
@@ -322,8 +313,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  ProfileSession profile(kProfileDefault || !wall_profile_path.empty(),
-                         wall_profile_path);
+  ProfileSession profile(wall_profile_path);
 
   if (!diff_trace && !positionals.empty()) {
     std::cerr << "balbench-report: positional arguments need --diff-trace\n";
