@@ -30,6 +30,9 @@ const char* method_name(Method m) {
 
 namespace {
 
+/// Target time of one timing loop: the middle of the paper's 2.5..5 ms
+/// window.
+constexpr double kLoopTargetTime = 3.75e-3;
 constexpr int kTagToRight = 0;
 constexpr int kTagToLeft = 1;
 
@@ -99,7 +102,7 @@ double measure_loop(parmsg::Comm& c, std::span<const CommPattern* const> phases,
 
 int adapt_looplength(int looplength, double loop_time, const BeffOptions& opt) {
   if (loop_time <= 0.0) return opt.start_looplength;
-  const double scaled = looplength * opt.loop_target_time / loop_time;
+  const double scaled = looplength * kLoopTargetTime / loop_time;
   const auto next = static_cast<int>(std::llround(scaled));
   return std::clamp(next, 1, opt.start_looplength);
 }

@@ -56,7 +56,6 @@ struct BeffOptions {
   std::uint64_t random_seed = 2001;
   int repetitions = 3;
   int start_looplength = 300;       // paper: 300 for the shortest message
-  double loop_target_time = 3.75e-3;  // middle of the 2.5..5 ms window
 
   /// Execute each timing loop once and advance virtual time for the
   /// remaining iterations.  Only valid on a deterministic transport

@@ -40,6 +40,11 @@ double AccessMethodResult::weighted_bandwidth() const {
 
 namespace {
 
+/// Probe iterations before fast-forward batching starts.
+constexpr std::int64_t kProbeIterations = 1;
+/// Fraction of the remaining pattern time per macro-step.
+constexpr double kBatchFraction = 0.6;
+
 /// Per-rank driver for one b_eff_io measurement chain.  A chain is a
 /// dependency-closed subset of the (access method, pattern type)
 /// space; the chain runner calls measure_termination_cost() once per
@@ -144,13 +149,13 @@ class Driver {
         // checks; every rank derives the same series locally.
         k = std::min<std::int64_t>(std::int64_t{1} << std::min(calls_steps_, 30),
                                    1'000'000'000);
-      } else if (root_ && calls >= opt_.probe_iterations) {
+      } else if (root_ && calls >= kProbeIterations) {
         const double elapsed = c_.wtime() - t_start;
         const double t_iter = elapsed / static_cast<double>(calls);
         const double remaining = deadline - c_.wtime();
         if (t_iter > 0.0 && remaining > 0.0) {
           k = std::max<std::int64_t>(
-              1, static_cast<std::int64_t>(remaining * opt_.batch_fraction /
+              1, static_cast<std::int64_t>(remaining * kBatchFraction /
                                            t_iter));
           k = std::min<std::int64_t>(k, 1'000'000'000);
         }

@@ -73,10 +73,6 @@ struct BeffIoOptions {
   std::int64_t memory_per_node = 256LL * 1024 * 1024;
   /// Optional cap on M_PART (reduced chunk size on the SX-5 etc).
   std::int64_t mpart_cap = 0;
-  /// Probe iterations before fast-forward batching starts.
-  int probe_iterations = 1;
-  /// Fraction of the remaining pattern time per macro-step.
-  double batch_fraction = 0.6;
   TerminationMode termination = TerminationMode::PerIterationCheck;
   /// Sec. 6 extension: also measure a *random access* pattern type
   /// (non-collective accesses at seeded random offsets).  Reported in

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include "obs/json.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/atomic_write.hpp"
 
@@ -18,7 +19,6 @@ namespace balbench::history {
 namespace {
 
 constexpr const char* kSchema = "balbench-perf-history/2";
-constexpr const char* kRecordSchema = "balbench-perf-record/1";
 
 /// Deterministic human time formatting for the markdown tables: three
 /// fixed ranges so regenerated sections never flip units on noise.
@@ -40,17 +40,17 @@ std::string fmt_percent(double fraction) {
   return buf;
 }
 
-/// Reads `key` of outside input (a store entry or a perf record) as an
-/// integer in [min, INT_MAX] -- the bounds balbench-perf enforces on
+/// Reads `key` of a store entry (outside input) as an integer in
+/// [min, INT_MAX] -- the bounds balbench-perf enforces on
 /// --repeat/--warmup -- instead of casting an arbitrary double.
 int sample_count(const obs::JsonValue& v, const char* key, int min,
-                 const char* what, const std::string& rev) {
+                 const std::string& rev) {
   const double x = v.at(key).as_number();
   if (!(x >= min && x <= std::numeric_limits<int>::max()) ||
       x != std::floor(x)) {
     char got[48];
     std::snprintf(got, sizeof got, "%g", x);
-    throw std::runtime_error(std::string(what) + ": rev " + rev + " has " +
+    throw std::runtime_error("history store: rev " + rev + " has " +
                              key + " " + got + ", want an integer >= " +
                              std::to_string(min));
   }
@@ -77,8 +77,8 @@ History parse_history(std::string_view text) {
     entry.config_hash = e.at("config_hash").as_string();
     entry.host = e.at("host").as_string();
     entry.suite_spec = e.at("suite").as_string();
-    entry.repeat = sample_count(e, "repeat", 1, "history store", entry.git_rev);
-    entry.warmup = sample_count(e, "warmup", 0, "history store", entry.git_rev);
+    entry.repeat = sample_count(e, "repeat", 1, entry.git_rev);
+    entry.warmup = sample_count(e, "warmup", 0, entry.git_rev);
     for (const auto& c : e.at("cells").as_array()) {
       HistoryCell cell;
       cell.id = c.at("id").as_string();
@@ -168,33 +168,7 @@ void save_history(const std::string& path, const History& h) {
   util::atomic_write(path, out.str());
 }
 
-const HistoryEntry& ingest_record(History& h, const obs::JsonValue& record,
-                                  std::string host, bool replace) {
-  const std::string& schema = record.at("schema").as_string();
-  if (schema != kRecordSchema) {
-    throw std::runtime_error("record schema is '" + schema + "', want '" +
-                             kRecordSchema + "'");
-  }
-  HistoryEntry entry;
-  entry.git_rev = record.at("provenance").at("git_rev").as_string();
-  entry.config_hash = record.at("config_hash").as_string();
-  entry.host = std::move(host);
-  entry.suite_spec = record.at("suite").as_string();
-  entry.repeat = sample_count(record, "repeat", 1, "record", entry.git_rev);
-  entry.warmup = sample_count(record, "warmup", 0, "record", entry.git_rev);
-  for (const auto& c : record.at("cells").as_array()) {
-    HistoryCell cell;
-    cell.id = c.at("id").as_string();
-    cell.suite = c.at("suite").as_string();
-    for (const auto& s : c.at("samples_seconds").as_array()) {
-      cell.samples.push_back(s.as_number());
-    }
-    if (cell.samples.empty()) {
-      throw std::runtime_error("record cell " + cell.id + " has no samples");
-    }
-    entry.cells.push_back(std::move(cell));
-  }
-  if (entry.cells.empty()) throw std::runtime_error("record has no cells");
+const HistoryEntry& ingest(History& h, HistoryEntry entry, bool replace) {
   for (auto& e : h.entries) {
     if (e.git_rev == entry.git_rev && e.config_hash == entry.config_hash &&
         e.host == entry.host) {
@@ -343,7 +317,7 @@ std::vector<GroupTrend> analyze_trends(const History& h,
         continue;
       }
       t.latest = stats[nrevs - 1];
-      // Sliding window: the up-to-`window` most recent *preceding*
+      // Sliding window: the up-to-kTrendWindow most recent *preceding*
       // revisions that contain the cell.  The regression gate compares
       // the newest CI against the *fastest* revision in the window
       // (min ci_hi), so a slow multi-commit drift that every
@@ -354,7 +328,7 @@ std::vector<GroupTrend> analyze_trends(const History& h,
       double lo = 0.0, hi = 0.0;
       for (std::size_t back = nrevs - 1;
            back > 0 && window_medians.size() <
-               static_cast<std::size_t>(std::max(options.window, 1));
+               static_cast<std::size_t>(kTrendWindow);
            --back) {
         const std::size_t r = back - 1;
         if (!present[r]) continue;
@@ -454,15 +428,14 @@ bool render_trend_section(std::ostream& os, const History& h,
   std::snprintf(stamp, sizeof stamp,
                 "<!-- %zu snapshot%s | window %d | threshold %.0f %% -->\n",
                 h.entries.size(), h.entries.size() == 1 ? "" : "s",
-                options.window, options.threshold * 100.0);
+                kTrendWindow, options.threshold * 100.0);
   os << stamp
      << "\n"
         "The `balbench-perf-history/2` store (`BENCH_HISTORY.json`) "
         "accumulates\n"
-        "`balbench-perf-record/1` snapshots keyed by (git revision, config "
-        "hash,\n"
-        "host); trends are recomputed from the stored raw samples "
-        "(median/MAD/\n"
+        "`balbench-perf` runs keyed by (git revision, config hash, host); "
+        "trends\n"
+        "are recomputed from the stored raw samples (median/MAD/\n"
         "bootstrap-95 %-CI via `util::robust_summary`).  Every number below "
         "is\n"
         "HOST wall-clock read from the committed store — the section is a "

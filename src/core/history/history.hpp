@@ -1,15 +1,17 @@
 // Perf-history store and trend analysis (DESIGN.md Sec. 13).
 //
-// balbench-perf records (schema "balbench-perf-record/1") are
-// point-in-time snapshots: one record tells you how fast this revision
-// is, but a slow drift -- 2 % per commit for ten commits -- passes
-// every single-baseline gate and still ends 20 % slower.  The history
-// store turns those snapshots into a tracked series:
+// One `balbench-perf --out` run is a point-in-time snapshot: it tells
+// you how fast this revision is, but a slow drift -- 2 % per commit
+// for ten commits -- passes every single-baseline gate and still ends
+// 20 % slower.  The history store turns those snapshots into a tracked
+// series:
 //
-//   * an append-only "balbench-perf-history/2" JSON file that ingests
-//     perf records keyed by (git revision, config hash, host).  The
-//     same key may appear once: re-recording a revision must replace
-//     history consciously (--replace), never silently.
+//   * an append-only "balbench-perf-history/2" JSON file of entries
+//     keyed by (git revision, config hash, host).  balbench-perf writes
+//     its run as a one-entry document of the same schema, which
+//     `balbench-history ingest` appends.  The same key may appear once:
+//     re-recording a revision must replace history consciously
+//     (--replace), never silently.
 //     Entries with different config hashes or hosts are NEVER compared
 //     against each other -- a machine change or a suite change is not
 //     a regression;
@@ -42,7 +44,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "util/stats.hpp"
 
 namespace balbench::history {
@@ -55,12 +56,12 @@ struct HistoryCell {
   std::vector<double> samples;  // host seconds, in run order
 };
 
-/// One ingested balbench-perf-record/1 snapshot.
+/// One balbench-perf run: what it measured, where and how.
 struct HistoryEntry {
   std::string git_rev;
-  std::string config_hash;  // perf cell-list hash from the record
+  std::string config_hash;  // FNV-1a over the run's cell list
   std::string host;         // machine label (--host or gethostname)
-  std::string suite_spec;   // the record's --suite spelling
+  std::string suite_spec;   // the run's --suite spelling
   int repeat = 0;
   int warmup = 0;
   std::vector<HistoryCell> cells;
@@ -92,22 +93,21 @@ History load_history(const std::string& path);
 /// read PATH") instead of an empty store, which only ingest wants.
 History load_existing_history(const std::string& path);
 
-/// The machine label an entry gets when no --host is given: the
-/// gethostname, or "unknown-host".
+/// The machine label balbench-perf gives its entry when no --host is
+/// given: the gethostname, or "unknown-host".
 std::string default_host();
 
 /// Writes the store to `path` through util::atomic_write.
 void save_history(const std::string& path, const History& h);
 
-/// Validates `record` as a balbench-perf-record/1 document and appends
-/// it as a new entry under `host`.  Throws std::runtime_error if the
-/// record is malformed or -- unless `replace` is set -- an entry with
-/// the same (git_rev, config_hash, host) key already exists.  With
-/// `replace`, a deliberate re-ingest overwrites the existing entry *in
-/// place*, keeping its position on the revision axis.  Returns the
-/// new entry.
-const HistoryEntry& ingest_record(History& h, const obs::JsonValue& record,
-                                  std::string host, bool replace = false);
+/// Appends `entry` to the store.  Throws std::runtime_error if --
+/// unless `replace` is set -- an entry with the same (git_rev,
+/// config_hash, host) key already exists.  With `replace`, a
+/// deliberate re-ingest overwrites the existing entry *in place*,
+/// keeping its position on the revision axis.  Returns the stored
+/// entry.
+const HistoryEntry& ingest(History& h, HistoryEntry entry,
+                           bool replace = false);
 
 /// Deterministic plain-text inventory of the store: one line per
 /// entry -- (rev x host x suite) with cell and sample counts -- sorted
@@ -119,11 +119,12 @@ void render_list(std::ostream& os, const History& h);
 // Trend analysis
 // ---------------------------------------------------------------------------
 
+/// Sliding-window length: the newest revision is compared against up
+/// to this many preceding revisions of the same (config hash, host)
+/// group, not just the adjacent one.
+inline constexpr int kTrendWindow = 5;
+
 struct TrendOptions {
-  /// Sliding-window length: the newest revision is compared against up
-  /// to this many preceding revisions of the same (config hash, host)
-  /// group, not just the adjacent one.
-  int window = 5;
   /// Regression slack, as a fraction of the window's pessimistic CI
   /// edge.  `balbench-perf --baseline` gates with this same rule and
   /// default: it is the one regression rule.

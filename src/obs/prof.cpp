@@ -1,10 +1,13 @@
 #include "obs/prof.hpp"
 
 #include <algorithm>
+#include <iostream>
 #include <map>
+#include <sstream>
 #include <tuple>
 
 #include "obs/json.hpp"
+#include "util/atomic_write.hpp"
 #include "util/wallclock.hpp"
 
 namespace balbench::obs::prof {
@@ -290,6 +293,26 @@ void write_summary(std::ostream& os, const Profiler& profiler) {
                 sched.idle_seconds,
                 static_cast<unsigned long long>(profiler.dropped_spans()));
   os << line;
+}
+
+Session::Session(std::string path, std::string tool)
+    : path_(std::move(path)), tool_(std::move(tool)) {
+  if (path_.empty()) return;
+  profiler_ = std::make_unique<Profiler>();
+  attach(profiler_.get());
+}
+
+Session::~Session() {
+  if (profiler_ == nullptr) return;
+  attach(nullptr);
+  std::ostringstream out;
+  write_profile(out, *profiler_);
+  try {
+    util::write_output(path_, out.str());
+  } catch (const std::exception& e) {
+    std::cerr << tool_ << ": " << e.what() << '\n';
+  }
+  write_summary(std::cerr, *profiler_);
 }
 
 }  // namespace balbench::obs::prof

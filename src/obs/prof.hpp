@@ -166,4 +166,24 @@ void write_profile(std::ostream& os, const Profiler& profiler);
 /// tools print it to stderr after a sweep when profiling is on).
 void write_summary(std::ostream& os, const Profiler& profiler);
 
+/// A tool's `--wall-profile PATH` for one scope: with a non-empty
+/// `path`, construction attaches a fresh Profiler; destruction detaches
+/// it, writes the wall profile to `path` and the summary to stderr.
+/// An empty `path` does nothing.  Destroy it only after the profiled
+/// work has returned (see Lifetime above).  A failed write only warns,
+/// prefixed by `tool`: profiles are observe-only and never change an
+/// exit code.
+class Session {
+ public:
+  Session(std::string path, std::string tool);
+  ~Session();
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+ private:
+  std::unique_ptr<Profiler> profiler_;
+  std::string path_;
+  std::string tool_;
+};
+
 }  // namespace balbench::obs::prof

@@ -1,6 +1,6 @@
 // Crash-safe whole-file writes: tmp + fsync + rename.
 //
-// Every JSON artifact this repo emits (run records, perf records,
+// Every JSON artifact this repo emits (run records, perf runs,
 // Chrome traces, wall profiles, checkpoint journals) is either byte-
 // compared by tests or read back by a later invocation, so a Ctrl-C or
 // SIGKILL mid-write must never leave a truncated file behind.  The

@@ -1,7 +1,7 @@
 // FNV-1a 64-bit hashing, shared by every config-hash producer.
 //
-// Both run records ("balbench-run-record/1") and perf records
-// ("balbench-perf-record/1") stamp an FNV-1a hash of their canonical
+// Both run records ("balbench-run-record/1") and perf-history entries
+// ("balbench-perf-history/2") stamp an FNV-1a hash of their canonical
 // configuration description so a record can be matched to the exact
 // configuration that produced it (DESIGN.md Sec. 10.4/11).  The
 // algorithm lives here once so the two schemas can never drift apart.

@@ -4,39 +4,30 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "util/atomic_write.hpp"
 #include "util/doc_sections.hpp"
 
 namespace bh = balbench::history;
-namespace bo = balbench::obs;
 
 namespace {
 
-/// A minimal balbench-perf-record/1 document.  `cells` is a list of
-/// (id, suite, constant-sample value); constant samples give degenerate
-/// CIs, so the gate arithmetic in the tests is exact.
-bo::JsonValue make_record(
+/// One balbench-perf run of `host`, as balbench-perf builds it.
+/// `cells` is a list of (id, suite, constant-sample value); constant
+/// samples give degenerate CIs, so the gate arithmetic in the tests is
+/// exact.
+bh::HistoryEntry make_entry(
     const std::string& rev, const std::string& cfg,
-    const std::vector<std::tuple<std::string, std::string, double>>& cells) {
-  std::ostringstream os;
-  os << "{\"schema\":\"balbench-perf-record/1\",\"suite\":\"micro,calib\","
-        "\"repeat\":5,\"warmup\":1,\"config_hash\":\""
-     << cfg << "\",\"provenance\":{\"generator\":\"test\",\"git_rev\":\""
-     << rev << "\"},\"cells\":[";
-  bool first = true;
+    const std::vector<std::tuple<std::string, std::string, double>>& cells,
+    const std::string& host = "host0") {
+  bh::HistoryEntry e{rev, cfg, host, "micro,calib", 5, 1, {}};
   for (const auto& [id, suite, value] : cells) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"id\":\"" << id << "\",\"suite\":\"" << suite
-       << "\",\"samples_seconds\":[";
-    for (int i = 0; i < 5; ++i) os << (i > 0 ? "," : "") << value;
-    os << "]}";
+    e.cells.push_back({id, suite, std::vector<double>(5, value)});
   }
-  os << "]}";
-  return bo::parse_json(os.str());
+  return e;
 }
 
 /// Ingests a sequence of single-cell snapshots of `id` with the given
@@ -44,13 +35,18 @@ bo::JsonValue make_record(
 bh::History series(const std::vector<double>& medians) {
   bh::History h;
   for (std::size_t i = 0; i < medians.size(); ++i) {
-    bh::ingest_record(
-        h,
-        make_record("rev" + std::to_string(i), "cafe",
-                    {{"calib.spin", "calib", medians[i]}}),
-        "host0");
+    bh::ingest(h, make_entry("rev" + std::to_string(i), "cafe",
+                             {{"calib.spin", "calib", medians[i]}}));
   }
   return h;
+}
+
+/// A fresh per-test scratch directory under gtest's TempDir.
+std::string scratch(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "history_io_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 const bh::CellTrend& only_cell(const std::vector<bh::GroupTrend>& groups) {
@@ -63,11 +59,9 @@ const bh::CellTrend& only_cell(const std::vector<bh::GroupTrend>& groups) {
 
 TEST(HistoryStore, RoundTripPreservesEverything) {
   bh::History h;
-  bh::ingest_record(h,
-                    make_record("abc1234", "cafe",
-                                {{"calib.spin", "calib", 0.005},
-                                 {"micro.ring", "micro", 0.001}}),
-                    "host0");
+  bh::ingest(h, make_entry("abc1234", "cafe",
+                           {{"calib.spin", "calib", 0.005},
+                            {"micro.ring", "micro", 0.001}}));
   std::ostringstream os;
   bh::write_history(os, h);
   const bh::History back = bh::parse_history(os.str());
@@ -92,40 +86,36 @@ TEST(HistoryStore, RoundTripPreservesEverything) {
 
 TEST(HistoryStore, IngestRejectsDuplicateKey) {
   bh::History h;
-  const auto rec = make_record("abc", "cafe", {{"calib.spin", "calib", 0.005}});
-  bh::ingest_record(h, rec, "host0");
-  EXPECT_THROW(bh::ingest_record(h, rec, "host0"), std::runtime_error);
+  auto rec = make_entry("abc", "cafe", {{"calib.spin", "calib", 0.005}});
+  bh::ingest(h, rec);
+  EXPECT_THROW(bh::ingest(h, rec), std::runtime_error);
   // A different host is a different key.
-  EXPECT_NO_THROW(bh::ingest_record(h, rec, "host1"));
+  rec.host = "host1";
+  EXPECT_NO_THROW(bh::ingest(h, rec));
   EXPECT_EQ(h.entries.size(), 2u);
 }
 
 TEST(HistoryStore, IngestRejectsWrongSchema) {
-  bh::History h;
-  EXPECT_THROW(
-      bh::ingest_record(h, bo::parse_json("{\"schema\":\"nope/1\"}"), "host0"),
-      std::runtime_error);
+  // ingest reads its FILE with the store reader, so a foreign schema is
+  // refused before any entry is built.
+  EXPECT_THROW(bh::parse_history("{\"schema\":\"nope/1\"}"),
+               std::runtime_error);
   EXPECT_THROW(bh::parse_history("{\"schema\":\"nope/1\",\"entries\":[]}"),
                std::runtime_error);
 }
 
 TEST(HistoryStore, RepeatAndWarmupMustBeIntegersInRange) {
-  // Outside input: a store or record carrying a count no int can hold
-  // must be rejected, naming the revision, never cast.  Both paths take
-  // the same bounds as balbench-perf.  obs::parse_json already refuses
-  // 5e999 (it overflows a double) as a bad number at the key's path.
+  // Outside input: a store or an ingested run carrying a count no int
+  // can hold must be rejected, naming the revision, never cast.  Both
+  // paths take the same bounds as balbench-perf.  obs::parse_json
+  // already refuses 5e999 (it overflows a double) as a bad number at
+  // the key's path.
   bh::History h;
-  bh::ingest_record(h, make_record("abc", "cafe", {{"c.a", "calib", 0.005}}),
-                    "host0");
+  bh::ingest(h, make_entry("abc", "cafe", {{"c.a", "calib", 0.005}}));
   std::ostringstream os;
   bh::write_history(os, h);
   const std::string store = os.str();
-  const std::string record =
-      "{\"schema\":\"balbench-perf-record/1\",\"suite\":\"calib\","
-      "\"repeat\":5,\"warmup\":1,\"config_hash\":\"cafe\","
-      "\"provenance\":{\"generator\":\"test\",\"git_rev\":\"abc\"},"
-      "\"cells\":[{\"id\":\"c.a\",\"suite\":\"calib\","
-      "\"samples_seconds\":[0.005]}]}";
+  const std::string run = scratch("counts") + "/run.json";
   // Replaces the value of `key` (followed by `sep`) in `text`.
   auto with = [](std::string text, const std::string& key,
                  const std::string& sep, const std::string& value) {
@@ -147,11 +137,14 @@ TEST(HistoryStore, RepeatAndWarmupMustBeIntegersInRange) {
         EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
             << e.what();
       }
+      // The ingest path: FILE is read whole before any entry goes in.
+      balbench::util::atomic_write(run, with(store, key, ": ", value));
       bh::History fresh;
       try {
-        bh::ingest_record(fresh, bo::parse_json(with(record, key, ":", value)),
-                          "host0");
-        ADD_FAILURE() << "record accepted";
+        for (auto& e : bh::load_existing_history(run).entries) {
+          bh::ingest(fresh, std::move(e));
+        }
+        ADD_FAILURE() << "run accepted";
       } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
             << e.what();
@@ -172,12 +165,10 @@ TEST(HistoryStore, RepeatAndWarmupMustBeIntegersInRange) {
 
 TEST(HistoryTrend, MixedConfigHashesStaySeparate) {
   bh::History h;
-  bh::ingest_record(h, make_record("r1", "cafe", {{"c.a", "calib", 0.005}}),
-                    "host0");
+  bh::ingest(h, make_entry("r1", "cafe", {{"c.a", "calib", 0.005}}));
   // Same revision re-recorded under a different sweep configuration:
   // a separate group, never compared against the first.
-  bh::ingest_record(h, make_record("r1", "beef", {{"c.a", "calib", 0.010}}),
-                    "host0");
+  bh::ingest(h, make_entry("r1", "beef", {{"c.a", "calib", 0.010}}));
   const auto groups = bh::analyze_trends(h, bh::TrendOptions{});
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0].config_hash, "cafe");
@@ -223,24 +214,28 @@ TEST(HistoryTrend, SlidingWindowCatchesSlowDrift) {
 }
 
 TEST(HistoryTrend, ShortWindowMissesTheSameDrift) {
-  // The same series gated with window 2 only sees 0.106/0.109 -- the
-  // drift passes, which is exactly why the default window is longer.
-  bh::TrendOptions opt;
-  opt.window = 2;
-  const auto groups =
-      bh::analyze_trends(series({0.100, 0.103, 0.106, 0.109, 0.113}), opt);
+  // The window holds the last kTrendWindow = 5 revisions.  One more
+  // revision at 0.113 still has 0.100 in its window and is flagged;
+  // once the series has stayed at 0.113 for five revisions, the same
+  // drift lies entirely before the window and passes.
+  ASSERT_EQ(bh::kTrendWindow, 5);
+  const std::vector<double> drift = {0.100, 0.103, 0.106, 0.109, 0.113};
+  std::vector<double> medians = drift;
+  medians.push_back(0.113);
+  EXPECT_EQ(only_cell(bh::analyze_trends(series(medians), bh::TrendOptions{}))
+                .verdict,
+            bh::Verdict::Regressed);
+  medians.insert(medians.end(), 4, 0.113);
+  const auto groups = bh::analyze_trends(series(medians), bh::TrendOptions{});
   EXPECT_EQ(only_cell(groups).verdict, bh::Verdict::Ok);
+  EXPECT_DOUBLE_EQ(only_cell(groups).window_ci_hi, 0.113);
 }
 
 TEST(HistoryTrend, CellAppearingInNewestRevisionIsNew) {
   bh::History h;
-  bh::ingest_record(h, make_record("r1", "cafe", {{"c.a", "calib", 0.005}}),
-                    "host0");
-  bh::ingest_record(h,
-                    make_record("r2", "cafe",
-                                {{"c.a", "calib", 0.005},
-                                 {"c.b", "calib", 0.001}}),
-                    "host0");
+  bh::ingest(h, make_entry("r1", "cafe", {{"c.a", "calib", 0.005}}));
+  bh::ingest(h, make_entry("r2", "cafe",
+                           {{"c.a", "calib", 0.005}, {"c.b", "calib", 0.001}}));
   const auto groups = bh::analyze_trends(h, bh::TrendOptions{});
   ASSERT_EQ(groups.size(), 1u);
   ASSERT_EQ(groups[0].cells.size(), 2u);
@@ -301,15 +296,13 @@ TEST(HistorySection, PlainDocumentLacksTheSection) {
 
 TEST(HistoryIngest, ReplaceOverwritesInPlace) {
   bh::History h;
-  bh::ingest_record(h, make_record("r1", "cafe", {{"c.a", "calib", 0.005}}),
-                    "host0");
-  bh::ingest_record(h, make_record("r2", "cafe", {{"c.a", "calib", 0.006}}),
-                    "host0");
+  bh::ingest(h, make_entry("r1", "cafe", {{"c.a", "calib", 0.005}}));
+  bh::ingest(h, make_entry("r2", "cafe", {{"c.a", "calib", 0.006}}));
   // Re-recording r1 with --replace keeps its position on the revision
   // axis (entry 0), never appends.
-  const auto rec = make_record("r1", "cafe", {{"c.a", "calib", 0.009}});
-  EXPECT_THROW(bh::ingest_record(h, rec, "host0"), std::runtime_error);
-  bh::ingest_record(h, rec, "host0", /*replace=*/true);
+  const auto rec = make_entry("r1", "cafe", {{"c.a", "calib", 0.009}});
+  EXPECT_THROW(bh::ingest(h, rec), std::runtime_error);
+  bh::ingest(h, rec, /*replace=*/true);
   ASSERT_EQ(h.entries.size(), 2u);
   EXPECT_EQ(h.entries[0].git_rev, "r1");
   EXPECT_DOUBLE_EQ(h.entries[0].cells[0].samples[0], 0.009);
@@ -318,8 +311,7 @@ TEST(HistoryIngest, ReplaceOverwritesInPlace) {
 
 TEST(HistoryList, InventoryIsDeterministicAndCountsState) {
   bh::History h = series({0.005, 0.010, 0.007});
-  bh::ingest_record(h, make_record("r9", "beef", {{"c.b", "micro", 0.001}}),
-                    "host1");
+  bh::ingest(h, make_entry("r9", "beef", {{"c.b", "micro", 0.001}}, "host1"));
   std::ostringstream a, b;
   bh::render_list(a, h);
   bh::render_list(b, h);
@@ -345,25 +337,12 @@ TEST(HistoryChart, FlatSeriesRendersNoSpreadNote) {
   EXPECT_EQ(os.str(), again.str());
 }
 
-namespace {
-
-/// A fresh per-test scratch directory under gtest's TempDir.
-std::string scratch(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "history_io_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-}  // namespace
-
 TEST(HistoryStoreIO, MissingStoreBootstrapsSingleFileV2) {
   const std::string path = scratch("boot") + "/BENCH.json";
   bh::History h = bh::load_history(path);
   EXPECT_TRUE(h.entries.empty());
 
-  bh::ingest_record(h, make_record("r1", "cafe", {{"c.a", "calib", 0.005}}),
-                    "host-a");
+  bh::ingest(h, make_entry("r1", "cafe", {{"c.a", "calib", 0.005}}, "host-a"));
   bh::save_history(path, h);
   EXPECT_NE(balbench::util::read_file(path).find("balbench-perf-history/2"),
             std::string::npos);
@@ -375,18 +354,41 @@ TEST(HistoryStoreIO, MissingStoreBootstrapsSingleFileV2) {
 TEST(HistoryStoreIO, IngestReplaceRoundTrips) {
   const std::string path = scratch("replace") + "/BENCH.json";
   bh::History h;
-  bh::ingest_record(h, make_record("r1", "cafe", {{"c.a", "calib", 0.005}}),
-                    "host-a");
+  bh::ingest(h, make_entry("r1", "cafe", {{"c.a", "calib", 0.005}}, "host-a"));
   bh::save_history(path, h);
 
   bh::History store = bh::load_history(path);
-  const auto rec = make_record("r1", "cafe", {{"c.a", "calib", 0.009}});
-  EXPECT_THROW(bh::ingest_record(store, rec, "host-a"), std::runtime_error);
-  bh::ingest_record(store, rec, "host-a", /*replace=*/true);
+  const auto rec = make_entry("r1", "cafe", {{"c.a", "calib", 0.009}}, "host-a");
+  EXPECT_THROW(bh::ingest(store, rec), std::runtime_error);
+  bh::ingest(store, rec, /*replace=*/true);
   EXPECT_EQ(store.entries.size(), 1u);
   bh::save_history(path, store);
 
   const bh::History back = bh::load_history(path);
   ASSERT_EQ(back.entries.size(), 1u);
   EXPECT_DOUBLE_EQ(back.entries[0].cells[0].samples[0], 0.009);
+}
+
+TEST(HistoryIngest, RetiredRecordFileNamesPathAndSchema) {
+  // The one-run record format that balbench-perf wrote before its runs
+  // became one-entry stores: ingest refuses it with one error naming
+  // the file and the schema it found.
+  const std::string path = scratch("retired") + "/perf.json";
+  balbench::util::atomic_write(
+      path,
+      "{\"schema\":\"balbench-perf-record/1\",\"suite\":\"calib\","
+      "\"repeat\":5,\"warmup\":1,\"config_hash\":\"cafe\","
+      "\"provenance\":{\"generator\":\"balbench-perf\",\"git_rev\":\"abc\"},"
+      "\"cells\":[{\"id\":\"c.a\",\"suite\":\"calib\","
+      "\"samples_seconds\":[0.005]}]}\n");
+  try {
+    (void)bh::load_existing_history(path);
+    ADD_FAILURE() << "record accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind(path + ": ", 0), 0u) << msg;
+    EXPECT_NE(msg.find("'balbench-perf-record/1'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("want 'balbench-perf-history/2'"), std::string::npos)
+        << msg;
+  }
 }

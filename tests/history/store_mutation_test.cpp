@@ -18,11 +18,9 @@
 #include <vector>
 
 #include "core/history/history.hpp"
-#include "obs/json.hpp"
 #include "util/rng.hpp"
 
 namespace bh = balbench::history;
-namespace bo = balbench::obs;
 
 namespace {
 
@@ -41,24 +39,18 @@ void spit(const std::string& path, const std::string& bytes) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
-bo::JsonValue tiny_record(const std::string& rev, double spin) {
-  std::ostringstream os;
-  os << "{\"schema\":\"balbench-perf-record/1\",\"suite\":\"micro,calib\","
-        "\"repeat\":3,\"warmup\":1,\"config_hash\":\"cafe\","
-        "\"provenance\":{\"generator\":\"test\",\"git_rev\":\""
-     << rev << "\"},\"cells\":[{\"id\":\"c.spin\",\"suite\":\"calib\","
-        "\"samples_seconds\":[" << spin << ',' << spin << ',' << spin
-     << "]},{\"id\":\"m.ring\",\"suite\":\"micro\","
-        "\"samples_seconds\":[0.001,0.0012,0.0011]}]}";
-  return bo::parse_json(os.str());
+bh::HistoryEntry tiny_entry(const std::string& rev, double spin) {
+  return {rev, "cafe", "host-a", "micro,calib", 3, 1,
+          {{"c.spin", "calib", {spin, spin, spin}},
+           {"m.ring", "micro", {0.001, 0.0012, 0.0011}}}};
 }
 
 /// Two revisions of one (config, host) group, the second regressed:
 /// the store a trend render gates and charts.
 std::string valid_store() {
   bh::History h;
-  bh::ingest_record(h, tiny_record("r1", 0.005), "host-a");
-  bh::ingest_record(h, tiny_record("r2", 0.010), "host-a");
+  bh::ingest(h, tiny_entry("r1", 0.005));
+  bh::ingest(h, tiny_entry("r2", 0.010));
   std::ostringstream os;
   bh::write_history(os, h);
   return os.str();

@@ -113,7 +113,7 @@ TEST(JsonParse, RoundTripsWriterOutput) {
   std::ostringstream os;
   JsonWriter w(os, 1);
   w.begin_object();
-  w.field("schema", "balbench-perf-record/1");
+  w.field("schema", "balbench-perf-history/2");
   w.field("n", std::int64_t{42});
   w.field("x", 0.1);
   w.field("ok", true);
@@ -122,7 +122,7 @@ TEST(JsonParse, RoundTripsWriterOutput) {
   w.end_object();
 
   const JsonValue doc = parse_json(os.str());
-  EXPECT_EQ(doc.at("schema").as_string(), "balbench-perf-record/1");
+  EXPECT_EQ(doc.at("schema").as_string(), "balbench-perf-history/2");
   EXPECT_EQ(doc.at("n").as_number(), 42.0);
   EXPECT_EQ(doc.at("x").as_number(), 0.1);  // exact: shortest round trip
   EXPECT_TRUE(doc.at("ok").as_bool());

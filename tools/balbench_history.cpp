@@ -2,12 +2,13 @@
 //
 // Subcommands:
 //
-//   ingest --history FILE --record FILE [--host NAME] [--replace]
-//       Appends one balbench-perf-record/1 snapshot (written by
-//       `balbench-perf --out`) to the history store, keyed by (git
-//       revision, config hash, host).  A missing store file is
-//       created; re-ingesting an existing key is an error unless
-//       --replace deliberately overwrites the entry in place.
+//   ingest --history FILE --record FILE [--replace]
+//       Appends every entry of the balbench-perf-history/2 document
+//       FILE (a `balbench-perf --out` run is one entry) to the history
+//       store, in order, keyed by (git revision, config hash, host).
+//       An entry keeps the host that measured it.  A missing store
+//       file is created; re-ingesting an existing key is an error
+//       unless --replace deliberately overwrites the entry in place.
 //
 //   list --history FILE
 //       Deterministic (rev x host x suite) inventory of the store:
@@ -44,7 +45,6 @@
 #include <string>
 
 #include "core/history/history.hpp"
-#include "obs/json.hpp"
 #include "util/atomic_write.hpp"
 #include "util/doc_sections.hpp"
 #include "util/options.hpp"
@@ -56,19 +56,17 @@ using namespace balbench;
 int cmd_ingest(int argc, const char* const* argv) {
   std::string history_path;
   std::string record_path;
-  std::string host;
   bool replace = false;
   util::Options options(
-      "balbench-history ingest: append one balbench-perf-record/1 "
-      "snapshot to the history store, keyed by (git revision, config "
-      "hash, host).  Duplicate keys are rejected unless --replace "
-      "deliberately overwrites the entry in place");
+      "balbench-history ingest: append every entry of a "
+      "balbench-perf-history/2 document (a balbench-perf --out run) to "
+      "the history store, in order, keyed by (git revision, config hash, "
+      "host).  Duplicate keys are rejected unless --replace deliberately "
+      "overwrites the entry in place");
   options.add_string("history", &history_path,
                      "the history store (created when missing)");
   options.add_string("record", &record_path,
-                     "the balbench-perf-record/1 snapshot to ingest");
-  options.add_string("host", &host,
-                     "machine label for the entry (default: gethostname)");
+                     "the balbench-perf-history/2 document to ingest");
   options.add_flag("replace", &replace,
                    "overwrite an existing (rev, config, host) entry in "
                    "place instead of rejecting the duplicate key");
@@ -78,20 +76,25 @@ int cmd_ingest(int argc, const char* const* argv) {
                  "required\n";
     return 2;
   }
-  if (host.empty()) host = history::default_host();
 
+  // All or nothing: the store is written, and the entries reported,
+  // only once every entry of FILE is in.
   history::History store = history::load_history(history_path);
-  const obs::JsonValue record = obs::parse_json(util::read_file(record_path));
-  const std::size_t before = store.entries.size();
-  const history::HistoryEntry& entry =
-      history::ingest_record(store, record, std::move(host), replace);
+  history::History runs = history::load_existing_history(record_path);
+  std::ostringstream report;
+  for (auto& run : runs.entries) {
+    const std::size_t before = store.entries.size();
+    const history::HistoryEntry& entry =
+        history::ingest(store, std::move(run), replace);
+    report << "balbench-history: "
+           << (store.entries.size() == before ? "replaced" : "ingested")
+           << " rev " << entry.git_rev << " (config " << entry.config_hash
+           << ", host " << entry.host << ", " << entry.cells.size()
+           << " cells); store now holds " << store.entries.size()
+           << " snapshot(s)\n";
+  }
   history::save_history(history_path, store);
-  std::cerr << "balbench-history: "
-            << (store.entries.size() == before ? "replaced" : "ingested")
-            << " rev " << entry.git_rev << " (config " << entry.config_hash
-            << ", host " << entry.host << ", " << entry.cells.size()
-            << " cells); store now holds " << store.entries.size()
-            << " snapshot(s)\n";
+  std::cerr << report.str();
   return 0;
 }
 
@@ -198,8 +201,7 @@ void usage(std::ostream& os) {
   os << "balbench-history: perf-history store and trend analysis "
         "(DESIGN.md Sec. 13)\n\n"
         "subcommands:\n"
-        "  ingest               append a balbench-perf-record/1 snapshot "
-        "to the store\n"
+        "  ingest               append balbench-perf runs to the store\n"
         "  list                 (rev x host x suite) inventory of the "
         "store\n"
         "  trend                print the trend section; exit 3 on "

@@ -5,10 +5,10 @@
 // microbenchmarks, the quick-scope EXPERIMENTS sweep cells (each one
 // row of report::sweep_spec() simulated by report::run_cells, the
 // report's own cell runner), and fixed-duration calibration spins --
-// several times each and emits a perf record
-// ("balbench-perf-record/1" JSON): raw samples plus
-// median, MAD and a bootstrap 95 % confidence interval of the median
-// per cell, stamped with the suite's config hash and the git revision.
+// several times each and writes the run as a one-entry
+// "balbench-perf-history/2" document (core/history): the raw samples
+// per cell, stamped with the suite's config hash, the git revision and
+// the host.  `balbench-history ingest` appends it to a store as is.
 //
 //   --suite S         comma-separated subset of the registered suites
 //                     (micro, sweep, kernels, calib -- see kSuites; the
@@ -23,14 +23,16 @@
 //                     default cell list and config hash are unchanged
 //   --repeat N        recorded samples per cell (default 5)
 //   --warmup N        unrecorded warm-up runs per cell (default 1)
-//   --out FILE        where to write the record (default "-" = stdout)
+//   --out FILE        where to write the run (default "-" = stdout)
 //   --baseline STORE  gate this run against a balbench-perf-history/2
 //                     store (core/history) and exit 3 on regression
 //                     (see below)
-//   --host NAME       machine label of this run's store group (default:
-//                     gethostname, as for `balbench-history ingest`)
+//   --host NAME       machine label of this run's entry and store group
+//                     (default: gethostname)
 //   --threshold X     regression slack as a fraction (default 0.10)
 //   --wall-profile F  wall-clock profile of the run (obs/prof.hpp)
+//   --verbose         per-cell median, MAD and bootstrap 95 % CI of the
+//                     median on stderr
 //   --checkpoint FILE crash-safe journal of completed cells (a
 //                     "perf-checkpoint" balbench-journal/1, atomically
 //                     rewritten after each cell, DESIGN.md Sec. 12.3)
@@ -59,8 +61,10 @@
 // A group with no earlier revision has no baseline: a note, exit 0.
 //
 // Cells always run serially (timing!), and every number here is HOST
-// wall-clock: per DESIGN.md Sec. 10.2 nothing in this record may ever
-// feed a benchmark result or byte-compared output.
+// wall-clock: per DESIGN.md Sec. 10.2 nothing in this run may ever
+// feed a benchmark result or byte-compared output.  The derived
+// statistics are not written: the store recomputes them from the
+// samples.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -82,7 +86,6 @@
 #include "machines/machines.hpp"
 #include "net/flow.hpp"
 #include "net/topology.hpp"
-#include "obs/json.hpp"
 #include "obs/prof.hpp"
 #include "parmsg/sim_transport.hpp"
 #include "simt/engine.hpp"
@@ -422,17 +425,9 @@ std::string perf_config_hash(const std::vector<Cell>& cells) {
 // Measurement
 // ---------------------------------------------------------------------------
 
-struct CellResult {
-  std::string id;
-  std::string suite;
-  std::vector<double> samples;  // seconds, in run order
-  util::RobustSummary stats;
-};
-
-CellResult run_cell(const Cell& cell, int repeat, int warmup, bool verbose) {
-  CellResult r;
-  r.id = cell.id;
-  r.suite = cell.suite;
+history::HistoryCell run_cell(const Cell& cell, int repeat, int warmup,
+                              bool verbose) {
+  history::HistoryCell r{cell.id, cell.suite, {}};
   for (int i = 0; i < warmup; ++i) cell.body();
   for (int i = 0; i < repeat; ++i) {
     const double t0 = util::wall_now();
@@ -442,52 +437,13 @@ CellResult run_cell(const Cell& cell, int repeat, int warmup, bool verbose) {
     }
     r.samples.push_back(util::wall_now() - t0);
   }
-  r.stats = util::robust_summary(r.samples);
   if (verbose) {
+    const util::RobustSummary stats = util::robust_summary(r.samples);
     std::fprintf(stderr, "[perf] %-32s median %.6fs  MAD %.6fs  CI95 [%.6f, %.6f]\n",
-                 cell.id.c_str(), r.stats.median, r.stats.mad, r.stats.ci_lo,
-                 r.stats.ci_hi);
+                 cell.id.c_str(), stats.median, stats.mad, stats.ci_lo,
+                 stats.ci_hi);
   }
   return r;
-}
-
-// ---------------------------------------------------------------------------
-// Record I/O
-// ---------------------------------------------------------------------------
-
-void write_perf_record(std::ostream& os, const std::vector<CellResult>& results,
-                       const std::string& suites, int repeat, int warmup,
-                       const std::string& cfg_hash, const std::string& git_rev) {
-  obs::JsonWriter w(os);
-  w.begin_object();
-  w.field("schema", "balbench-perf-record/1");
-  w.field("suite", suites);
-  w.field("repeat", repeat);
-  w.field("warmup", warmup);
-  w.field("config_hash", cfg_hash);
-  w.key("provenance").begin_object();
-  w.field("generator", "balbench-perf");
-  w.field("git_rev", git_rev);
-  w.end_object();
-  w.key("cells").begin_array();
-  for (const auto& r : results) {
-    w.begin_object();
-    w.field("id", r.id);
-    w.field("suite", r.suite);
-    w.key("samples_seconds").begin_array();
-    for (double s : r.samples) w.value(s);
-    w.end_array();
-    w.field("median_seconds", r.stats.median);
-    w.field("mad_seconds", r.stats.mad);
-    w.field("ci95_lo_seconds", r.stats.ci_lo);
-    w.field("ci95_hi_seconds", r.stats.ci_hi);
-    w.field("min_seconds", r.stats.min);
-    w.field("max_seconds", r.stats.max);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  os << '\n';
 }
 
 /// The gate: `run` joins `store` as the newest revision of its (config
@@ -532,7 +488,7 @@ std::size_t gate(history::History store, history::HistoryEntry run,
                  group.revs.size() == 2 ? "" : "s", config.c_str(),
                  host.c_str(), group.regressed,
                  group.regressed == 1 ? "" : "s", 100.0 * threshold,
-                 options.window);
+                 history::kTrendWindow);
     return group.regressed;
   }
   std::fprintf(stderr,
@@ -558,8 +514,8 @@ int main(int argc, char** argv) {
   bool resume = false;
   bool verbose = false;
   util::Options options(
-      "balbench-perf: run host-timed benchmark cells, emit a "
-      "balbench-perf-record/1 JSON (median/MAD/bootstrap CI per cell), "
+      "balbench-perf: run host-timed benchmark cells, write the run as a "
+      "one-entry balbench-perf-history/2 JSON (raw samples per cell), "
       "and optionally gate it against a perf-history store.  Exit codes: "
       "0 = clean, 3 = gate found regressions, 1 = fatal error, 2 = bad "
       "usage");
@@ -570,14 +526,15 @@ int main(int argc, char** argv) {
                      "suite named 'scenario' (docs/SCENARIOS.md)");
   options.add_int("repeat", &repeat, "recorded samples per cell");
   options.add_int("warmup", &warmup, "unrecorded warm-up runs per cell");
-  options.add_string("out", &out_path, "output record path (- = stdout)");
+  options.add_string("out", &out_path,
+                     "where to write the run's one-entry store (- = stdout)");
   options.add_string("baseline", &baseline_path,
                      "gate against this balbench-perf-history/2 store (this "
                      "run is the newest revision of its config/host "
                      "group, in memory only); exit 3 on regression");
   options.add_string("host", &host,
-                     "machine label of this run's store group (default: "
-                     "gethostname)");
+                     "machine label of this run's entry and store group "
+                     "(default: gethostname)");
   options.add_double("threshold", &threshold,
                      "regression slack (fraction of the window's "
                      "pessimistic CI edge)");
@@ -638,64 +595,41 @@ int main(int argc, char** argv) {
           resume);
     }
 
-    std::unique_ptr<obs::prof::Profiler> profiler;
-    if (!wall_profile_path.empty()) {
-      profiler = std::make_unique<obs::prof::Profiler>();
-      obs::prof::attach(profiler.get());
-    }
-
-    std::vector<CellResult> results;
-    results.reserve(cells.size());
-    for (const auto& cell : cells) {
-      CellResult r;
-      if (ck != nullptr && ck->load(cell.id, &r.samples)) {
-        r.id = cell.id;
-        r.suite = cell.suite;
-        r.stats = util::robust_summary(r.samples);
-        if (verbose) {
-          std::fprintf(stderr, "[perf] %-32s replayed from checkpoint\n",
-                       cell.id.c_str());
+    history::HistoryEntry run{report::git_revision(), cfg_hash, host,
+                              suites, static_cast<int>(repeat),
+                              static_cast<int>(warmup), {}};
+    run.cells.reserve(cells.size());
+    {
+      obs::prof::Session profile(wall_profile_path, "balbench-perf");
+      for (const auto& cell : cells) {
+        history::HistoryCell r{cell.id, cell.suite, {}};
+        if (ck != nullptr && ck->load(cell.id, &r.samples)) {
+          if (verbose) {
+            std::fprintf(stderr, "[perf] %-32s replayed from checkpoint\n",
+                         cell.id.c_str());
+          }
+        } else {
+          r = run_cell(cell, static_cast<int>(repeat),
+                       static_cast<int>(warmup), verbose);
+          if (ck != nullptr) ck->record(cell.id, r.samples);
         }
-      } else {
-        r = run_cell(cell, static_cast<int>(repeat), static_cast<int>(warmup),
-                     verbose);
-        if (ck != nullptr) ck->record(cell.id, r.samples);
+        run.cells.push_back(std::move(r));
       }
-      results.push_back(std::move(r));
     }
 
-    if (profiler != nullptr) {
-      obs::prof::attach(nullptr);
-      std::ostringstream out;
-      obs::prof::write_profile(out, *profiler);
-      try {
-        util::write_output(wall_profile_path, out.str());
-      } catch (const std::exception& e) {
-        std::cerr << "balbench-perf: " << e.what() << '\n';
-      }
-      obs::prof::write_summary(std::cerr, *profiler);
-    }
-
-    const std::string git_rev = report::git_revision();
-    std::ostringstream record;
-    write_perf_record(record, results, suites, static_cast<int>(repeat),
-                      static_cast<int>(warmup), cfg_hash, git_rev);
-    util::write_output(out_path, record.str());
+    std::ostringstream out;
+    history::write_history(out, history::History{{run}});
+    util::write_output(out_path, out.str());
     std::fprintf(stderr, "[perf] %zu cells x %lld samples -> %s\n",
-                 results.size(), static_cast<long long>(repeat),
+                 run.cells.size(), static_cast<long long>(repeat),
                  out_path.c_str());
 
-    if (!baseline_path.empty()) {
-      history::HistoryEntry run{git_rev, cfg_hash, host, suites,
-                                static_cast<int>(repeat),
-                                static_cast<int>(warmup), {}};
-      for (const auto& r : results) {
-        run.cells.push_back({r.id, r.suite, r.samples});
-      }
-      // Exit 3 = "completed, but the gate flagged regressions" --
-      // distinct from fatal errors (1) so CI can branch on it, and
-      // aligned with balbench-report's degraded-cells exit code.
-      if (gate(std::move(store), std::move(run), threshold) > 0) return 3;
+    // Exit 3 = "completed, but the gate flagged regressions" --
+    // distinct from fatal errors (1) so CI can branch on it, and
+    // aligned with balbench-report's degraded-cells exit code.
+    if (!baseline_path.empty() &&
+        gate(std::move(store), std::move(run), threshold) > 0) {
+      return 3;
     }
     return 0;
   } catch (const std::exception& e) {

@@ -191,38 +191,6 @@ int write_trace(const std::string& path, const std::string& machine_name,
   return 0;
 }
 
-/// Owns the optional wall-clock profiler for the whole invocation:
-/// attach on construction, then detach + export on destruction, which
-/// runs after every parallel_for has returned and joined its threads
-/// (the profiler must outlive them, see obs/prof.hpp).  Export failures only warn --
-/// profiles are observe-only and must never change the exit code.
-class ProfileSession {
- public:
-  explicit ProfileSession(std::string path) : path_(std::move(path)) {
-    if (path_.empty()) return;
-    profiler_ = std::make_unique<obs::prof::Profiler>();
-    obs::prof::attach(profiler_.get());
-  }
-  ~ProfileSession() {
-    if (profiler_ == nullptr) return;
-    obs::prof::attach(nullptr);
-    std::ostringstream out;
-    obs::prof::write_profile(out, *profiler_);
-    try {
-      util::write_output(path_, out.str());
-    } catch (const std::exception& e) {
-      std::cerr << "balbench-report: " << e.what() << '\n';
-    }
-    obs::prof::write_summary(std::cerr, *profiler_);
-  }
-  ProfileSession(const ProfileSession&) = delete;
-  ProfileSession& operator=(const ProfileSession&) = delete;
-
- private:
-  std::unique_ptr<obs::prof::Profiler> profiler_;
-  std::string path_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -313,7 +281,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  ProfileSession profile(wall_profile_path);
+  obs::prof::Session profile(wall_profile_path, "balbench-report");
 
   if (!diff_trace && !positionals.empty()) {
     std::cerr << "balbench-report: positional arguments need --diff-trace\n";

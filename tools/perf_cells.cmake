@@ -1,6 +1,6 @@
 # Perf cell-list pin, run by ctest as `perf_cells` (cmake -P).
 #
-# The perf gate and the history store group runs by the record's
+# The perf gate and the history store group runs by the entry's
 # config_hash (FNV-1a over the cell ids), so a renamed cell starts a
 # new group that has no baseline and is silently not gated.  This test
 # pins the cell lists through that hash: `--suite all`, and
@@ -11,8 +11,8 @@ if(NOT BALBENCH_PERF OR NOT ROOT_DIR OR NOT WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DBALBENCH_PERF=<exe> -DROOT_DIR=<repo> -DWORK_DIR=<dir> -P perf_cells.cmake")
 endif()
 
-# Runs balbench-perf with ARGN and stores the record's config_hash in
-# `out_var`.
+# Runs balbench-perf with ARGN and stores its one entry's config_hash
+# in `out_var`.
 function(perf_hash out_var record)
   execute_process(
     COMMAND ${BALBENCH_PERF} ${ARGN} --repeat 1 --warmup 0 --out ${record}
@@ -21,7 +21,7 @@ function(perf_hash out_var record)
     message(FATAL_ERROR "balbench-perf ${ARGN} exited ${rc}:\n${err}")
   endif()
   file(READ ${record} text)
-  string(JSON hash GET "${text}" config_hash)
+  string(JSON hash GET "${text}" entries 0 config_hash)
   set(${out_var} ${hash} PARENT_SCOPE)
 endfunction()
 

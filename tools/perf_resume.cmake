@@ -1,10 +1,10 @@
 # Perf checkpoint resume test, run by ctest as `perf_resume` (cmake -P).
 #
 # Three acts over `balbench-perf --suite calib --repeat 2` (two cells):
-#   1. a --checkpoint run journals both cells and writes record A
+#   1. a --checkpoint run journals both cells and writes run A
 #   2. --resume from that journal re-times nothing: stderr reports
 #      "resuming, 2 cells completed" and every cell's samples_seconds
-#      in record B equals record A's byte for byte
+#      in run B equals run A's
 #   3. --resume under a different --repeat discards the journal
 #      ("different configuration") instead of replaying samples taken
 #      under other sampling parameters
@@ -41,18 +41,19 @@ endif()
 if(NOT err MATCHES "resuming, 2 cells completed")
   message(FATAL_ERROR "resume did not replay both cells:\n${err}")
 endif()
-set(pattern "\"samples_seconds\": \\[[^]]*\\]")
 file(READ ${first} a)
 file(READ ${second} b)
-string(REGEX MATCHALL "${pattern}" a_samples "${a}")
-string(REGEX MATCHALL "${pattern}" b_samples "${b}")
-list(LENGTH a_samples n)
+string(JSON n LENGTH "${a}" entries 0 cells)
 if(NOT n EQUAL 2)
-  message(FATAL_ERROR "want 2 cells with samples in ${first}, found ${n}")
+  message(FATAL_ERROR "want 2 cells in ${first}, found ${n}")
 endif()
-if(NOT a_samples STREQUAL b_samples)
-  message(FATAL_ERROR "resumed samples differ:\n${a_samples}\nvs\n${b_samples}")
-endif()
+foreach(i 0 1)
+  string(JSON a_samples GET "${a}" entries 0 cells ${i} samples_seconds)
+  string(JSON b_samples GET "${b}" entries 0 cells ${i} samples_seconds)
+  if(NOT a_samples STREQUAL b_samples)
+    message(FATAL_ERROR "resumed samples differ:\n${a_samples}\nvs\n${b_samples}")
+  endif()
+endforeach()
 
 # Act 3: other sampling parameters must not replay the journal.
 execute_process(

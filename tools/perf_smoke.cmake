@@ -3,7 +3,7 @@
 # `balbench-perf --baseline STORE` gates a fresh run against a
 # balbench-perf-history/2 store.  Six acts, each a hard requirement:
 #   1. record the calib suite (3 samples per cell) to learn its
-#      config_hash
+#      config_hash from the run's one entry
 #   2. a store whose calib samples are half the spins' nominal length
 #      flags the fresh run (exit 3)
 #   3. a store whose samples are twice the nominal length passes it
@@ -38,7 +38,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "calib record failed (exit ${rc}):\n${err}")
 endif()
 file(READ ${record} text)
-string(JSON config GET "${text}" config_hash)
+string(JSON config GET "${text}" entries 0 config_hash)
 
 # Writes a one-entry store of the calib group (host "smoke") to `path`
 # whose samples are each spin's nominal length at `us_per_ms`
