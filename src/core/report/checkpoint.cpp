@@ -1,9 +1,12 @@
 #include "core/report/checkpoint.hpp"
 
+#include <array>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -13,347 +16,302 @@ namespace balbench::report {
 
 namespace {
 
-// JsonValue stores every number as double; all journal integers are
-// simulated counts far below 2^53, where this conversion is exact.
-std::int64_t as_i64(const obs::JsonValue& v) {
-  return std::llround(v.as_number());
-}
-std::uint64_t as_u64(const obs::JsonValue& v) {
-  return static_cast<std::uint64_t>(std::llround(v.as_number()));
-}
-int as_int(const obs::JsonValue& v) {
-  return static_cast<int>(std::llround(v.as_number()));
-}
-double as_double(const obs::JsonValue& v) { return v.as_number(); }
-std::string as_string(const obs::JsonValue& v) { return v.as_string(); }
+// ---------------------------------------------------------------------------
+// The payload, declared once: each journaled struct's members in key
+// order.  `f(key, member)` writes or reads one member, so one list
+// drives both directions (JsonOut and JsonIn below) and the two can
+// never disagree on a key or its place.
+// ---------------------------------------------------------------------------
 
-template <typename Values>
-void write_array(obs::JsonWriter& w, const char* key, const Values& values) {
-  w.key(key).begin_array();
-  for (const auto& v : values) w.value(v);
-  w.end_array();
+/// A field list takes its struct const to write it, mutable to read it.
+template <typename R, typename T>
+concept Of = std::same_as<std::remove_const_t<R>, T>;
+
+template <typename F, Of<obs::HistogramData> R>
+void fields(F& f, R& r) {
+  f("count", r.count);
+  f("sum", r.sum);
+  f("max", r.max);
+  f("buckets", r.buckets);
 }
 
-template <typename Read>
-auto read_array(const obs::JsonValue& v, Read read) {
-  std::vector<decltype(read(v))> out;
-  for (const auto& e : v.as_array()) out.push_back(read(e));
-  return out;
+template <typename F, Of<obs::MetricsSnapshot> R>
+void fields(F& f, R& r) {
+  f("counters", r.counters);
+  f("sums", r.sums);
+  f("gauges", r.gauges);
+  f("histograms", r.histograms);
 }
 
-obs::MetricsSnapshot read_metrics(const obs::JsonValue& v) {
-  obs::MetricsSnapshot m;
-  for (const auto& [k, e] : v.at("counters").as_object()) {
-    m.counters[k] = as_u64(e);
+template <typename F, Of<robust::CellStatus> R>
+void fields(F& f, R& r) {
+  f("outcome", r.outcome);
+  f("attempts", r.attempts);
+  f("backoff_s", r.backoff_s);
+  f("error", r.error);
+}
+
+template <typename F, Of<beff::SizeMeasurement> R>
+void fields(F& f, R& r) {
+  f("size", r.size);
+  f("method_bw", r.method_bw);
+  f("best_bw", r.best_bw);
+  f("looplength", r.looplength);
+}
+
+template <typename F, Of<beff::PatternMeasurement> R>
+void fields(F& f, R& r) {
+  f("name", r.name);
+  f("is_random", r.is_random);
+  f("sizes", r.sizes);
+  f("avg_bw", r.avg_bw);
+  f("bw_at_lmax", r.bw_at_lmax);
+}
+
+template <typename F, Of<beff::AnalysisResults> R>
+void fields(F& f, R& r) {
+  f("pingpong_bw", r.pingpong_bw);
+  f("worst_cycle_bw", r.worst_cycle_bw);
+  f("bisection_paired_bw", r.bisection_paired_bw);
+  f("bisection_interleaved_bw", r.bisection_interleaved_bw);
+  f("cart2d_dims", r.cart2d_dims);
+  f("cart2d_per_dim_bw", r.cart2d_per_dim_bw);
+  f("cart2d_combined_bw", r.cart2d_combined_bw);
+  f("cart3d_dims", r.cart3d_dims);
+  f("cart3d_per_dim_bw", r.cart3d_per_dim_bw);
+  f("cart3d_combined_bw", r.cart3d_combined_bw);
+}
+
+template <typename F, Of<beff::BeffResult> R>
+void fields(F& f, R& r) {
+  f("nprocs", r.nprocs);
+  f("lmax", r.lmax);
+  f("sizes", r.sizes);
+  f("patterns", r.patterns);
+  f("b_eff", r.b_eff);
+  f("rings_logavg", r.rings_logavg);
+  f("random_logavg", r.random_logavg);
+  f("b_eff_at_lmax", r.b_eff_at_lmax);
+  f("rings_logavg_at_lmax", r.rings_logavg_at_lmax);
+  f("random_logavg_at_lmax", r.random_logavg_at_lmax);
+  f("analysis", r.analysis);
+  f("benchmark_seconds", r.benchmark_seconds);
+  f("metrics", r.metrics);
+  f("cell_status", r.cell_status);
+  f("cell_labels", r.cell_labels);
+}
+
+/// The pattern's members are flattened into the result's object.
+template <typename F, Of<beffio::PatternAccessResult> R>
+void fields(F& f, R& r) {
+  f("number", r.pattern.number);
+  f("ptype", r.pattern.type);
+  f("l", r.pattern.l);
+  f("L", r.pattern.L);
+  f("time_units", r.pattern.time_units);
+  f("fill_up", r.pattern.fill_up);
+  f("bytes", r.bytes);
+  f("seconds", r.seconds);
+  f("calls", r.calls);
+}
+
+template <typename F, Of<beffio::TypeAccessResult> R>
+void fields(F& f, R& r) {
+  f("type", r.type);
+  f("patterns", r.patterns);
+  f("bytes", r.bytes);
+  f("seconds", r.seconds);
+}
+
+template <typename F, Of<beffio::AccessMethodResult> R>
+void fields(F& f, R& r) {
+  f("method", r.method);
+  f("types", r.types);
+}
+
+template <typename F, Of<pfsim::FileSystem::Stats> R>
+void fields(F& f, R& r) {
+  f("requests", r.requests);
+  f("bytes_written", r.bytes_written);
+  f("bytes_read", r.bytes_read);
+  f("read_cache_hits", r.read_cache_hits);
+  f("read_cache_misses", r.read_cache_misses);
+  f("rmw_chunks", r.rmw_chunks);
+  f("seeks", r.seeks);
+}
+
+template <typename F, Of<beffio::BeffIoResult> R>
+void fields(F& f, R& r) {
+  f("nprocs", r.nprocs);
+  f("scheduled_time", r.scheduled_time);
+  f("mpart", r.mpart);
+  f("access", r.access);
+  f("b_eff_io", r.b_eff_io);
+  f("random_extension", r.random_extension);
+  f("benchmark_seconds", r.benchmark_seconds);
+  f("segment_bytes", r.segment_bytes);
+  f("fs_stats", r.fs_stats);
+  f("metrics", r.metrics);
+  f("chain_status", r.chain_status);
+  f("chain_labels", r.chain_labels);
+}
+
+// ---------------------------------------------------------------------------
+// The two walkers over the lists.  Value kinds: numbers and bools,
+// strings, enums as ints, an Outcome as its name, [first, second]
+// pairs, std::array and std::vector as arrays, string-keyed maps and
+// listed structs as objects.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+constexpr bool kFixedSize = false;
+template <typename T, std::size_t N>
+constexpr bool kFixedSize<std::array<T, N>> = true;
+
+struct JsonOut {
+  obs::JsonWriter& w;
+
+  template <typename T>
+  void operator()(const char* key, const T& v) {
+    w.key(key);
+    put(v);
   }
-  for (const auto& [k, e] : v.at("sums").as_object()) m.sums[k] = e.as_number();
-  for (const auto& [k, e] : v.at("gauges").as_object()) {
-    m.gauges[k] = e.as_number();
-  }
-  for (const auto& [k, e] : v.at("histograms").as_object()) {
-    obs::HistogramData h;
-    h.count = as_u64(e.at("count"));
-    h.sum = e.at("sum").as_number();
-    h.max = e.at("max").as_number();
-    for (const auto& b : e.at("buckets").as_array()) {
-      const auto& pair = b.as_array();
-      h.buckets.emplace_back(as_int(pair.at(0)), as_u64(pair.at(1)));
+
+  template <typename T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, robust::Outcome>) {
+      w.value(robust::outcome_name(v));
+    } else if constexpr (std::is_enum_v<T>) {
+      w.value(static_cast<int>(v));
+    } else if constexpr (std::is_arithmetic_v<T> ||
+                         std::is_same_v<T, std::string>) {
+      w.value(v);
+    } else if constexpr (requires { typename T::first_type; }) {
+      w.begin_array();
+      put(v.first);
+      put(v.second);
+      w.end_array();
+    } else if constexpr (requires { typename T::mapped_type; }) {
+      w.begin_object();
+      for (const auto& [k, e] : v) {
+        w.key(k);
+        put(e);
+      }
+      w.end_object();
+    } else if constexpr (requires { typename T::value_type; }) {
+      w.begin_array();
+      for (const auto& e : v) put(e);
+      w.end_array();
+    } else {
+      w.begin_object();
+      fields(*this, v);
+      w.end_object();
     }
-    m.histograms[k] = std::move(h);
   }
-  return m;
-}
+};
 
-robust::Outcome outcome_from_name(const std::string& s) {
-  if (s == "ok") return robust::Outcome::Ok;
-  if (s == "degraded") return robust::Outcome::Degraded;
-  if (s == "failed") return robust::Outcome::Failed;
-  throw std::runtime_error("checkpoint: unknown outcome '" + s + "'");
-}
+/// Reads `v` into `out`; `key` names the member in error messages.
+template <typename T>
+void read_into(const obs::JsonValue& v, const char* key, T& out);
 
-void write_status(obs::JsonWriter& w,
-                  const std::vector<robust::CellStatus>& statuses) {
-  w.begin_array();
-  for (const auto& s : statuses) {
-    w.begin_object();
-    w.field("outcome", robust::outcome_name(s.outcome));
-    w.field("attempts", s.attempts);
-    w.field("backoff_s", s.backoff_s);
-    w.field("error", s.error);
-    w.end_object();
+struct JsonIn {
+  const obs::JsonValue& v;
+
+  template <typename T>
+  void operator()(const char* key, T& out) const {
+    read_into(v.at(key), key, out);
   }
-  w.end_array();
+};
+
+template <typename T>
+void read_into(const obs::JsonValue& v, const char* key, T& out) {
+  if constexpr (std::is_same_v<T, robust::Outcome>) {
+    const std::string& name = v.as_string();
+    for (const auto o : {robust::Outcome::Ok, robust::Outcome::Degraded,
+                         robust::Outcome::Failed}) {
+      if (name == robust::outcome_name(o)) {
+        out = o;
+        return;
+      }
+    }
+    throw std::runtime_error("checkpoint: unknown outcome '" + name + "'");
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out = v.as_bool();
+  } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+    // JsonValue stores every number as double; all journal integers are
+    // simulated counts far below 2^53, where this conversion is exact.
+    out = static_cast<T>(std::llround(v.as_number()));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    out = v.as_number();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = v.as_string();
+  } else if constexpr (requires { typename T::first_type; }) {
+    const auto& pair = v.as_array();
+    read_into(pair.at(0), key, out.first);
+    read_into(pair.at(1), key, out.second);
+  } else if constexpr (requires { typename T::mapped_type; }) {
+    for (const auto& [k, e] : v.as_object()) read_into(e, key, out[k]);
+  } else if constexpr (kFixedSize<T>) {
+    const auto& elems = v.as_array();
+    if (elems.size() != out.size()) {
+      throw std::runtime_error(std::string("checkpoint: bad ") + key +
+                               " arity");
+    }
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      read_into(elems[i], key, out[i]);
+    }
+  } else if constexpr (requires { typename T::value_type; }) {
+    for (const auto& e : v.as_array()) {
+      read_into(e, key, out.emplace_back());
+    }
+  } else {
+    JsonIn in{v};
+    fields(in, out);
+  }
 }
 
-robust::CellStatus read_status(const obs::JsonValue& e) {
-  robust::CellStatus s;
-  s.outcome = outcome_from_name(e.at("outcome").as_string());
-  s.attempts = as_int(e.at("attempts"));
-  s.backoff_s = e.at("backoff_s").as_number();
-  s.error = e.at("error").as_string();
-  return s;
+template <typename T>
+void write_json(obs::JsonWriter& w, const T& v) {
+  JsonOut{w}.put(v);
+}
+
+/// A result object: its "kind" discriminator, then its field list.
+template <typename Result>
+void write_result(obs::JsonWriter& w, const char* kind, const Result& r) {
+  w.begin_object().field("kind", kind);
+  JsonOut out{w};
+  fields(out, r);
+  w.end_object();
+}
+
+template <typename Result>
+Result read_result(const obs::JsonValue& v) {
+  Result r;
+  JsonIn in{v};
+  fields(in, r);
+  return r;
 }
 
 }  // namespace
 
 void write_metrics(obs::JsonWriter& w, const obs::MetricsSnapshot& m) {
-  w.begin_object();
-  w.key("counters").begin_object();
-  for (const auto& [k, v] : m.counters) w.field(k, v);
-  w.end_object();
-  w.key("sums").begin_object();
-  for (const auto& [k, v] : m.sums) w.field(k, v);
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [k, v] : m.gauges) w.field(k, v);
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [k, h] : m.histograms) {
-    w.key(k).begin_object();
-    w.field("count", h.count).field("sum", h.sum).field("max", h.max);
-    w.key("buckets").begin_array();
-    for (const auto& [index, count] : h.buckets) {
-      w.begin_array().value(index).value(count).end_array();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
+  write_json(w, m);
 }
 
-// ---------------------------------------------------------------------------
-// b_eff result round-trip
-// ---------------------------------------------------------------------------
-
 void write_beff_result(obs::JsonWriter& w, const beff::BeffResult& r) {
-  w.begin_object();
-  w.field("kind", "beff");
-  w.field("nprocs", r.nprocs);
-  w.field("lmax", r.lmax);
-  write_array(w, "sizes", r.sizes);
-  w.key("patterns").begin_array();
-  for (const auto& p : r.patterns) {
-    w.begin_object();
-    w.field("name", p.name);
-    w.field("is_random", p.is_random);
-    w.key("sizes").begin_array();
-    for (const auto& s : p.sizes) {
-      w.begin_object();
-      w.field("size", s.size);
-      write_array(w, "method_bw", s.method_bw);
-      w.field("best_bw", s.best_bw);
-      w.field("looplength", s.looplength);
-      w.end_object();
-    }
-    w.end_array();
-    w.field("avg_bw", p.avg_bw);
-    w.field("bw_at_lmax", p.bw_at_lmax);
-    w.end_object();
-  }
-  w.end_array();
-  w.field("b_eff", r.b_eff);
-  w.field("rings_logavg", r.rings_logavg);
-  w.field("random_logavg", r.random_logavg);
-  w.field("b_eff_at_lmax", r.b_eff_at_lmax);
-  w.field("rings_logavg_at_lmax", r.rings_logavg_at_lmax);
-  w.field("random_logavg_at_lmax", r.random_logavg_at_lmax);
-  w.key("analysis").begin_object();
-  w.field("pingpong_bw", r.analysis.pingpong_bw);
-  w.field("worst_cycle_bw", r.analysis.worst_cycle_bw);
-  w.field("bisection_paired_bw", r.analysis.bisection_paired_bw);
-  w.field("bisection_interleaved_bw", r.analysis.bisection_interleaved_bw);
-  write_array(w, "cart2d_dims", r.analysis.cart2d_dims);
-  write_array(w, "cart2d_per_dim_bw", r.analysis.cart2d_per_dim_bw);
-  w.field("cart2d_combined_bw", r.analysis.cart2d_combined_bw);
-  write_array(w, "cart3d_dims", r.analysis.cart3d_dims);
-  write_array(w, "cart3d_per_dim_bw", r.analysis.cart3d_per_dim_bw);
-  w.field("cart3d_combined_bw", r.analysis.cart3d_combined_bw);
-  w.end_object();
-  w.field("benchmark_seconds", r.benchmark_seconds);
-  w.key("metrics");
-  write_metrics(w, r.metrics);
-  w.key("cell_status");
-  write_status(w, r.cell_status);
-  write_array(w, "cell_labels", r.cell_labels);
-  w.end_object();
+  write_result(w, "beff", r);
 }
 
 beff::BeffResult read_beff_result(const obs::JsonValue& v) {
-  beff::BeffResult r;
-  r.nprocs = as_int(v.at("nprocs"));
-  r.lmax = as_i64(v.at("lmax"));
-  r.sizes = read_array(v.at("sizes"), as_i64);
-  for (const auto& pe : v.at("patterns").as_array()) {
-    beff::PatternMeasurement p;
-    p.name = pe.at("name").as_string();
-    p.is_random = pe.at("is_random").as_bool();
-    for (const auto& se : pe.at("sizes").as_array()) {
-      beff::SizeMeasurement s;
-      s.size = as_i64(se.at("size"));
-      const auto& bw = se.at("method_bw").as_array();
-      if (bw.size() != static_cast<std::size_t>(beff::kNumMethods)) {
-        throw std::runtime_error("checkpoint: bad method_bw arity");
-      }
-      for (int m = 0; m < beff::kNumMethods; ++m) {
-        s.method_bw[static_cast<std::size_t>(m)] =
-            bw[static_cast<std::size_t>(m)].as_number();
-      }
-      s.best_bw = se.at("best_bw").as_number();
-      s.looplength = as_int(se.at("looplength"));
-      p.sizes.push_back(std::move(s));
-    }
-    p.avg_bw = pe.at("avg_bw").as_number();
-    p.bw_at_lmax = pe.at("bw_at_lmax").as_number();
-    r.patterns.push_back(std::move(p));
-  }
-  r.b_eff = v.at("b_eff").as_number();
-  r.rings_logavg = v.at("rings_logavg").as_number();
-  r.random_logavg = v.at("random_logavg").as_number();
-  r.b_eff_at_lmax = v.at("b_eff_at_lmax").as_number();
-  r.rings_logavg_at_lmax = v.at("rings_logavg_at_lmax").as_number();
-  r.random_logavg_at_lmax = v.at("random_logavg_at_lmax").as_number();
-  const obs::JsonValue& a = v.at("analysis");
-  r.analysis.pingpong_bw = a.at("pingpong_bw").as_number();
-  r.analysis.worst_cycle_bw = a.at("worst_cycle_bw").as_number();
-  r.analysis.bisection_paired_bw = a.at("bisection_paired_bw").as_number();
-  r.analysis.bisection_interleaved_bw =
-      a.at("bisection_interleaved_bw").as_number();
-  r.analysis.cart2d_dims = read_array(a.at("cart2d_dims"), as_int);
-  r.analysis.cart2d_per_dim_bw =
-      read_array(a.at("cart2d_per_dim_bw"), as_double);
-  r.analysis.cart2d_combined_bw = a.at("cart2d_combined_bw").as_number();
-  r.analysis.cart3d_dims = read_array(a.at("cart3d_dims"), as_int);
-  r.analysis.cart3d_per_dim_bw =
-      read_array(a.at("cart3d_per_dim_bw"), as_double);
-  r.analysis.cart3d_combined_bw = a.at("cart3d_combined_bw").as_number();
-  r.benchmark_seconds = v.at("benchmark_seconds").as_number();
-  r.metrics = read_metrics(v.at("metrics"));
-  r.cell_status = read_array(v.at("cell_status"), read_status);
-  r.cell_labels = read_array(v.at("cell_labels"), as_string);
-  return r;
+  return read_result<beff::BeffResult>(v);
 }
 
-// ---------------------------------------------------------------------------
-// b_eff_io result round-trip
-// ---------------------------------------------------------------------------
-
 void write_beffio_result(obs::JsonWriter& w, const beffio::BeffIoResult& r) {
-  w.begin_object();
-  w.field("kind", "beffio");
-  w.field("nprocs", r.nprocs);
-  w.field("scheduled_time", r.scheduled_time);
-  w.field("mpart", r.mpart);
-  w.key("access").begin_array();
-  for (const auto& am : r.access) {
-    w.begin_object();
-    w.field("method", static_cast<int>(am.method));
-    w.key("types").begin_array();
-    for (const auto& tr : am.types) {
-      w.begin_object();
-      w.field("type", static_cast<int>(tr.type));
-      w.key("patterns").begin_array();
-      for (const auto& pr : tr.patterns) {
-        w.begin_object();
-        w.field("number", pr.pattern.number);
-        w.field("ptype", static_cast<int>(pr.pattern.type));
-        w.field("l", pr.pattern.l);
-        w.field("L", pr.pattern.L);
-        w.field("time_units", pr.pattern.time_units);
-        w.field("fill_up", pr.pattern.fill_up);
-        w.field("bytes", pr.bytes);
-        w.field("seconds", pr.seconds);
-        w.field("calls", pr.calls);
-        w.end_object();
-      }
-      w.end_array();
-      w.field("bytes", tr.bytes);
-      w.field("seconds", tr.seconds);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.field("b_eff_io", r.b_eff_io);
-  write_array(w, "random_extension", r.random_extension);
-  w.field("benchmark_seconds", r.benchmark_seconds);
-  w.field("segment_bytes", r.segment_bytes);
-  w.key("fs_stats").begin_object();
-  w.field("requests", r.fs_stats.requests);
-  w.field("bytes_written", r.fs_stats.bytes_written);
-  w.field("bytes_read", r.fs_stats.bytes_read);
-  w.field("read_cache_hits", r.fs_stats.read_cache_hits);
-  w.field("read_cache_misses", r.fs_stats.read_cache_misses);
-  w.field("rmw_chunks", r.fs_stats.rmw_chunks);
-  w.field("seeks", r.fs_stats.seeks);
-  w.end_object();
-  w.key("metrics");
-  write_metrics(w, r.metrics);
-  w.key("chain_status");
-  write_status(w, r.chain_status);
-  write_array(w, "chain_labels", r.chain_labels);
-  w.end_object();
+  write_result(w, "beffio", r);
 }
 
 beffio::BeffIoResult read_beffio_result(const obs::JsonValue& v) {
-  beffio::BeffIoResult r;
-  r.nprocs = as_int(v.at("nprocs"));
-  r.scheduled_time = v.at("scheduled_time").as_number();
-  r.mpart = as_i64(v.at("mpart"));
-  const auto& access = v.at("access").as_array();
-  if (access.size() != static_cast<std::size_t>(beffio::kNumAccessMethods)) {
-    throw std::runtime_error("checkpoint: bad access arity");
-  }
-  for (std::size_t m = 0; m < access.size(); ++m) {
-    auto& am = r.access[m];
-    am.method = static_cast<beffio::AccessMethod>(as_int(access[m].at("method")));
-    const auto& types = access[m].at("types").as_array();
-    if (types.size() != static_cast<std::size_t>(beffio::kNumPatternTypes)) {
-      throw std::runtime_error("checkpoint: bad types arity");
-    }
-    for (std::size_t t = 0; t < types.size(); ++t) {
-      auto& tr = am.types[t];
-      tr.type = static_cast<beffio::PatternType>(as_int(types[t].at("type")));
-      for (const auto& pe : types[t].at("patterns").as_array()) {
-        beffio::PatternAccessResult pr;
-        pr.pattern.number = as_int(pe.at("number"));
-        pr.pattern.type = static_cast<beffio::PatternType>(as_int(pe.at("ptype")));
-        pr.pattern.l = as_i64(pe.at("l"));
-        pr.pattern.L = as_i64(pe.at("L"));
-        pr.pattern.time_units = as_int(pe.at("time_units"));
-        pr.pattern.fill_up = pe.at("fill_up").as_bool();
-        pr.bytes = as_i64(pe.at("bytes"));
-        pr.seconds = pe.at("seconds").as_number();
-        pr.calls = as_i64(pe.at("calls"));
-        tr.patterns.push_back(std::move(pr));
-      }
-      tr.bytes = as_i64(types[t].at("bytes"));
-      tr.seconds = types[t].at("seconds").as_number();
-    }
-  }
-  r.b_eff_io = v.at("b_eff_io").as_number();
-  const auto& random = v.at("random_extension").as_array();
-  if (random.size() != static_cast<std::size_t>(beffio::kNumAccessMethods)) {
-    throw std::runtime_error("checkpoint: bad random_extension arity");
-  }
-  for (std::size_t m = 0; m < random.size(); ++m) {
-    r.random_extension[m] = random[m].as_number();
-  }
-  r.benchmark_seconds = v.at("benchmark_seconds").as_number();
-  r.segment_bytes = as_i64(v.at("segment_bytes"));
-  const obs::JsonValue& fs = v.at("fs_stats");
-  r.fs_stats.requests = as_i64(fs.at("requests"));
-  r.fs_stats.bytes_written = as_i64(fs.at("bytes_written"));
-  r.fs_stats.bytes_read = as_i64(fs.at("bytes_read"));
-  r.fs_stats.read_cache_hits = as_i64(fs.at("read_cache_hits"));
-  r.fs_stats.read_cache_misses = as_i64(fs.at("read_cache_misses"));
-  r.fs_stats.rmw_chunks = as_i64(fs.at("rmw_chunks"));
-  r.fs_stats.seeks = fs.at("seeks").as_number();
-  r.metrics = read_metrics(v.at("metrics"));
-  r.chain_status = read_array(v.at("chain_status"), read_status);
-  r.chain_labels = read_array(v.at("chain_labels"), as_string);
-  return r;
+  return read_result<beffio::BeffIoResult>(v);
 }
 
 // ---------------------------------------------------------------------------
@@ -487,7 +445,7 @@ PerfCheckpoint::PerfCheckpoint(std::string path, std::string config_key,
   const auto replay = [this](const std::string& id,
                              const obs::JsonValue& samples) {
     std::vector<double> v;
-    for (const auto& s : samples.as_array()) v.push_back(s.as_number());
+    read_into(samples, "samples", v);
     cells_[id] = std::move(v);
   };
   if (resume && !resume_journal("[perf] checkpoint", "cell", path_, kKind,
@@ -509,10 +467,7 @@ void PerfCheckpoint::record(const std::string& id,
   cells_[id] = samples;
   obs::JournalWriter journal(kKind, config_key_);
   for (const auto& [cid, v] : cells_) {
-    std::string text = "[";
-    for (const double x : v) text += obs::json_double(x) + ',';
-    if (!v.empty()) text.pop_back();
-    journal.add(cid, text + ']');
+    journal.add(cid, compact(write_json<std::vector<double>>, v));
   }
   journal.commit(path_);
 }

@@ -15,6 +15,12 @@
 // list revision; for perf the sampling parameters) is discarded on
 // resume rather than replayed into the wrong configuration.
 //
+// Every payload type's members are declared once, in key order, in
+// one field list (checkpoint.cpp); a single writer and a single reader
+// walk those lists, so the two directions share every key and its
+// place.  A std::array member of the wrong length is rejected with a
+// message naming its key.
+//
 // Serialization is lossless for every value the results can hold in
 // practice: doubles round-trip through obs::json_double's shortest
 // form, integers are exact below 2^53 (all simulated counts are).

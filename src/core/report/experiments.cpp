@@ -323,6 +323,22 @@ const char* scope_name(Scope s) {
   return s == Scope::Quick ? "quick" : "doc";
 }
 
+std::optional<Scope> parse_scope(std::string_view name) {
+  if (name == "quick") return Scope::Quick;
+  if (name == "doc") return Scope::Doc;
+  return std::nullopt;
+}
+
+robust::Outcome worst_outcome(const ExperimentsData& data) {
+  robust::Outcome worst = robust::Outcome::Ok;
+  for (const auto& b : data.beff) worst = std::max(worst, b.r.worst_outcome());
+  for (const auto& r : data.io) worst = std::max(worst, r.r.worst_outcome());
+  for (const auto& f : data.fault_sweep) {
+    worst = std::max(worst, f.r.worst_outcome());
+  }
+  return worst;
+}
+
 // ---------------------------------------------------------------------------
 // Sweep execution
 // ---------------------------------------------------------------------------

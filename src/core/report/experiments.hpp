@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -60,6 +61,8 @@ namespace balbench::report {
 /// core); Quick is a small subset used by the byte-identity tests.
 enum class Scope { Quick, Doc };
 const char* scope_name(Scope s);
+/// The Scope named "quick" or "doc"; nullopt for any other name.
+std::optional<Scope> parse_scope(std::string_view name);
 
 /// The compiled-in balbench-scenario/1 document of a built-in sweep
 /// (src/core/report/sweeps/<scope>.json).
@@ -153,6 +156,10 @@ struct ExperimentsData {
   /// byte stream (DESIGN.md Sec. 12.1).
   std::string faults;
 };
+
+/// The worst per-cell outcome of the sweep's b_eff, b_eff_io and
+/// fault-sweep rows (Ok when faults are off).
+robust::Outcome worst_outcome(const ExperimentsData& data);
 
 /// One bar of Figure 1 (balance factor b_eff / R_max): the b_eff cell
 /// (machine key, partition) it plots and its bar label.

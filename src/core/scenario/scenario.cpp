@@ -687,7 +687,8 @@ MachineEntry parse_machine(const Obj& m) {
   spec.shared_memory = m.get_bool("shared_memory", false);
   spec.rmax_gflops_per_proc =
       m.get_positive("rmax_gflops_per_proc", 0.1, true);
-  spec.paper_pingpong = m.get_nonneg("pingpong_Bps", 0.0);
+  // Validated, and part of the config hash, but read by no output.
+  const double pingpong = m.get_nonneg("pingpong_Bps", 0.0);
 
   std::string roof_canon;
   spec.roofline = parse_roofline(m.child("roofline", true), &roof_canon);
@@ -717,7 +718,7 @@ MachineEntry parse_machine(const Obj& m) {
       " mem=" + std::to_string(spec.memory_per_proc) +
       " shared=" + (spec.shared_memory ? "1" : "0") +
       " rmax=" + num(spec.rmax_gflops_per_proc) +
-      " pingpong=" + num(spec.paper_pingpong) + " roofline{" + roof_canon +
+      " pingpong=" + num(pingpong) + " roofline{" + roof_canon +
       "} costs{" + costs_canon + "} topology{" + topo.canonical + "}" +
       (io.present() ? " io{" + io_canon + "}" : "");
   return entry;

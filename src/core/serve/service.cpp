@@ -86,8 +86,7 @@ namespace {
 constexpr const char* kQueueKind = "serve-queue";
 
 report::Scope parse_scope(const std::string& s) {
-  if (s == "quick") return report::Scope::Quick;
-  if (s == "doc") return report::Scope::Doc;
+  if (const auto scope = report::parse_scope(s)) return *scope;
   throw std::runtime_error("unknown scope '" + s + "' (quick | doc)");
 }
 
@@ -183,13 +182,7 @@ ServeResponse execute_sweep(const ServeRequest& req,
 
     const report::ExperimentsData data = report::run_experiments(opt);
 
-    robust::Outcome worst = robust::Outcome::Ok;
-    auto fold = [&worst](robust::Outcome o) {
-      if (static_cast<int>(o) > static_cast<int>(worst)) worst = o;
-    };
-    for (const auto& b : data.beff) fold(b.r.worst_outcome());
-    for (const auto& r : data.io) fold(r.r.worst_outcome());
-    for (const auto& f : data.fault_sweep) fold(f.r.worst_outcome());
+    const robust::Outcome worst = report::worst_outcome(data);
     switch (worst) {
       case robust::Outcome::Ok: resp.status = ResponseStatus::Ok; break;
       case robust::Outcome::Degraded:

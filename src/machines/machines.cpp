@@ -24,7 +24,6 @@ MachineSpec cray_t3e_900() {
   m.memory_per_proc = 128 * kMiB;  // L_max = 1 MB as in Table 1
   m.shared_memory = false;
   m.rmax_gflops_per_proc = 0.675;  // 900 MF peak, ~75 % Linpack efficiency
-  m.paper_pingpong = mbps(330);
 
   // Alpha 21164/450: 2 flop/cycle peak, 96 kB on-chip L2 (the T3E has
   // no board cache), stream-buffer memory system ~600 MB/s sustained.
@@ -88,7 +87,6 @@ MachineSpec hitachi_sr8000(net::Placement placement) {
   m.memory_per_proc = 1 * kGiB;  // L_max = 8 MB
   m.shared_memory = false;
   m.rmax_gflops_per_proc = 0.85;
-  m.paper_pingpong = rr ? mbps(776) : mbps(954);
 
   // 1 GF per IP, pseudo-vector preload streams past the cache (model
   // as cache-less); ~2 GB/s per-CPU share of the node memory system.
@@ -147,7 +145,6 @@ MachineSpec hitachi_sr2201() {
   m.memory_per_proc = 256 * kMiB;  // L_max = 2 MB
   m.shared_memory = false;
   m.rmax_gflops_per_proc = 0.22;
-  m.paper_pingpong = 0.0;  // cell empty in Table 1
 
   // 300 MF PA-RISC with pseudo-vector preload; ~300 MB/s per PE.
   m.roofline.peak_flops = 300e6;
@@ -180,7 +177,6 @@ MachineSpec nec_sx5() {
   m.memory_per_proc = 256 * kMiB;  // benchmarked with L_max = 2 MB
   m.shared_memory = true;
   m.rmax_gflops_per_proc = 7.2;
-  m.paper_pingpong = 0.0;
 
   // 8 GF vector CPU, no data cache, 64 GB/s memory ports per CPU
   // (~41 GB/s STREAM-class sustained).
@@ -239,7 +235,6 @@ MachineSpec nec_sx4() {
   m.memory_per_proc = 256 * kMiB;  // L_max = 2 MB
   m.shared_memory = true;
   m.rmax_gflops_per_proc = 1.7;
-  m.paper_pingpong = 0.0;
 
   // 2 GF vector CPU, cache-less, 16 GB/s memory ports per CPU
   // (~14 GB/s sustained).
@@ -271,7 +266,6 @@ MachineSpec hp_v9000() {
   m.memory_per_proc = 1 * kGiB;  // L_max = 8 MB
   m.shared_memory = true;
   m.rmax_gflops_per_proc = 0.35;
-  m.paper_pingpong = 0.0;
 
   // V2200-class PA-8200/200: 2 flop/cycle peak, 2 MB off-chip data
   // cache; the shared Runway bus sustains ~480 MB/s per CPU under
@@ -305,7 +299,6 @@ MachineSpec sgi_sv1() {
   m.memory_per_proc = 512 * kMiB;  // L_max = 4 MB
   m.shared_memory = true;
   m.rmax_gflops_per_proc = 0.9;
-  m.paper_pingpong = mbps(994);
 
   // SV1 vector CPU: 1.2 GF peak, 256 kB cache (the first cached Cray
   // vector design), ~1.6 GB/s per CPU from the shared memory system.
@@ -339,7 +332,6 @@ MachineSpec ibm_sp() {
   m.memory_per_proc = 1536 * kMiB;  // 1.5 GB per node partition share
   m.shared_memory = false;
   m.rmax_gflops_per_proc = 0.9;  // 4 x 332 MHz per node
-  m.paper_pingpong = 0.0;
 
   // One process per 4-way 332 MHz 604e node: 2.66 GF nominal, but the
   // shared 1.3 GB/s memory bus starves four 604e FPUs -- dense kernels
@@ -411,7 +403,6 @@ MachineSpec beowulf() {
   m.memory_per_proc = 256 * kMiB;  // L_max = 2 MB
   m.shared_memory = false;
   m.rmax_gflops_per_proc = 0.35;  // ~800 MHz commodity CPU
-  m.paper_pingpong = 0.0;
 
   // 800 MHz commodity CPU: 1 flop/cycle nominal, but PC100-class
   // SDRAM (~350 MB/s STREAM) keeps dense kernels near 450 MF --

@@ -70,9 +70,6 @@ struct MachineSpec {
   /// Published Linpack R_max in GFlop/s for a given process count
   /// (linear interpolation on the per-proc value).
   double rmax_gflops_per_proc = 0.0;
-  /// Reference ping-pong bandwidth from the paper's Table 1, bytes/s;
-  /// 0 when the paper leaves the cell empty.
-  double paper_pingpong = 0.0;
 
   /// Compute/memory model for the simulated kernel suite; valid() on
   /// every registered machine (asserted in tests/machines).

@@ -138,7 +138,6 @@ class File {
   void sync();
 
   [[nodiscard]] std::int64_t size() const;
-  [[nodiscard]] bool is_open() const { return shared_ != nullptr; }
 
  private:
   File(parmsg::Comm& comm, IoContext& ctx, std::shared_ptr<IoContext::SharedFile> sf,

@@ -211,8 +211,6 @@ class Engine {
   /// Statistics for engine micro-benchmarks.
   [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
   [[nodiscard]] std::uint64_t context_switches() const { return switches_; }
-  /// Pending (not yet fired, not cancelled) events.
-  [[nodiscard]] std::size_t pending_events() const { return events_.size(); }
   /// Largest number of processes alive (spawned, unfinished) at once.
   /// A pure function of the simulated configuration, so safe for run
   /// records (DESIGN.md Sec. 10.2).

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "util/atomic_write.hpp"
@@ -139,6 +140,141 @@ bio::BeffIoResult sample_io() {
   return r;
 }
 
+/// Compact payloads of sample_beff() and sample_io(), and the journal
+/// of one three-sample perf cell, as the format has always written them.
+const char* const kPinnedBeff =
+    R"j({"kind":"beff","nprocs":64,"lmax":1048576,"sizes":[1,4096,)j"
+    R"j(1048576],"patterns":[{"name":"ring-2d","is_random":false,)j"
+    R"j("sizes":[{"size":4096,"method_bw":[1.25e+08,0.0,)j"
+    R"j(300000000.3333333],"best_bw":300000000.3333333,)j"
+    R"j("looplength":37}],"avg_bw":2.5e+08,"bw_at_lmax":2.75e+08}],)j"
+    R"j("b_eff":1234567890.0,"rings_logavg":1.1e+09,)j"
+    R"j("random_logavg":9e+08,"b_eff_at_lmax":1.5e+09,)j"
+    R"j("rings_logavg_at_lmax":1.4e+09,"random_logavg_at_lmax":1.3e+09,)j"
+    R"j("analysis":{"pingpong_bw":3.2e+08,"worst_cycle_bw":1e+08,)j"
+    R"j("bisection_paired_bw":2e+08,"bisection_interleaved_bw":2.1e+08,)j"
+    R"j("cart2d_dims":[8,8],"cart2d_per_dim_bw":[1e+08,112500000.0],)j"
+    R"j("cart2d_combined_bw":212500000.0,"cart3d_dims":[4,4,4],)j"
+    R"j("cart3d_per_dim_bw":[9e+07,9.5e+07,1e+08],)j"
+    R"j("cart3d_combined_bw":2.85e+08},)j"
+    R"j("benchmark_seconds":213.04700000000003,)j"
+    R"j("metrics":{"counters":{"parmsg.messages":123456},)j"
+    R"j("sums":{"parmsg.bytes":9.75e+12},)j"
+    R"j("gauges":{"simt.max_queue":42.0},)j"
+    R"j("histograms":{"parmsg.latency":{"count":17,"sum":0.0625,)j"
+    R"j("max":0.013,"buckets":[[0,10],[3,7]]}}},)j"
+    R"j("cell_status":[{"outcome":"ok","attempts":1,"backoff_s":0.0,)j"
+    R"j("error":""},{"outcome":"degraded","attempts":2,"backoff_s":0.25,)j"
+    R"j("error":"injected transient I/O error (\"quoted\")"}],)j"
+    R"j("cell_labels":["cell 0: ring-1d","cell 1: ring-2d"]})j";
+
+const char* const kPinnedIo =
+    R"j({"kind":"beffio","nprocs":8,"scheduled_time":30.0,)j"
+    R"j("mpart":2097152,"access":[{"method":0,"types":[{"type":0,)j"
+    R"j("patterns":[{"number":0,"ptype":0,"l":1024,"L":4096,)j"
+    R"j("time_units":0,"fill_up":false,"bytes":1000000,)j"
+    R"j("seconds":0.4583333333333333,"calls":11}],"bytes":1000000,)j"
+    R"j("seconds":0.4683333333333333},{"type":1,"patterns":[{"number":1,)j"
+    R"j("ptype":1,"l":2048,"L":8192,"time_units":1,"fill_up":false,)j"
+    R"j("bytes":1000007,"seconds":0.5833333333333333,"calls":11}],)j"
+    R"j("bytes":1000007,"seconds":0.5933333333333333},{"type":2,)j"
+    R"j("patterns":[{"number":2,"ptype":2,"l":4096,"L":16384,)j"
+    R"j("time_units":2,"fill_up":false,"bytes":1000014,)j"
+    R"j("seconds":0.7083333333333333,"calls":11}],"bytes":1000014,)j"
+    R"j("seconds":0.7183333333333333},{"type":3,"patterns":[{"number":3,)j"
+    R"j("ptype":3,"l":8192,"L":32768,"time_units":3,"fill_up":true,)j"
+    R"j("bytes":1000021,"seconds":0.8333333333333333,"calls":11}],)j"
+    R"j("bytes":1000021,"seconds":0.8433333333333333},{"type":4,)j"
+    R"j("patterns":[{"number":4,"ptype":4,"l":16384,"L":65536,)j"
+    R"j("time_units":4,"fill_up":true,"bytes":1000028,)j"
+    R"j("seconds":0.9583333333333333,"calls":11}],"bytes":1000028,)j"
+    R"j("seconds":0.9683333333333333}]},{"method":1,"types":[{"type":0,)j"
+    R"j("patterns":[{"number":10,"ptype":0,"l":1024,"L":4096,)j"
+    R"j("time_units":0,"fill_up":false,"bytes":1000000,)j"
+    R"j("seconds":0.4583333333333333,"calls":22}],"bytes":1000000,)j"
+    R"j("seconds":0.4683333333333333},{"type":1,)j"
+    R"j("patterns":[{"number":11,"ptype":1,"l":2048,"L":8192,)j"
+    R"j("time_units":1,"fill_up":false,"bytes":1000007,)j"
+    R"j("seconds":0.5833333333333333,"calls":22}],"bytes":1000007,)j"
+    R"j("seconds":0.5933333333333333},{"type":2,)j"
+    R"j("patterns":[{"number":12,"ptype":2,"l":4096,"L":16384,)j"
+    R"j("time_units":2,"fill_up":false,"bytes":1000014,)j"
+    R"j("seconds":0.7083333333333333,"calls":22}],"bytes":1000014,)j"
+    R"j("seconds":0.7183333333333333},{"type":3,)j"
+    R"j("patterns":[{"number":13,"ptype":3,"l":8192,"L":32768,)j"
+    R"j("time_units":3,"fill_up":true,"bytes":1000021,)j"
+    R"j("seconds":0.8333333333333333,"calls":22}],"bytes":1000021,)j"
+    R"j("seconds":0.8433333333333333},{"type":4,)j"
+    R"j("patterns":[{"number":14,"ptype":4,"l":16384,"L":65536,)j"
+    R"j("time_units":4,"fill_up":true,"bytes":1000028,)j"
+    R"j("seconds":0.9583333333333333,"calls":22}],"bytes":1000028,)j"
+    R"j("seconds":0.9683333333333333}]},{"method":2,"types":[{"type":0,)j"
+    R"j("patterns":[{"number":20,"ptype":0,"l":1024,"L":4096,)j"
+    R"j("time_units":0,"fill_up":false,"bytes":1000000,)j"
+    R"j("seconds":0.4583333333333333,"calls":33}],"bytes":1000000,)j"
+    R"j("seconds":0.4683333333333333},{"type":1,)j"
+    R"j("patterns":[{"number":21,"ptype":1,"l":2048,"L":8192,)j"
+    R"j("time_units":1,"fill_up":false,"bytes":1000007,)j"
+    R"j("seconds":0.5833333333333333,"calls":33}],"bytes":1000007,)j"
+    R"j("seconds":0.5933333333333333},{"type":2,)j"
+    R"j("patterns":[{"number":22,"ptype":2,"l":4096,"L":16384,)j"
+    R"j("time_units":2,"fill_up":false,"bytes":1000014,)j"
+    R"j("seconds":0.7083333333333333,"calls":33}],"bytes":1000014,)j"
+    R"j("seconds":0.7183333333333333},{"type":3,)j"
+    R"j("patterns":[{"number":23,"ptype":3,"l":8192,"L":32768,)j"
+    R"j("time_units":3,"fill_up":true,"bytes":1000021,)j"
+    R"j("seconds":0.8333333333333333,"calls":33}],"bytes":1000021,)j"
+    R"j("seconds":0.8433333333333333},{"type":4,)j"
+    R"j("patterns":[{"number":24,"ptype":4,"l":16384,"L":65536,)j"
+    R"j("time_units":4,"fill_up":true,"bytes":1000028,)j"
+    R"j("seconds":0.9583333333333333,"calls":33}],"bytes":1000028,)j"
+    R"j("seconds":0.9683333333333333}]}],"b_eff_io":432100000.0,)j"
+    R"j("random_extension":[1e+07,0.0,3.3e+07],)j"
+    R"j("benchmark_seconds":90.125,"segment_bytes":16777216,)j"
+    R"j("fs_stats":{"requests":5000,"bytes_written":8589934592,)j"
+    R"j("bytes_read":8589934593,"read_cache_hits":1200,)j"
+    R"j("read_cache_misses":34,"rmw_chunks":56,"seeks":789.5},)j"
+    R"j("metrics":{"counters":{"pfsim.requests":5000},"sums":{},)j"
+    R"j("gauges":{},"histograms":{}},)j"
+    R"j("chain_status":[{"outcome":"failed","attempts":3,)j"
+    R"j("backoff_s":0.75,)j"
+    R"j("error":"virtual-time deadline of 0.5 s exceeded"}],)j"
+    R"j("chain_labels":["chain 0: initial-write"]})j";
+
+const char* const kPinnedPerf =
+    R"j({"schema":"balbench-journal/1","kind":"perf-checkpoint",)j"
+    R"j("config":"cfg-P","records":[)j" "\n"
+    R"j(["sweep.beff/t3e-8",[0.125,0.3333333333333333,2.5e-07]])j" "\n"
+    R"j(]})j" "\n";
+
+/// `json` with the first array under `"key":` one element longer (its
+/// first element repeated) or one shorter (its last element dropped).
+/// The arrays this edits hold numbers and objects of numbers only.
+std::string resize_array(const std::string& json, const std::string& key,
+                         bool grow) {
+  const std::string open = "\"" + key + "\":[";
+  const std::size_t begin = json.find(open) + open.size();
+  std::vector<std::size_t> commas;  // between top-level elements
+  std::size_t end = begin;
+  for (int depth = 0; depth > 0 || json[end] != ']'; ++end) {
+    const char c = json[end];
+    if (c == '[' || c == '{') {
+      ++depth;
+    } else if (c == ']' || c == '}') {
+      --depth;
+    } else if (c == ',' && depth == 0) {
+      commas.push_back(end);
+    }
+  }
+  if (grow) {
+    const std::size_t first_end = commas.empty() ? end : commas.front();
+    return json.substr(0, begin) + json.substr(begin, first_end - begin) +
+           "," + json.substr(begin);
+  }
+  const std::size_t last = commas.empty() ? begin : commas.back();
+  return json.substr(0, last) + json.substr(end);
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
@@ -202,6 +338,55 @@ TEST(CheckpointRoundTrip, FaultFreeResultStaysFaultFree) {
   EXPECT_EQ(back.worst_outcome(), bro::Outcome::Ok);
   EXPECT_EQ(serialize_beff(back), doc);
 }
+
+// ---------------------------------------------------------------------------
+// The format itself: pinned bytes (a key renamed or moved in both the
+// writer and the reader still round-trips, but changes these) and the
+// fixed-size arrays' length check.
+
+TEST(CheckpointFormat, BeffPayloadBytesArePinned) {
+  EXPECT_EQ(serialize_beff(sample_beff()), kPinnedBeff);
+}
+
+TEST(CheckpointFormat, BeffIoPayloadBytesArePinned) {
+  EXPECT_EQ(serialize_io(sample_io()), kPinnedIo);
+}
+
+TEST(CheckpointFormat, PerfJournalBytesArePinned) {
+  const std::string path = ::testing::TempDir() + "ck_perf_pinned.json";
+  std::remove(path.c_str());
+  br::PerfCheckpoint ck(path, "cfg-P", /*resume=*/false);
+  ck.record("sweep.beff/t3e-8", {0.125, 1.0 / 3.0, 2.5e-7});
+  EXPECT_EQ(slurp(path), kPinnedPerf);
+}
+
+class CheckpointArity : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CheckpointArity, OneTooManyOrTooFewIsRejectedNamingTheKey) {
+  const std::string& key = GetParam();
+  const bool beff = key == "method_bw";
+  const std::string payload =
+      beff ? serialize_beff(sample_beff()) : serialize_io(sample_io());
+  for (const bool grow : {true, false}) {
+    const bo::JsonValue v = bo::parse_json(resize_array(payload, key, grow));
+    try {
+      if (beff) {
+        (void)br::read_beff_result(v);
+      } else {
+        (void)br::read_beffio_result(v);
+      }
+      ADD_FAILURE() << key << (grow ? " +1" : " -1") << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FixedSizeArrays, CheckpointArity,
+                         ::testing::Values("method_bw", "access", "types",
+                                           "random_extension"),
+                         [](const auto& info) { return info.param; });
 
 // ---------------------------------------------------------------------------
 // Checkpoint journal semantics

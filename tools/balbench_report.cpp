@@ -83,6 +83,7 @@
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -315,16 +316,13 @@ int main(int argc, char** argv) {
       return write_trace(trace_path, machine, static_cast<int>(procs));
     }
 
-    report::Scope scope;
-    if (scope_arg == "quick") {
-      scope = report::Scope::Quick;
-    } else if (scope_arg == "doc") {
-      scope = report::Scope::Doc;
-    } else {
+    const std::optional<report::Scope> parsed = report::parse_scope(scope_arg);
+    if (!parsed) {
       std::cerr << "balbench-report: unknown --scope '" << scope_arg
                 << "' (quick | doc)\n";
       return 2;
     }
+    const report::Scope scope = *parsed;
     if (record_path.empty() && markdown_path.empty() && check_path.empty()) {
       markdown_path.assign(1, '-');  // default: render the document to stdout
     }
@@ -382,13 +380,7 @@ int main(int argc, char** argv) {
     // With faults on, a completed-but-imperfect sweep is exit 3 so CI
     // can tell "every cell clean" from "some cells degraded/failed"
     // without parsing the record.
-    robust::Outcome worst = robust::Outcome::Ok;
-    auto fold = [&worst](robust::Outcome o) {
-      if (static_cast<int>(o) > static_cast<int>(worst)) worst = o;
-    };
-    for (const auto& b : data.beff) fold(b.r.worst_outcome());
-    for (const auto& r : data.io) fold(r.r.worst_outcome());
-    for (const auto& f : data.fault_sweep) fold(f.r.worst_outcome());
+    const robust::Outcome worst = report::worst_outcome(data);
     if (worst != robust::Outcome::Ok) {
       std::cerr << "balbench-report: sweep completed with "
                 << robust::outcome_name(worst) << " cells (exit 3)\n";
