@@ -1,15 +1,19 @@
 #include "core/scenario/scenario.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <fstream>
+#include <concepts>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "net/topology.hpp"
 #include "parmsg/comm.hpp"
 #include "pfsim/config.hpp"
+#include "util/atomic_write.hpp"
 
 namespace balbench::scenario {
 
@@ -66,8 +70,10 @@ class Obj {
   }
 
   /// Flags keys outside `allowed` -- typos in optional keys must fail
-  /// validation, or defaults silently swallow them.
-  void check_keys(std::initializer_list<const char*> allowed) const {
+  /// validation, or defaults silently swallow them.  `allowed` is a
+  /// braced list or a section's collected keys.
+  template <typename Keys = std::initializer_list<const char*>>
+  void check_keys(const Keys& allowed) const {
     if (value_ == nullptr) return;
     for (const auto& [key, v] : value_->as_object()) {
       bool ok = false;
@@ -82,38 +88,18 @@ class Obj {
     return value_ == nullptr ? nullptr : value_->find(key);
   }
 
-  [[nodiscard]] bool has(const std::string& key) const {
-    return find(key) != nullptr;
-  }
-
   std::string get_string(const std::string& key, const std::string& fallback,
                          bool required = false) const {
-    const JsonValue* v = find(key);
-    if (v == nullptr) {
-      if (required && present()) error_at(key, "required key is missing");
-      return fallback;
-    }
-    if (v->kind() != JsonValue::Kind::String) {
-      error_at(key, "expected a string, got " +
-                        std::string(kind_name(v->kind())));
-      return fallback;
-    }
-    return v->as_string();
+    const JsonValue* v = typed(key, JsonValue::Kind::String, "a string",
+                               required);
+    return v == nullptr ? fallback : v->as_string();
   }
 
   double get_number(const std::string& key, double fallback,
                     bool required = false) const {
-    const JsonValue* v = find(key);
-    if (v == nullptr) {
-      if (required && present()) error_at(key, "required key is missing");
-      return fallback;
-    }
-    if (v->kind() != JsonValue::Kind::Number) {
-      error_at(key, "expected a number, got " +
-                        std::string(kind_name(v->kind())));
-      return fallback;
-    }
-    return v->as_number();
+    const JsonValue* v = typed(key, JsonValue::Kind::Number, "a number",
+                               required);
+    return v == nullptr ? fallback : v->as_number();
   }
 
   /// A number that must be > 0 (bandwidths, peak rates, latencies that
@@ -139,47 +125,35 @@ class Obj {
     return v;
   }
 
-  std::int64_t get_int(const std::string& key, std::int64_t fallback,
-                       bool required = false) const {
-    const JsonValue* v = find(key);
-    if (v == nullptr) {
-      if (required && present()) error_at(key, "required key is missing");
-      return fallback;
-    }
-    if (v->kind() != JsonValue::Kind::Number) {
-      error_at(key, "expected an integer, got " +
-                        std::string(kind_name(v->kind())));
-      return fallback;
-    }
+  /// An integer >= min that fits `T`, the type of the member it is
+  /// read into: a key read into an `int` is a violation above INT_MAX,
+  /// never a wrapped value.
+  template <typename T>
+  T get_int_min(const std::string& key, std::int64_t min, T fallback,
+                bool required = false) const {
+    const JsonValue* v = typed(key, JsonValue::Kind::Number, "an integer",
+                               required);
+    if (v == nullptr) return fallback;
     const double d = v->as_number();
     if (std::floor(d) != d || std::abs(d) > 9.0e18) {
       error_at(key, "expected an integer, got " + num(d));
       return fallback;
     }
-    return static_cast<std::int64_t>(d);
-  }
-
-  std::int64_t get_int_min(const std::string& key, std::int64_t min,
-                           std::int64_t fallback,
-                           bool required = false) const {
-    const std::int64_t v = get_int(key, fallback, required);
-    if (v < min) {
-      error_at(key, "must be >= " + std::to_string(min) + ", got " +
-                        std::to_string(v));
+    const auto i = static_cast<std::int64_t>(d);
+    constexpr std::int64_t kMax = std::numeric_limits<T>::max();
+    if (i < min || i > kMax) {
+      error_at(key, (i < min ? "must be >= " + std::to_string(min)
+                             : "must be <= " + std::to_string(kMax)) +
+                        ", got " + std::to_string(i));
       return fallback;
     }
-    return v;
+    return static_cast<T>(i);
   }
 
   bool get_bool(const std::string& key, bool fallback) const {
-    const JsonValue* v = find(key);
-    if (v == nullptr) return fallback;
-    if (v->kind() != JsonValue::Kind::Bool) {
-      error_at(key, "expected true or false, got " +
-                        std::string(kind_name(v->kind())));
-      return fallback;
-    }
-    return v->as_bool();
+    const JsonValue* v = typed(key, JsonValue::Kind::Bool, "true or false",
+                               false);
+    return v == nullptr ? fallback : v->as_bool();
   }
 
   /// Child object under `key` ("" path entries never happen: a missing
@@ -199,16 +173,9 @@ class Obj {
   [[nodiscard]] std::vector<Obj> children(const std::string& key,
                                           bool required = false) const {
     std::vector<Obj> out;
-    const JsonValue* v = find(key);
-    if (v == nullptr) {
-      if (required && present()) error_at(key, "required key is missing");
-      return out;
-    }
-    if (v->kind() != JsonValue::Kind::Array) {
-      error_at(key, "expected an array, got " +
-                        std::string(kind_name(v->kind())));
-      return out;
-    }
+    const JsonValue* v = typed(key, JsonValue::Kind::Array, "an array",
+                               required);
+    if (v == nullptr) return out;
     const auto& items = v->as_array();
     for (std::size_t i = 0; i < items.size(); ++i) {
       out.emplace_back(&items[i],
@@ -222,16 +189,9 @@ class Obj {
   std::vector<double> get_numbers(const std::string& key,
                                   bool required = false) const {
     std::vector<double> out;
-    const JsonValue* v = find(key);
-    if (v == nullptr) {
-      if (required && present()) error_at(key, "required key is missing");
-      return out;
-    }
-    if (v->kind() != JsonValue::Kind::Array) {
-      error_at(key, "expected an array of numbers, got " +
-                        std::string(kind_name(v->kind())));
-      return out;
-    }
+    const JsonValue* v = typed(key, JsonValue::Kind::Array,
+                               "an array of numbers", required);
+    if (v == nullptr) return out;
     const auto& items = v->as_array();
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (items[i].kind() != JsonValue::Kind::Number) {
@@ -261,18 +221,325 @@ class Obj {
   }
 
  private:
+  /// The value under `key` when it is a `kind`, else nullptr after
+  /// recording why: a missing required key, or "expected <what>".
+  const JsonValue* typed(const std::string& key, JsonValue::Kind kind,
+                         const char* what, bool required) const {
+    const JsonValue* v = find(key);
+    if (v == nullptr) {
+      if (required && present()) error_at(key, "required key is missing");
+      return nullptr;
+    }
+    if (v->kind() != kind) {
+      error_at(key, std::string("expected ") + what + ", got " +
+                        kind_name(v->kind()));
+      return nullptr;
+    }
+    return v;
+  }
+
   const JsonValue* value_ = nullptr;
   std::string path_;
   std::vector<std::string>* errors_;
 };
 
 // -------------------------------------------------------------------------
-// Topology lowering.
+// Machine sections, declared once.
 //
-// Each branch reads the kind's parameters (unit-suffixed keys, struct
-// defaults for optionals), validates them, and produces both a factory
-// closure (capturing the final parameter values) and the canonical
-// one-line form that feeds the config hash.  `capacity` is the fixed
+// The parameters of each section -- the machine's own scalars,
+// roofline, costs, io and every topology kind -- are one `fields(f,
+// ...)` list in parse order, which is also canonical order.  An entry
+// names the JSON key, the canonical token, the member and its Rule.
+// Three walkers drive every list: allow() feeds Obj::check_keys,
+// Reader reads the keys with path-qualified violations, and Writer
+// appends "token=value" to the canonical line that config_hash, the
+// checkpoint journal key and the serve cache key hash.  So a listed key
+// is allowed, read and hashed, and an unlisted one is none of these.
+// -------------------------------------------------------------------------
+
+/// What a key accepts.  Numbers are kPositive (> 0), kNonNeg (>= 0) or
+/// at_least(n) (an integer >= n that fits its member; for an int list,
+/// each entry); bools, strings and placements take kAny.  A required
+/// key reports its absence and keeps `fallback` when missing or
+/// invalid; an optional key keeps the member's default.
+struct Rule {
+  enum class Check { Any, Positive, NonNeg, AtLeast };
+  Check check = Check::Any;
+  std::int64_t min = 0;
+  bool mandatory = false;
+  double fallback = 0.0;
+
+  [[nodiscard]] constexpr Rule required(double value) const {
+    return {check, min, true, value};
+  }
+};
+
+constexpr Rule kAny{};
+constexpr Rule kPositive{Rule::Check::Positive};
+constexpr Rule kNonNeg{Rule::Check::NonNeg};
+constexpr Rule at_least(std::int64_t n) { return {Rule::Check::AtLeast, n}; }
+
+/// A field list takes its struct const to write it, mutable to read it.
+template <typename R, typename T>
+concept Of = std::same_as<std::remove_const_t<R>, T>;
+
+/// The machine's own scalars.  pingpong_Bps is validated and hashed,
+/// but read by no output.
+template <typename F, Of<machines::MachineSpec> S, Of<double> D>
+void fields(F& f, S& spec, D& pingpong) {
+  f("display", "display", spec.name, kAny);
+  f("max_procs", "max_procs", spec.max_procs, at_least(1).required(1));
+  f("memory_per_proc_bytes", "mem", spec.memory_per_proc,
+    at_least(1).required(1 << 20));
+  f("shared_memory", "shared", spec.shared_memory, kAny);
+  f("rmax_gflops_per_proc", "rmax", spec.rmax_gflops_per_proc,
+    kPositive.required(0.1));
+  f("pingpong_Bps", "pingpong", pingpong, kNonNeg);
+}
+
+template <typename F, Of<machines::Roofline> R>
+void fields(F& f, R& r) {
+  f("peak_flops", "peak", r.peak_flops, kPositive.required(1.0));
+  f("mem_bw_Bps", "mem_bw", r.mem_bw, kPositive.required(1.0));
+  f("cache_bytes", "cache", r.cache_bytes, at_least(0));
+  f("mem_latency_seconds", "mem_latency", r.mem_latency, kNonNeg);
+  f("net_bw_Bps", "net_bw", r.net_bw, kPositive.required(1.0));
+}
+
+template <typename F, Of<parmsg::CommCosts> C>
+void fields(F& f, C& c) {
+  f("send_overhead_seconds", "send", c.send_overhead, kNonNeg);
+  f("recv_overhead_seconds", "recv", c.recv_overhead, kNonNeg);
+  f("alltoallv_base_seconds", "a2a_base", c.alltoallv_base, kNonNeg);
+  f("alltoallv_per_rank_seconds", "a2a_rank", c.alltoallv_per_rank, kNonNeg);
+  f("barrier_hop_seconds", "barrier", c.barrier_hop, kNonNeg);
+  f("bcast_hop_seconds", "bcast", c.bcast_hop, kNonNeg);
+  f("reduce_hop_seconds", "reduce", c.reduce_hop, kNonNeg);
+}
+
+template <typename F, Of<pfsim::IoSystemConfig> C>
+void fields(F& f, C& c) {
+  f("num_servers", "servers", c.num_servers, at_least(1));
+  f("disks_per_server", "disks", c.disks_per_server, at_least(1));
+  f("disk_bw_Bps", "disk_bw", c.disk.bandwidth, kPositive);
+  f("disk_seek_seconds", "seek", c.disk.seek_time, kNonNeg);
+  f("disk_sequential_threshold_bytes", "seq_threshold",
+    c.disk.sequential_threshold, at_least(0));
+  f("server_bw_Bps", "server_bw", c.server_bandwidth, kPositive);
+  f("client_link_bw_Bps", "client_bw", c.client_link_bw, kPositive);
+  f("fabric_bw_Bps", "fabric_bw", c.fabric_bandwidth, kPositive);
+  f("fabric_latency_seconds", "fabric_latency", c.fabric_latency, kNonNeg);
+  f("write_penalty", "write_penalty", c.write_penalty, kPositive);
+  f("stripe_unit_bytes", "stripe", c.stripe_unit, at_least(1));
+  f("block_size_bytes", "block", c.block_size, at_least(1));
+  f("cache_bytes", "cache", c.cache_bytes, at_least(0));
+  f("cache_bypass_threshold_bytes", "bypass", c.cache_bypass_threshold,
+    at_least(0));
+  f("open_close_seconds", "open_close", c.open_close_overhead, kNonNeg);
+  f("request_overhead_seconds", "request", c.request_overhead, kNonNeg);
+  f("server_request_overhead_seconds", "server_request",
+    c.server_request_overhead, kNonNeg);
+  f("collective_two_phase", "two_phase", c.collective_two_phase, kAny);
+  f("optimized_segmented_collective", "opt_segmented",
+    c.optimized_segmented_collective, kAny);
+  f("shared_pointer_overhead_seconds", "shared_ptr",
+    c.shared_pointer_overhead, kNonNeg);
+  f("unaligned_overhead_seconds", "unaligned", c.unaligned_overhead, kNonNeg);
+}
+
+template <typename F, Of<net::CrossbarParams> P>
+void fields(F& f, P& p) {
+  f("port_bw_Bps", "port_bw", p.port_bw, kPositive);
+  f("latency_seconds", "latency", p.latency_sec, kNonNeg);
+}
+
+template <typename F, Of<net::SharedMemoryParams> P>
+void fields(F& f, P& p) {
+  f("copy_bw_Bps", "copy_bw", p.per_process_copy_bw, kPositive);
+  f("aggregate_bw_Bps", "aggregate_bw", p.aggregate_bw, kPositive);
+  f("latency_seconds", "latency", p.latency_sec, kNonNeg);
+}
+
+/// `dims` comes first and is lowered by hand: absent means sized by
+/// nprocs, written "auto".
+template <typename F, Of<net::Torus3DParams> P>
+void fields(F& f, P& p) {
+  f("nic_bw_Bps", "nic_bw", p.nic_bw, kPositive);
+  f("duplex_factor", "duplex", p.duplex_factor, kPositive);
+  f("link_bw_Bps", "link_bw", p.link_bw, kPositive);
+  f("base_latency_seconds", "base_latency", p.base_latency, kNonNeg);
+  f("per_hop_latency_seconds", "hop_latency", p.per_hop_latency, kNonNeg);
+  f("self_bw_Bps", "self_bw", p.self_bw, kPositive);
+}
+
+template <typename F, Of<net::SmpClusterParams> P>
+void fields(F& f, P& p) {
+  f("nodes", "nodes", p.nodes, at_least(1).required(16));
+  f("procs_per_node", "procs_per_node", p.procs_per_node,
+    at_least(1).required(8));
+  f("placement", "placement", p.placement, kAny);
+  f("copy_bw_Bps", "copy_bw", p.per_process_copy_bw, kPositive);
+  f("node_memory_bw_Bps", "node_bw", p.node_memory_bw, kPositive);
+  f("nic_bw_Bps", "nic_bw", p.nic_bw, kPositive);
+  f("switch_bw_Bps", "switch_bw", p.switch_bw, kPositive);
+  f("intra_latency_seconds", "intra_latency", p.intra_latency, kNonNeg);
+  f("inter_latency_seconds", "inter_latency", p.inter_latency, kNonNeg);
+}
+
+template <typename F, Of<net::FatTreeParams> P>
+void fields(F& f, P& p) {
+  f("leaves", "leaves", p.leaves, at_least(1));
+  f("leaf_radix", "leaf_radix", p.leaf_radix, at_least(1));
+  f("spines", "spines", p.spines, at_least(1));
+  f("port_bw_Bps", "port_bw", p.port_bw, kPositive);
+  f("up_bw_Bps", "up_bw", p.up_bw, kPositive);
+  f("latency_seconds", "latency", p.latency_sec, kNonNeg);
+  f("spine_latency_seconds", "spine_latency", p.spine_latency, kNonNeg);
+}
+
+template <typename F, Of<net::DragonflyParams> P>
+void fields(F& f, P& p) {
+  f("groups", "groups", p.groups, at_least(1));
+  f("group_size", "group_size", p.group_size, at_least(1));
+  f("port_bw_Bps", "port_bw", p.port_bw, kPositive);
+  f("local_bw_Bps", "local_bw", p.local_bw, kPositive);
+  f("global_bw_Bps", "global_bw", p.global_bw, kPositive);
+  f("base_latency_seconds", "base_latency", p.base_latency, kNonNeg);
+  f("global_latency_seconds", "global_latency", p.global_latency, kNonNeg);
+}
+
+template <typename F, Of<net::MultiRailParams> P>
+void fields(F& f, P& p) {
+  f("rails", "rails", p.rails, at_least(1));
+  f("rail_bw_Bps", "rail_bw", p.rail_bw, kPositive);
+  f("latency_seconds", "latency", p.latency_sec, kNonNeg);
+}
+
+/// `edges` is written here but read by lower_adjacency after the
+/// scalars: each edge's checks need the node count.
+template <typename F, Of<net::AdjacencyParams> P>
+void fields(F& f, P& p) {
+  f("nodes", "nodes", p.nodes, at_least(1).required(1));
+  f("attach", "attach", p.attach, at_least(0).required(0));
+  f("edges", "edges", p.edges, kAny);
+  f("port_bw_Bps", "port_bw", p.port_bw, kPositive);
+  f("latency_seconds", "latency", p.latency_sec, kNonNeg);
+  f("per_hop_latency_seconds", "hop_latency", p.per_hop_latency, kNonNeg);
+}
+
+const char* placement_name(net::Placement p) {
+  return p == net::Placement::RoundRobin ? "round_robin" : "sequential";
+}
+
+using Edges = std::vector<net::AdjacencyParams::Edge>;
+
+struct Reader {
+  const Obj& o;
+
+  template <typename T>
+  void operator()(const char* key, const char*, T& v, Rule r) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = o.get_bool(key, v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = o.get_string(key, v);
+    } else if constexpr (std::is_same_v<T, net::Placement>) {
+      const std::string name = o.get_string(key, placement_name(v));
+      if (name == "sequential") {
+        v = net::Placement::Sequential;
+      } else if (name == "round_robin") {
+        v = net::Placement::RoundRobin;
+      } else {
+        o.error_at(key, "expected \"sequential\" or \"round_robin\", got \"" +
+                            name + "\"");
+      }
+    } else if constexpr (std::is_same_v<T, std::vector<int>>) {
+      v = o.get_ints_min(key, static_cast<int>(r.min), r.mandatory);
+    } else if constexpr (std::is_integral_v<T>) {
+      v = o.get_int_min(key, r.min,
+                        r.mandatory ? static_cast<T>(r.fallback) : v,
+                        r.mandatory);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      const double fallback = r.mandatory ? r.fallback : v;
+      v = r.check == Rule::Check::Positive
+              ? o.get_positive(key, fallback, r.mandatory)
+              : o.get_nonneg(key, fallback, r.mandatory);
+    } else {
+      static_assert(std::is_same_v<T, Edges>);
+    }
+  }
+};
+
+struct Writer {
+  std::string text;
+
+  template <typename T>
+  void operator()(const char*, const char* token, const T& v, Rule) {
+    if (!text.empty()) text += ' ';
+    text += token;
+    text += '=';
+    if constexpr (std::is_same_v<T, bool>) {
+      text += v ? '1' : '0';
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      text += '"' + v + '"';
+    } else if constexpr (std::is_same_v<T, net::Placement>) {
+      text += placement_name(v);
+    } else if constexpr (std::is_same_v<T, std::vector<int>>) {
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i != 0) text += ',';
+        text += std::to_string(v[i]);
+      }
+    } else if constexpr (std::is_same_v<T, Edges>) {
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i != 0) text += ';';
+        text += std::to_string(v[i].a) + "-" + std::to_string(v[i].b) + "@" +
+                num(v[i].bandwidth);
+      }
+    } else if constexpr (std::is_integral_v<T>) {
+      text += std::to_string(v);
+    } else {
+      text += num(v);
+    }
+  }
+};
+
+/// Flags every key of `o` that is neither listed nor one of
+/// `hand_keys`, the keys its lowering reads by hand.
+template <typename... R>
+void allow(const Obj& o, std::initializer_list<const char*> hand_keys,
+           const R&... r) {
+  std::vector<const char*> keys(hand_keys);
+  auto add = [&keys](const char* key, const char*, const auto&, Rule) {
+    keys.push_back(key);
+  };
+  fields(add, r...);
+  o.check_keys(keys);
+}
+
+template <typename... R>
+void read(const Obj& o, R&... r) {
+  Reader in{o};
+  fields(in, r...);
+}
+
+/// allow() and read(), for a section that reads no key before its list.
+template <typename R>
+void read_listed(const Obj& o, std::initializer_list<const char*> hand_keys,
+                 R& r) {
+  allow(o, hand_keys, r);
+  read(o, r);
+}
+
+/// `head` followed by one "token=value" per listed key.
+template <typename... R>
+std::string canonical(std::string head, const R&... r) {
+  Writer out{std::move(head)};
+  fields(out, r...);
+  return std::move(out.text);
+}
+
+// -------------------------------------------------------------------------
+// Topology lowering.  Each kind produces a factory closure over its
+// final parameters and its canonical text.  `capacity` is the fixed
 // endpoint count of structural kinds (0 = the topology is sized by
 // nprocs at build time) so machine.max_procs can be checked against it.
 // -------------------------------------------------------------------------
@@ -280,79 +547,74 @@ class Obj {
 struct LoweredTopology {
   std::function<std::unique_ptr<net::Topology>(int)> factory;
   std::string canonical;
-  int capacity = 0;  // 0 = sized by nprocs
+  std::int64_t capacity = 0;  // 0 = sized by nprocs
 };
 
-LoweredTopology lower_crossbar(const Obj& t) {
-  t.check_keys({"kind", "port_bw_Bps", "latency_seconds"});
-  net::CrossbarParams p;
-  p.port_bw = t.get_positive("port_bw_Bps", p.port_bw);
-  p.latency_sec = t.get_nonneg("latency_seconds", p.latency_sec);
+/// The listed parameters of a kind that has no hand-read key.
+template <typename P>
+LoweredTopology lower_listed(const Obj& t, P& p) {
+  read_listed(t, {"kind"}, p);
   LoweredTopology out;
-  out.canonical = "crossbar port_bw=" + num(p.port_bw) +
-                  " latency=" + num(p.latency_sec);
+  out.canonical = canonical("", p);
+  return out;
+}
+
+/// A kind whose topology is sized by nprocs when it is built.
+template <typename P, auto make>
+LoweredTopology lower_sized(const Obj& t) {
+  P p;
+  LoweredTopology out = lower_listed(t, p);
   out.factory = [p](int nprocs) {
-    net::CrossbarParams q = p;
+    P q = p;
     q.processes = nprocs;
-    return net::make_crossbar(q);
+    return make(q);
   };
   return out;
 }
 
-LoweredTopology lower_shared_memory(const Obj& t) {
-  t.check_keys({"kind", "copy_bw_Bps", "aggregate_bw_Bps",
-                "latency_seconds"});
-  net::SharedMemoryParams p;
-  p.per_process_copy_bw = t.get_positive("copy_bw_Bps", p.per_process_copy_bw);
-  p.aggregate_bw = t.get_positive("aggregate_bw_Bps", p.aggregate_bw);
-  p.latency_sec = t.get_nonneg("latency_seconds", p.latency_sec);
-  LoweredTopology out;
-  out.canonical = "shared_memory copy_bw=" + num(p.per_process_copy_bw) +
-                  " aggregate_bw=" + num(p.aggregate_bw) +
-                  " latency=" + num(p.latency_sec);
-  out.factory = [p](int nprocs) {
-    net::SharedMemoryParams q = p;
-    q.processes = nprocs;
-    return net::make_shared_memory(q);
-  };
+/// Endpoint counts of the kinds of fixed size, in 64 bits so that an
+/// oversized product is a violation, not a wrapped int.
+std::int64_t endpoints(const net::SmpClusterParams& p) {
+  return std::int64_t{p.nodes} * p.procs_per_node;
+}
+std::int64_t endpoints(const net::FatTreeParams& p) {
+  return std::int64_t{p.leaves} * p.leaf_radix;
+}
+std::int64_t endpoints(const net::DragonflyParams& p) {
+  return std::int64_t{p.groups} * p.group_size;
+}
+
+template <typename P, auto make>
+LoweredTopology lower_fixed(const Obj& t) {
+  P p;
+  LoweredTopology out = lower_listed(t, p);
+  out.capacity = endpoints(p);
+  out.factory = [p](int) { return make(p); };
   return out;
 }
 
 LoweredTopology lower_torus3d(const Obj& t) {
-  t.check_keys({"kind", "dims", "nic_bw_Bps", "duplex_factor", "link_bw_Bps",
-                "base_latency_seconds", "per_hop_latency_seconds",
-                "self_bw_Bps"});
   net::Torus3DParams p;
+  allow(t, {"kind", "dims"}, p);
   bool fixed_dims = false;
-  if (t.has("dims")) {
+  if (t.find("dims") != nullptr) {
     const std::vector<int> dims = t.get_ints_min("dims", 1);
     if (dims.size() != 3) {
       t.error_at("dims", "expected exactly 3 positive integers");
     } else {
-      p.dims[0] = dims[0];
-      p.dims[1] = dims[1];
-      p.dims[2] = dims[2];
+      std::copy(dims.begin(), dims.end(), p.dims);
       fixed_dims = true;
     }
   }
-  p.nic_bw = t.get_positive("nic_bw_Bps", p.nic_bw);
-  p.duplex_factor = t.get_positive("duplex_factor", p.duplex_factor);
-  p.link_bw = t.get_positive("link_bw_Bps", p.link_bw);
-  p.base_latency = t.get_nonneg("base_latency_seconds", p.base_latency);
-  p.per_hop_latency =
-      t.get_nonneg("per_hop_latency_seconds", p.per_hop_latency);
-  p.self_bw = t.get_positive("self_bw_Bps", p.self_bw);
+  read(t, p);
   LoweredTopology out;
-  out.canonical =
-      "torus3d dims=" +
-      (fixed_dims ? std::to_string(p.dims[0]) + "x" +
-                        std::to_string(p.dims[1]) + "x" +
-                        std::to_string(p.dims[2])
-                  : std::string("auto")) +
-      " nic_bw=" + num(p.nic_bw) + " duplex=" + num(p.duplex_factor) +
-      " link_bw=" + num(p.link_bw) + " base_latency=" + num(p.base_latency) +
-      " hop_latency=" + num(p.per_hop_latency) + " self_bw=" + num(p.self_bw);
-  if (fixed_dims) out.capacity = p.dims[0] * p.dims[1] * p.dims[2];
+  std::string dims = "auto";
+  if (fixed_dims) {
+    dims = std::to_string(p.dims[0]) + "x" + std::to_string(p.dims[1]) + "x" +
+           std::to_string(p.dims[2]);
+    out.capacity = std::int64_t{p.dims[0]} * p.dims[1] * p.dims[2];
+  }
+  out.canonical = canonical("dims=" + dims, p);
   out.factory = [p, fixed_dims](int nprocs) {
     net::Torus3DParams q = p;
     if (!fixed_dims) net::torus_dims_for(nprocs, q.dims);
@@ -361,182 +623,70 @@ LoweredTopology lower_torus3d(const Obj& t) {
   return out;
 }
 
-LoweredTopology lower_smp_cluster(const Obj& t) {
-  t.check_keys({"kind", "nodes", "procs_per_node", "placement",
-                "copy_bw_Bps", "node_memory_bw_Bps", "nic_bw_Bps",
-                "switch_bw_Bps", "intra_latency_seconds",
-                "inter_latency_seconds"});
-  net::SmpClusterParams p;
-  p.nodes = static_cast<int>(t.get_int_min("nodes", 1, p.nodes, true));
-  p.procs_per_node =
-      static_cast<int>(t.get_int_min("procs_per_node", 1, p.procs_per_node,
-                                     true));
-  const std::string placement =
-      t.get_string("placement", "sequential");
-  if (placement == "sequential") {
-    p.placement = net::Placement::Sequential;
-  } else if (placement == "round_robin") {
-    p.placement = net::Placement::RoundRobin;
-  } else {
-    t.error_at("placement",
-               "expected \"sequential\" or \"round_robin\", got \"" +
-                   placement + "\"");
-  }
-  p.per_process_copy_bw = t.get_positive("copy_bw_Bps", p.per_process_copy_bw);
-  p.node_memory_bw = t.get_positive("node_memory_bw_Bps", p.node_memory_bw);
-  p.nic_bw = t.get_positive("nic_bw_Bps", p.nic_bw);
-  p.switch_bw = t.get_positive("switch_bw_Bps", p.switch_bw);
-  p.intra_latency = t.get_nonneg("intra_latency_seconds", p.intra_latency);
-  p.inter_latency = t.get_nonneg("inter_latency_seconds", p.inter_latency);
-  LoweredTopology out;
-  out.canonical = "smp_cluster nodes=" + std::to_string(p.nodes) +
-                  " procs_per_node=" + std::to_string(p.procs_per_node) +
-                  " placement=" + placement +
-                  " copy_bw=" + num(p.per_process_copy_bw) +
-                  " node_bw=" + num(p.node_memory_bw) +
-                  " nic_bw=" + num(p.nic_bw) +
-                  " switch_bw=" + num(p.switch_bw) +
-                  " intra_latency=" + num(p.intra_latency) +
-                  " inter_latency=" + num(p.inter_latency);
-  out.capacity = p.nodes * p.procs_per_node;
-  out.factory = [p](int) { return net::make_smp_cluster(p); };
-  return out;
-}
-
-LoweredTopology lower_fat_tree(const Obj& t) {
-  t.check_keys({"kind", "leaves", "leaf_radix", "spines", "port_bw_Bps",
-                "up_bw_Bps", "latency_seconds", "spine_latency_seconds"});
-  net::FatTreeParams p;
-  p.leaves = static_cast<int>(t.get_int_min("leaves", 1, p.leaves));
-  p.leaf_radix = static_cast<int>(t.get_int_min("leaf_radix", 1,
-                                                p.leaf_radix));
-  p.spines = static_cast<int>(t.get_int_min("spines", 1, p.spines));
-  p.port_bw = t.get_positive("port_bw_Bps", p.port_bw);
-  p.up_bw = t.get_positive("up_bw_Bps", p.up_bw);
-  p.latency_sec = t.get_nonneg("latency_seconds", p.latency_sec);
-  p.spine_latency = t.get_nonneg("spine_latency_seconds", p.spine_latency);
-  LoweredTopology out;
-  out.canonical = "fat_tree leaves=" + std::to_string(p.leaves) +
-                  " leaf_radix=" + std::to_string(p.leaf_radix) +
-                  " spines=" + std::to_string(p.spines) +
-                  " port_bw=" + num(p.port_bw) + " up_bw=" + num(p.up_bw) +
-                  " latency=" + num(p.latency_sec) +
-                  " spine_latency=" + num(p.spine_latency);
-  out.capacity = p.leaves * p.leaf_radix;
-  out.factory = [p](int) { return net::make_fat_tree(p); };
-  return out;
-}
-
-LoweredTopology lower_dragonfly(const Obj& t) {
-  t.check_keys({"kind", "groups", "group_size", "port_bw_Bps",
-                "local_bw_Bps", "global_bw_Bps", "base_latency_seconds",
-                "global_latency_seconds"});
-  net::DragonflyParams p;
-  p.groups = static_cast<int>(t.get_int_min("groups", 1, p.groups));
-  p.group_size = static_cast<int>(t.get_int_min("group_size", 1,
-                                                p.group_size));
-  p.port_bw = t.get_positive("port_bw_Bps", p.port_bw);
-  p.local_bw = t.get_positive("local_bw_Bps", p.local_bw);
-  p.global_bw = t.get_positive("global_bw_Bps", p.global_bw);
-  p.base_latency = t.get_nonneg("base_latency_seconds", p.base_latency);
-  p.global_latency = t.get_nonneg("global_latency_seconds", p.global_latency);
-  LoweredTopology out;
-  out.canonical = "dragonfly groups=" + std::to_string(p.groups) +
-                  " group_size=" + std::to_string(p.group_size) +
-                  " port_bw=" + num(p.port_bw) +
-                  " local_bw=" + num(p.local_bw) +
-                  " global_bw=" + num(p.global_bw) +
-                  " base_latency=" + num(p.base_latency) +
-                  " global_latency=" + num(p.global_latency);
-  out.capacity = p.groups * p.group_size;
-  out.factory = [p](int) { return net::make_dragonfly(p); };
-  return out;
-}
-
-LoweredTopology lower_multi_rail(const Obj& t) {
-  t.check_keys({"kind", "rails", "rail_bw_Bps", "latency_seconds"});
-  net::MultiRailParams p;
-  p.rails = static_cast<int>(t.get_int_min("rails", 1, p.rails));
-  p.rail_bw = t.get_positive("rail_bw_Bps", p.rail_bw);
-  p.latency_sec = t.get_nonneg("latency_seconds", p.latency_sec);
-  LoweredTopology out;
-  out.canonical = "multi_rail rails=" + std::to_string(p.rails) +
-                  " rail_bw=" + num(p.rail_bw) +
-                  " latency=" + num(p.latency_sec);
-  out.factory = [p](int nprocs) {
-    net::MultiRailParams q = p;
-    q.processes = nprocs;
-    return net::make_multi_rail(q);
-  };
-  return out;
-}
-
 LoweredTopology lower_adjacency(const Obj& t) {
-  t.check_keys({"kind", "nodes", "attach", "edges", "port_bw_Bps",
-                "latency_seconds", "per_hop_latency_seconds"});
   net::AdjacencyParams p;
-  p.nodes = static_cast<int>(t.get_int_min("nodes", 1, 1, true));
-  p.attach = t.get_ints_min("attach", 0, true);
-  p.port_bw = t.get_positive("port_bw_Bps", p.port_bw);
-  p.latency_sec = t.get_nonneg("latency_seconds", p.latency_sec);
-  p.per_hop_latency =
-      t.get_nonneg("per_hop_latency_seconds", p.per_hop_latency);
-  std::string edges_canon;
+  read_listed(t, {"kind"}, p);
   for (const Obj& e : t.children("edges", true)) {
     e.check_keys({"a", "b", "bandwidth_Bps"});
-    net::AdjacencyParams::Edge edge;
-    edge.a = static_cast<int>(e.get_int_min("a", 0, 0, true));
-    edge.b = static_cast<int>(e.get_int_min("b", 0, 0, true));
+    net::AdjacencyParams::Edge& edge = p.edges.emplace_back();
+    edge.a = e.get_int_min("a", 0, 0, true);
+    edge.b = e.get_int_min("b", 0, 0, true);
     edge.bandwidth = e.get_positive("bandwidth_Bps", edge.bandwidth);
     if (edge.a == edge.b) e.error("edge endpoints must differ");
     if (edge.a >= p.nodes || edge.b >= p.nodes) {
       e.error("edge endpoint out of range (nodes=" +
               std::to_string(p.nodes) + ")");
     }
-    p.edges.push_back(edge);
-    if (!edges_canon.empty()) edges_canon += ";";
-    edges_canon += std::to_string(edge.a) + "-" + std::to_string(edge.b) +
-                   "@" + num(edge.bandwidth);
   }
-  std::string attach_canon;
   for (std::size_t i = 0; i < p.attach.size(); ++i) {
     if (p.attach[i] >= p.nodes) {
       t.error_at("attach", "entry " + std::to_string(i) +
                                " out of range (nodes=" +
                                std::to_string(p.nodes) + ")");
     }
-    if (!attach_canon.empty()) attach_canon += ",";
-    attach_canon += std::to_string(p.attach[i]);
   }
   if (p.attach.empty()) t.error_at("attach", "must list at least one endpoint");
   if (p.edges.empty()) t.error_at("edges", "must list at least one edge");
   LoweredTopology out;
-  out.canonical = "adjacency nodes=" + std::to_string(p.nodes) +
-                  " attach=" + attach_canon + " edges=" + edges_canon +
-                  " port_bw=" + num(p.port_bw) +
-                  " latency=" + num(p.latency_sec) +
-                  " hop_latency=" + num(p.per_hop_latency);
-  out.capacity = static_cast<int>(p.attach.size());
+  out.canonical = canonical("", p);
+  out.capacity = static_cast<std::int64_t>(p.attach.size());
   out.factory = [p](int) { return net::make_adjacency(p); };
   return out;
 }
 
+constexpr std::pair<const char*, LoweredTopology (*)(const Obj&)> kKinds[] = {
+    {"crossbar", lower_sized<net::CrossbarParams, net::make_crossbar>},
+    {"shared_memory",
+     lower_sized<net::SharedMemoryParams, net::make_shared_memory>},
+    {"torus3d", lower_torus3d},
+    {"smp_cluster", lower_fixed<net::SmpClusterParams, net::make_smp_cluster>},
+    {"fat_tree", lower_fixed<net::FatTreeParams, net::make_fat_tree>},
+    {"dragonfly", lower_fixed<net::DragonflyParams, net::make_dragonfly>},
+    {"multi_rail", lower_sized<net::MultiRailParams, net::make_multi_rail>},
+    {"adjacency", lower_adjacency},
+};
+
 LoweredTopology lower_topology(const Obj& t) {
   const std::string kind = t.get_string("kind", "", true);
-  if (kind == "crossbar") return lower_crossbar(t);
-  if (kind == "shared_memory") return lower_shared_memory(t);
-  if (kind == "torus3d") return lower_torus3d(t);
-  if (kind == "smp_cluster") return lower_smp_cluster(t);
-  if (kind == "fat_tree") return lower_fat_tree(t);
-  if (kind == "dragonfly") return lower_dragonfly(t);
-  if (kind == "multi_rail") return lower_multi_rail(t);
-  if (kind == "adjacency") return lower_adjacency(t);
+  for (const auto& [name, lower] : kKinds) {
+    if (kind != name) continue;
+    LoweredTopology out = lower(t);
+    out.canonical = kind + " " + out.canonical;
+    constexpr std::int64_t kMaxEndpoints = std::numeric_limits<int>::max();
+    if (out.capacity > kMaxEndpoints) {
+      t.error(std::to_string(out.capacity) + " endpoints exceed " +
+              std::to_string(kMaxEndpoints));
+    }
+    return out;
+  }
   if (!kind.empty()) {
-    t.error_at("kind",
-               "unknown topology kind \"" + kind +
-                   "\" (expected crossbar, shared_memory, torus3d, "
-                   "smp_cluster, fat_tree, dragonfly, multi_rail or "
-                   "adjacency)");
+    std::string expected;
+    for (std::size_t i = 0; i < std::size(kKinds); ++i) {
+      if (i != 0) expected += i + 1 == std::size(kKinds) ? " or " : ", ";
+      expected += kKinds[i].first;
+    }
+    t.error_at("kind", "unknown topology kind \"" + kind + "\" (expected " +
+                           expected + ")");
   }
   return {};
 }
@@ -545,156 +695,26 @@ LoweredTopology lower_topology(const Obj& t) {
 // Machine lowering.
 // -------------------------------------------------------------------------
 
-parmsg::CommCosts parse_costs(const Obj& c, std::string* canonical) {
-  c.check_keys({"send_overhead_seconds", "recv_overhead_seconds",
-                "alltoallv_base_seconds", "alltoallv_per_rank_seconds",
-                "barrier_hop_seconds", "bcast_hop_seconds",
-                "reduce_hop_seconds"});
-  parmsg::CommCosts costs;
-  costs.send_overhead = c.get_nonneg("send_overhead_seconds",
-                                     costs.send_overhead);
-  costs.recv_overhead = c.get_nonneg("recv_overhead_seconds",
-                                     costs.recv_overhead);
-  costs.alltoallv_base = c.get_nonneg("alltoallv_base_seconds",
-                                      costs.alltoallv_base);
-  costs.alltoallv_per_rank = c.get_nonneg("alltoallv_per_rank_seconds",
-                                          costs.alltoallv_per_rank);
-  costs.barrier_hop = c.get_nonneg("barrier_hop_seconds", costs.barrier_hop);
-  costs.bcast_hop = c.get_nonneg("bcast_hop_seconds", costs.bcast_hop);
-  costs.reduce_hop = c.get_nonneg("reduce_hop_seconds", costs.reduce_hop);
-  *canonical = "send=" + num(costs.send_overhead) +
-               " recv=" + num(costs.recv_overhead) +
-               " a2a_base=" + num(costs.alltoallv_base) +
-               " a2a_rank=" + num(costs.alltoallv_per_rank) +
-               " barrier=" + num(costs.barrier_hop) +
-               " bcast=" + num(costs.bcast_hop) +
-               " reduce=" + num(costs.reduce_hop);
-  return costs;
-}
-
-machines::Roofline parse_roofline(const Obj& r, std::string* canonical) {
-  r.check_keys({"peak_flops", "mem_bw_Bps", "cache_bytes",
-                "mem_latency_seconds", "net_bw_Bps"});
-  machines::Roofline roof;
-  roof.peak_flops = r.get_positive("peak_flops", 1.0, true);
-  roof.mem_bw = r.get_positive("mem_bw_Bps", 1.0, true);
-  roof.cache_bytes = r.get_int_min("cache_bytes", 0, roof.cache_bytes);
-  roof.mem_latency = r.get_nonneg("mem_latency_seconds", roof.mem_latency);
-  roof.net_bw = r.get_positive("net_bw_Bps", 1.0, true);
-  *canonical = "peak=" + num(roof.peak_flops) + " mem_bw=" + num(roof.mem_bw) +
-               " cache=" + std::to_string(roof.cache_bytes) +
-               " mem_latency=" + num(roof.mem_latency) +
-               " net_bw=" + num(roof.net_bw);
-  return roof;
-}
-
-pfsim::IoSystemConfig parse_io(const Obj& io, const std::string& machine,
-                               std::string* canonical) {
-  io.check_keys({"num_servers", "disks_per_server", "disk_bw_Bps",
-                 "disk_seek_seconds", "disk_sequential_threshold_bytes",
-                 "server_bw_Bps", "client_link_bw_Bps", "fabric_bw_Bps",
-                 "fabric_latency_seconds", "write_penalty",
-                 "stripe_unit_bytes", "block_size_bytes", "cache_bytes",
-                 "cache_bypass_threshold_bytes", "open_close_seconds",
-                 "request_overhead_seconds",
-                 "server_request_overhead_seconds", "collective_two_phase",
-                 "optimized_segmented_collective",
-                 "shared_pointer_overhead_seconds",
-                 "unaligned_overhead_seconds"});
-  pfsim::IoSystemConfig c;
-  c.name = machine + " (scenario)";
-  c.num_servers =
-      static_cast<int>(io.get_int_min("num_servers", 1, c.num_servers));
-  c.disks_per_server = static_cast<int>(
-      io.get_int_min("disks_per_server", 1, c.disks_per_server));
-  c.disk.bandwidth = io.get_positive("disk_bw_Bps", c.disk.bandwidth);
-  c.disk.seek_time = io.get_nonneg("disk_seek_seconds", c.disk.seek_time);
-  c.disk.sequential_threshold = io.get_int_min(
-      "disk_sequential_threshold_bytes", 0, c.disk.sequential_threshold);
-  c.server_bandwidth = io.get_positive("server_bw_Bps", c.server_bandwidth);
-  c.client_link_bw = io.get_positive("client_link_bw_Bps", c.client_link_bw);
-  c.fabric_bandwidth = io.get_positive("fabric_bw_Bps", c.fabric_bandwidth);
-  c.fabric_latency = io.get_nonneg("fabric_latency_seconds",
-                                   c.fabric_latency);
-  c.write_penalty = io.get_positive("write_penalty", c.write_penalty);
-  c.stripe_unit = io.get_int_min("stripe_unit_bytes", 1, c.stripe_unit);
-  c.block_size = io.get_int_min("block_size_bytes", 1, c.block_size);
-  c.cache_bytes = io.get_int_min("cache_bytes", 0, c.cache_bytes);
-  c.cache_bypass_threshold = io.get_int_min("cache_bypass_threshold_bytes", 0,
-                                            c.cache_bypass_threshold);
-  c.open_close_overhead = io.get_nonneg("open_close_seconds",
-                                        c.open_close_overhead);
-  c.request_overhead = io.get_nonneg("request_overhead_seconds",
-                                     c.request_overhead);
-  c.server_request_overhead = io.get_nonneg(
-      "server_request_overhead_seconds", c.server_request_overhead);
-  c.collective_two_phase =
-      io.get_bool("collective_two_phase", c.collective_two_phase);
-  c.optimized_segmented_collective = io.get_bool(
-      "optimized_segmented_collective", c.optimized_segmented_collective);
-  c.shared_pointer_overhead = io.get_nonneg(
-      "shared_pointer_overhead_seconds", c.shared_pointer_overhead);
-  c.unaligned_overhead = io.get_nonneg("unaligned_overhead_seconds",
-                                       c.unaligned_overhead);
-  *canonical =
-      "servers=" + std::to_string(c.num_servers) +
-      " disks=" + std::to_string(c.disks_per_server) +
-      " disk_bw=" + num(c.disk.bandwidth) +
-      " seek=" + num(c.disk.seek_time) +
-      " seq_threshold=" + std::to_string(c.disk.sequential_threshold) +
-      " server_bw=" + num(c.server_bandwidth) +
-      " client_bw=" + num(c.client_link_bw) +
-      " fabric_bw=" + num(c.fabric_bandwidth) +
-      " fabric_latency=" + num(c.fabric_latency) +
-      " write_penalty=" + num(c.write_penalty) +
-      " stripe=" + std::to_string(c.stripe_unit) +
-      " block=" + std::to_string(c.block_size) +
-      " cache=" + std::to_string(c.cache_bytes) +
-      " bypass=" + std::to_string(c.cache_bypass_threshold) +
-      " open_close=" + num(c.open_close_overhead) +
-      " request=" + num(c.request_overhead) +
-      " server_request=" + num(c.server_request_overhead) +
-      " two_phase=" + (c.collective_two_phase ? "1" : "0") +
-      " opt_segmented=" + (c.optimized_segmented_collective ? "1" : "0") +
-      " shared_ptr=" + num(c.shared_pointer_overhead) +
-      " unaligned=" + num(c.unaligned_overhead);
-  return c;
-}
-
 MachineEntry parse_machine(const Obj& m) {
-  m.check_keys({"name", "display", "max_procs", "memory_per_proc_bytes",
-                "shared_memory", "rmax_gflops_per_proc", "pingpong_Bps",
-                "roofline", "costs", "topology", "io"});
   MachineEntry entry;
   machines::MachineSpec& spec = entry.spec;
+  double pingpong = 0.0;
+  allow(m, {"name", "roofline", "costs", "topology", "io"}, spec, pingpong);
   spec.short_name = m.get_string("name", "", true);
-  if (!spec.short_name.empty()) {
-    for (char ch : spec.short_name) {
-      const bool ok = (ch >= 'a' && ch <= 'z') || (ch >= '0' && ch <= '9') ||
-                      ch == '-' || ch == '_';
-      if (!ok) {
-        m.error_at("name",
-                   "machine names are lowercase [a-z0-9_-] (CLI keys and "
-                   "record fields), got \"" + spec.short_name + "\"");
-        break;
-      }
+  for (char ch : spec.short_name) {
+    const bool ok = (ch >= 'a' && ch <= 'z') || (ch >= '0' && ch <= '9') ||
+                    ch == '-' || ch == '_';
+    if (!ok) {
+      m.error_at("name",
+                 "machine names are lowercase [a-z0-9_-] (CLI keys and "
+                 "record fields), got \"" + spec.short_name + "\"");
+      break;
     }
   }
-  spec.name = m.get_string("display", spec.short_name);
-  spec.max_procs = static_cast<int>(m.get_int_min("max_procs", 1, 1, true));
-  spec.memory_per_proc =
-      m.get_int_min("memory_per_proc_bytes", 1, 1 << 20, true);
-  spec.shared_memory = m.get_bool("shared_memory", false);
-  spec.rmax_gflops_per_proc =
-      m.get_positive("rmax_gflops_per_proc", 0.1, true);
-  // Validated, and part of the config hash, but read by no output.
-  const double pingpong = m.get_nonneg("pingpong_Bps", 0.0);
-
-  std::string roof_canon;
-  spec.roofline = parse_roofline(m.child("roofline", true), &roof_canon);
-
-  std::string costs_canon;
-  spec.costs = parse_costs(m.child("costs"), &costs_canon);
+  spec.name = spec.short_name;  // the display name's default
+  read(m, spec, pingpong);
+  read_listed(m.child("roofline", true), {}, spec.roofline);
+  read_listed(m.child("costs"), {}, spec.costs);
 
   LoweredTopology topo = lower_topology(m.child("topology", true));
   if (topo.factory) {
@@ -706,21 +726,18 @@ MachineEntry parse_machine(const Obj& m) {
     spec.make_topology = std::move(topo.factory);
   }
 
-  std::string io_canon;
   const Obj io = m.child("io");
   if (io.present()) {
-    spec.io = parse_io(io, spec.short_name, &io_canon);
+    spec.io.emplace().name = spec.short_name + " (scenario)";
+    read_listed(io, {}, *spec.io);
   }
 
-  entry.canonical =
-      "machine " + spec.short_name + " display=\"" + spec.name + "\"" +
-      " max_procs=" + std::to_string(spec.max_procs) +
-      " mem=" + std::to_string(spec.memory_per_proc) +
-      " shared=" + (spec.shared_memory ? "1" : "0") +
-      " rmax=" + num(spec.rmax_gflops_per_proc) +
-      " pingpong=" + num(pingpong) + " roofline{" + roof_canon +
-      "} costs{" + costs_canon + "} topology{" + topo.canonical + "}" +
-      (io.present() ? " io{" + io_canon + "}" : "");
+  entry.canonical = canonical("machine " + spec.short_name, spec, pingpong) +
+                    " roofline{" + canonical("", spec.roofline) +
+                    "} costs{" + canonical("", spec.costs) + "} topology{" +
+                    topo.canonical + "}" +
+                    (io.present() ? " io{" + canonical("", *spec.io) + "}"
+                                  : "");
   return entry;
 }
 
@@ -850,8 +867,7 @@ void parse_faults(Scenario* s, const Obj& faults) {
   const Obj drop = faults.child("drop");
   if (drop.present()) {
     drop.check_keys({"rank", "after_seconds"});
-    s->faults.drop_rank =
-        static_cast<int>(drop.get_int_min("rank", 0, 0, true));
+    s->faults.drop_rank = drop.get_int_min("rank", 0, 0, true);
     s->faults.drop_after_s =
         drop.get_nonneg("after_seconds", s->faults.drop_after_s);
   }
@@ -870,7 +886,7 @@ void parse_fault_sweep(Scenario* s, const Obj& fs) {
                     "\" is neither a scenario machine nor a built-in (" +
                     machines::machine_list() + ")");
   }
-  sweep.nprocs = static_cast<int>(fs.get_int_min("procs", 2, 2, true));
+  sweep.nprocs = fs.get_int_min("procs", 2, 2, true);
   if (!sweep.machine.empty() && resolvable(*s, sweep.machine)) {
     const machines::MachineSpec spec = s->resolve_machine(sweep.machine);
     if (sweep.nprocs > spec.max_procs) {
@@ -1017,11 +1033,7 @@ Scenario parse_scenario_text(std::string_view text) {
 }
 
 Scenario load_scenario_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ScenarioError("cannot read scenario file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_scenario_text(buf.str());
+  return parse_scenario_text(util::read_file(path));
 }
 
 std::vector<std::string> validate_scenario_text(std::string_view text) {

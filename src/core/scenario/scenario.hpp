@@ -122,8 +122,8 @@ struct Scenario {
 Scenario parse_scenario(const obs::JsonValue& doc);
 Scenario parse_scenario_text(std::string_view text);
 
-/// Reads `path` and parses it.  Throws ScenarioError if the file
-/// cannot be read.
+/// Reads `path` and parses it.  Throws std::runtime_error ("cannot read
+/// <path>", util::read_file) if the file cannot be read.
 Scenario load_scenario_file(const std::string& path);
 
 /// Lint mode: every violation in the document, one message per entry

@@ -109,14 +109,4 @@ void Tracer::render_timeline(std::ostream& os, int width, int max_rows) const {
   os << '\n';
 }
 
-void Tracer::write_csv(std::ostream& os) const {
-  os << "start,end,process,category,label\n";
-  const auto saved = os.precision(12);
-  for (const auto& s : spans_) {
-    os << s.start << ',' << s.end << ',' << s.process << ',' << s.category
-       << ',' << s.label << '\n';
-  }
-  os.precision(saved);
-}
-
 }  // namespace balbench::simt

@@ -81,9 +81,6 @@ class Tracer {
   void render_timeline(std::ostream& os, int width = 72,
                        int max_rows = 16) const;
 
-  /// start,end,process,category,label -- times in virtual seconds.
-  void write_csv(std::ostream& os) const;
-
   /// Total recorded virtual seconds per category (sum of span lengths;
   /// concurrent spans count multiply).
   [[nodiscard]] std::map<char, double> category_totals() const;

@@ -131,6 +131,54 @@ TEST(ScenarioParse, CapacityAndProcsChecksFire) {
   EXPECT_TRUE(any_contains(violations, "$.sweep.beff[0].procs"));
 }
 
+TEST(ScenarioParse, IntegersBeyondIntRangeAreViolations) {
+  // Keys read into an `int` stop at INT_MAX instead of wrapping
+  // (4294967300 would be 4), and endpoint counts are multiplied in 64
+  // bits: 2^20 x 2^20 x 2^12 torus nodes, 2^16 x 2^16 SMP processes.
+  const auto violations = validate_scenario_text(R"({
+    "schema": "balbench-scenario/1",
+    "name": "x",
+    "machines": [
+      { "name": "wrap", "max_procs": 4294967298,
+        "memory_per_proc_bytes": 4294967296, "rmax_gflops_per_proc": 1.0,
+        "roofline": { "peak_flops": 1e9, "mem_bw_Bps": 1e9,
+                      "net_bw_Bps": 1e8 },
+        "topology": { "kind": "smp_cluster", "nodes": 4294967300,
+                      "procs_per_node": 1 },
+        "io": { "num_servers": 2147483648 } },
+      { "name": "torus", "max_procs": 2, "memory_per_proc_bytes": 1048576,
+        "rmax_gflops_per_proc": 1.0,
+        "roofline": { "peak_flops": 1e9, "mem_bw_Bps": 1e9,
+                      "net_bw_Bps": 1e8 },
+        "topology": { "kind": "torus3d", "dims": [1048576, 1048576, 4096] } },
+      { "name": "smp", "max_procs": 2, "memory_per_proc_bytes": 1048576,
+        "rmax_gflops_per_proc": 1.0,
+        "roofline": { "peak_flops": 1e9, "mem_bw_Bps": 1e9,
+                      "net_bw_Bps": 1e8 },
+        "topology": { "kind": "smp_cluster", "nodes": 65536,
+                      "procs_per_node": 65536 } }
+    ],
+    "faults": { "drop": { "rank": 4294967296 } },
+    "fault_sweep": { "machine": "t3e", "procs": 4294967298,
+                     "link_rates": [0] }
+  })");
+  for (const char* expected :
+       {"$.machines[0].max_procs: must be <= 2147483647, got 4294967298",
+        "$.machines[0].topology.nodes: must be <= 2147483647, got 4294967300",
+        "$.machines[0].io.num_servers: must be <= 2147483647, got 2147483648",
+        "$.machines[1].topology: 4503599627370496 endpoints exceed 2147483647",
+        "$.machines[2].topology: 4294967296 endpoints exceed 2147483647",
+        "$.faults.drop.rank: must be <= 2147483647, got 4294967296",
+        "$.fault_sweep.procs: must be <= 2147483647, got 4294967298"}) {
+    EXPECT_TRUE(any_contains(violations, expected))
+        << expected << "\n" << all_of_them(violations);
+  }
+  // A 64-bit key keeps its range, and a wrapped value is never checked.
+  EXPECT_FALSE(any_contains(violations, "memory_per_proc_bytes"));
+  EXPECT_FALSE(any_contains(violations, "exceeds the topology"))
+      << all_of_them(violations);
+}
+
 TEST(ScenarioParse, FaultWindowMustBeOrdered) {
   const auto violations = validate_scenario_text(R"({
     "schema": "balbench-scenario/1",

@@ -65,15 +65,6 @@ TEST(Tracer, EmptyTimelineIsSafe) {
   EXPECT_NE(os.str().find("empty"), std::string::npos);
 }
 
-TEST(Tracer, CsvHasHeaderAndRows) {
-  bs::Tracer t;
-  t.record(0.25, 0.75, 3, 'W', "1 MB");
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_NE(os.str().find("start,end,process,category,label"), std::string::npos);
-  EXPECT_NE(os.str().find("0.25,0.75,3,W,1 MB"), std::string::npos);
-}
-
 TEST(Tracer, SimTransportRecordsActivity) {
   bn::CrossbarParams p;
   p.processes = 4;
